@@ -13,7 +13,8 @@ import random
 from arcmetric import (boundary_horofunction, enumerate_panel, detect_limit,
                        horo_convergence, horofunction_eval,
                        interior_horofunction, make_path_spec, normalize,
-                       pants_point, rational_lamination, scaling_path)
+                       normalized_length_vector, pants_point,
+                       rational_lamination, scaling_path)
 
 base = pants_point(1, 1, 2)
 S = base.surface
@@ -47,8 +48,18 @@ for t, dev in horo_convergence(spec, base, probes, panel,
 print()
 
 seq = [scaling_path(spec, t) for t in (4, 5, 6, 7, 8)]
-rep = detect_limit(seq, panel, tolerance=1e-3, base_point=base)
+tolerance = 1e-3
+rep = detect_limit(seq, panel, tolerance=tolerance, base_point=base)
 print(f"limit detection on the sampled path: kind = {rep.kind!r}")
-print("  projective vector:",
-      " ".join(f"{v:.4f}" for v in rep.projective_vector))
-print("  (proportional to the intersection numbers of a33 with the panel)")
+if rep.kind == "boundary":
+    print("  projective vector:",
+          " ".join(f"{v:.4f}" for v in rep.projective_vector))
+    print("  (proportional to the intersection numbers of a33 with the panel)")
+elif rep.kind == "none":
+    # the verdict rests on the last step of the normalized length vectors
+    last = normalized_length_vector(seq[-1], base, panel)
+    prev = normalized_length_vector(seq[-2], base, panel)
+    step = max(abs(a - b) for a, b in zip(last, prev))
+    print(f"  last step of the normalized vector: {step:.3e} "
+          f"(tolerance {tolerance:g})")
+    print("  the path has not settled to this tolerance by t = 8")

@@ -12,8 +12,7 @@ from .errors import (ArcmetricError, DegeneratePanelError, DomainError,
 from .topology import (ArcClass, CurveClass, Panel, Pants, Surface,
                        SurfaceSignature, build_surface, double_topology,
                        enumerate_panel, mirror_label)
-from .hyptrig import (PantsBoundaryLengths, PantsIntersectionData,
-                      arc_length_distinct_boundaries,
+from .hyptrig import (PantsIntersectionData, arc_length_distinct_boundaries,
                       arc_length_same_boundary, intersection_arc_distinct,
                       intersection_arc_same, leaf_decay_bound)
 from .geometry import (FNPoint, Holonomy, arc_length, arc_length_doubled_route,

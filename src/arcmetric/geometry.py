@@ -7,6 +7,9 @@ matrices (trace-length relation l = 2 arccosh(|tr|/2)).
 
 Twists are hyperbolic lengths, positive = right twist; the mirror side of a
 double carries negated twists.
+
+The holonomy layer (and with it numpy) is imported on the first holonomy
+build, so the closed-form routes run on the standard library alone.
 """
 
 from __future__ import annotations
@@ -14,14 +17,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import holonomy as ho
 from . import hyptrig as ht
 from .errors import DomainError, UnsupportedClassError, UnsupportedSurfaceError
 from .topology import (ArcClass, CurveClass, Surface, SurfaceSignature,
                        build_surface, double_topology)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import holonomy as ho
 
 _PANTS_SIG = SurfaceSignature(0, 0, 3)
 _TORUS_SIG = SurfaceSignature(1, 0, 1)
@@ -156,6 +162,8 @@ class Holonomy:
 
     def generator_trace_errors(self) -> dict:
         """|trace| vs 2cosh(l/2) for every coordinate curve with a word."""
+        import numpy as np
+
         out = {}
         for label, length in self._boundary_lengths.items():
             if label in self.words:
@@ -165,6 +173,8 @@ class Holonomy:
 
     def relator_residuals(self) -> list[float]:
         """Deviation of the defining relators from +-identity."""
+        import numpy as np
+
         res = []
         for word in self.words.get("_relators", []):
             M = self.gens.matrix(word)
@@ -205,6 +215,8 @@ def _slope_word(p: int, q: int) -> list:
 
 
 def _build_holonomy(X: FNPoint) -> Holonomy:
+    from . import holonomy as ho
+
     surf = X.surface
     sig = surf.signature
     if surf.double_of is None:

@@ -17,10 +17,10 @@ for the doubling gluings.  Twists are in hyperbolic length units.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import halfplane as hp
 from .errors import DomainError, UnsupportedSurfaceError
@@ -78,6 +78,60 @@ def _seam_gap(u: float, a: float, b: float) -> float:
     return math.acosh(k)
 
 
+# doubling the trial seam length past this would overflow math.exp(u)
+_U_MAX = math.log(sys.float_info.max)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int) -> float:
+    """Root of f in the sign-changing bracket [xa, xb] by Brent's method.
+
+    Secant or inverse quadratic interpolation steps, falling back to
+    bisection, until half the bracket is below (xtol + rtol*|x|)/2.  The
+    step rules follow the widely used C implementation exactly, so roots
+    agree with it bit for bit (tested).
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise DomainError("hexagon shooting bracket does not change sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise DomainError(f"hexagon shooting did not converge in {maxiter} steps")
+
+
 def build_pants(l1: float, l2: float, l3: float) -> PantsRealization:
     """Realize the pants with cuff lengths (l1, l2, l3), all > 0."""
     for v in (l1, l2, l3):
@@ -93,14 +147,15 @@ def build_pants(l1: float, l2: float, l3: float) -> PantsRealization:
     hi = 1.0
     while f(hi) < 0:
         hi *= 2.0
-        if hi > 1e6:
-            raise DomainError("hexagon shooting failed to bracket from above")
+        if hi > _U_MAX:
+            raise DomainError("hexagon shooting failed to bracket from above: "
+                              "cuffs too long for double precision")
     lo = hi
     while f(lo) > 0:
         lo /= 2.0
         if lo < 1e-250:
             raise DomainError("hexagon shooting failed to bracket from below")
-    u = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    u = _brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
 
     R = math.exp(u)
     axis1 = hp.geodesic_from_circle(0.0, 1.0)            # oriented -1 -> +1

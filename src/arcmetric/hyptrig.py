@@ -186,22 +186,6 @@ def leaf_decay_bound(omega: float, t: float, abs_chi: int) -> float:
 
 
 @dataclass(frozen=True)
-class PantsBoundaryLengths:
-    """Boundary lengths of a pair of pants; zero encodes a cusp."""
-
-    b1: float
-    b2: float
-    b3: float
-
-    def __post_init__(self):
-        for name in ("b1", "b2", "b3"):
-            v = getattr(self, name)
-            _check_finite(name, v)
-            if v < 0:
-                raise DomainError(f"{name} must be >= 0, got {v}")
-
-
-@dataclass(frozen=True)
 class PantsIntersectionData:
     """Intersection numbers and boundary-leaf weights of mu with three sides."""
 

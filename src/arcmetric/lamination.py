@@ -17,7 +17,6 @@ symmetric.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -578,7 +577,3 @@ def dt_to_dict(coords: DTCoordinates) -> dict:
     out = {label: list(iv) for label, iv in coords.curves}
     out.update({label: th for label, th in coords.boundary})
     return out
-
-
-def lamination_to_json(mu: RationalLamination, **kw) -> str:
-    return json.dumps(lamination_to_dict(mu), **kw)

@@ -4,10 +4,31 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 ARC = [sys.executable, "-m", "arcmetric.cli"]
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+
+# runs cli.main on each argv of a JSON list, then reports which of the heavy
+# numeric packages the interpreter has loaded
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from arcmetric import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+loaded = {name.split(".")[0] for name in sys.modules}
+print(json.dumps({"codes": codes, "numpy": "numpy" in loaded,
+                  "scipy": "scipy" in loaded}))
+"""
+
+
+def loaded_packages(*argvs):
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
+                          json.dumps(argvs)],
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
 
 
 def run(*args, **kw):
@@ -31,6 +52,27 @@ def test_missing_arc_is_usage_error():
 def test_unknown_arc_is_domain_error():
     out = run("arc-length", "--pants", "2,2,2", "--arc", "zz")
     assert out.returncode == 3
+
+
+def test_long_cuff_torus_word_is_domain_error():
+    out = run("curve-length", "--torus", "50,0.3,1", "--curve", "w(1,1)")
+    assert out.returncode == 3
+    assert "Traceback" not in out.stderr
+
+
+def test_closed_form_verbs_load_no_numpy_or_scipy():
+    report = loaded_packages(
+        ["distance", "--pants", "--x", "2,2,2", "--y", "4,4,4"],
+        ["double", "--torus", "1.2,0.4,2.2"],
+        ["experiment", "boundary-limit",
+         str(CONFIGS / "demo_boundary_pants.json")])
+    assert report == {"codes": [0, 0, 0], "numpy": False, "scipy": False}
+
+
+def test_torus_word_loads_numpy_but_not_scipy():
+    report = loaded_packages(
+        ["curve-length", "--torus", "2,0.3,1", "--curve", "w(1,1)"])
+    assert report == {"codes": [0], "numpy": True, "scipy": False}
 
 
 def test_unsupported_surface_exit_code():

@@ -65,6 +65,37 @@ def test_axis_distance_formulas_agree():
     assert (1 + lam) / (1 - lam) == pytest.approx(k, rel=1e-12)
 
 
+def test_shooting_solver_matches_scipy_brentq(monkeypatch):
+    optimize = pytest.importorskip("scipy.optimize")
+    grid = [0.1 * 140 ** (k / 7) for k in range(8)]  # log-spaced in [0.1, 14]
+    triples = [(l1, l2, l3) for l1 in grid for l2 in grid for l3 in grid]
+    ours = [ho.build_pants(*t).seam_lengths for t in triples]
+    monkeypatch.setattr(ho, "_brentq", optimize.brentq)
+    theirs = [ho.build_pants(*t).seam_lengths for t in triples]
+    assert ours == theirs
+
+
+def test_shooting_solver_failures_are_domain_errors():
+    def f(x):
+        return x ** 3 - 2.0
+
+    root = ho._brentq(f, 0.0, 2.0, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    assert root == pytest.approx(2.0 ** (1 / 3), abs=1e-14)
+    with pytest.raises(DomainError, match="does not change sign"):
+        ho._brentq(f, 2.0, 3.0, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    with pytest.raises(DomainError, match="did not converge"):
+        ho._brentq(f, 0.0, 2.0, xtol=1e-14, rtol=8.9e-16, maxiter=3)
+
+
+def test_long_cuffs_raise_domain_error_not_overflow():
+    # the seam between two cuffs of length 50 is longer than math.exp allows
+    with pytest.raises(DomainError, match="too long"):
+        ho.build_pants(50.0, 50.0, 1.0)
+    X = geo.torus_point(50.0, 0.3, 1.0)
+    with pytest.raises(DomainError):
+        geo.curve_length(X, CurveClass("word", "w(1,1)", (1, 1)))
+
+
 # -- FN points and the doubling embedding ------------------------------------------
 
 
