@@ -31,8 +31,8 @@ from .metric import (Horofunction, LimitReport, MetricValue, arc_metric,
                      interior_horofunction, normalized_length_vector,
                      symmetrized_metric, thurston_vector)
 from .asymptotics import (DeviationReport, PathSpec, SeparationWitness,
-                          boundary_convergence, default_grid, horo_convergence,
+                          boundary_convergence, horo_convergence,
                           make_path_spec, scaling_path, separation_experiment,
-                          validate_path_spec, verify_key_inequality)
+                          verify_key_inequality)
 
 __version__ = "0.1.0"

@@ -26,13 +26,21 @@ DEFAULT_GRID = tuple(0.5 * k for k in range(21))  # 0.0, 0.5, ..., 10.0
 _LENGTH_FLOOR = 1e-300  # decay regime under double precision
 
 
-def default_grid() -> tuple[float, ...]:
-    return DEFAULT_GRID
-
-
 def abs_double_chi(surface) -> int:
     """|Euler characteristic of the double| = 2 |chi(S)|."""
     return 2 * abs(surface.signature.euler_characteristic())
+
+
+def _regime(mu, base_point, label) -> tuple:
+    """Regime of one coordinate curve, read from the lamination data."""
+    cls = mu.surface.curve_class(label)
+    ival = lam.intersection_number(mu, cls)
+    if ival > 0:
+        return ("grow", ival)
+    weight = mu.weight_of(cls)
+    if weight > 0:
+        return ("decay", weight)
+    return ("hold", base_point.length_of(label))
 
 
 @dataclass(frozen=True)
@@ -40,13 +48,38 @@ class PathSpec:
     """Coordinate-wise scaling path driven by a lamination.
 
     regimes maps every coordinate curve label to ("grow", rate),
-    ("decay", leaf_weight) or ("hold", initial_length).
+    ("decay", leaf_weight) or ("hold", initial_length).  They are classified
+    from the lamination when omitted, and checked against it when given; a
+    PathSpec that exists is valid.
     """
 
     mu: lam.RationalLamination
     base_point: geo.FNPoint
     grid: tuple
-    regimes: tuple  # ((label, (kind, parameter)), ...)
+    regimes: tuple | None = None  # ((label, (kind, parameter)), ...)
+
+    def __post_init__(self):
+        surface = self.mu.surface
+        if self.base_point.surface != surface:
+            raise InvalidSpecError("base point and lamination disagree on surface")
+        grid = tuple(float(t) for t in self.grid)
+        if len(grid) < 1 or any(t < 0 for t in grid) \
+                or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise InvalidSpecError("grid must be strictly increasing with t >= 0")
+        object.__setattr__(self, "grid", grid)
+        regimes = {label: _regime(self.mu, self.base_point, label)
+                   for label in surface.boundaries + surface.interior_curves}
+        if self.regimes is None:
+            object.__setattr__(self, "regimes", tuple(regimes.items()))
+            return
+        given = dict(self.regimes)
+        if len(given) != len(self.regimes) or given.keys() != regimes.keys():
+            raise InvalidSpecError("regimes must cover every coordinate curve once")
+        for label, (kind, param) in regimes.items():
+            if given[label][0] != kind or abs(given[label][1] - param) >= 1e-12:
+                raise InvalidSpecError(
+                    f"{label}: the lamination gives regime {kind!r} "
+                    f"with parameter {param!r}, not {given[label]!r}")
 
     def regime_dict(self) -> dict:
         return dict(self.regimes)
@@ -55,65 +88,25 @@ class PathSpec:
 def make_path_spec(mu: lam.RationalLamination, base_point: geo.FNPoint,
                    grid=DEFAULT_GRID) -> PathSpec:
     """Classify each coordinate curve from the lamination data."""
-    surface = mu.surface
-    if base_point.surface != surface:
-        raise InvalidSpecError("base point and lamination disagree on surface")
-    grid = tuple(float(t) for t in grid)
-    if len(grid) < 1 or any(t < 0 for t in grid) \
-            or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise InvalidSpecError("grid must be strictly increasing with t >= 0")
-    regimes = []
-    for label in list(surface.boundaries) + list(surface.interior_curves):
-        cls = surface.curve_class(label)
-        ival = lam.intersection_number(mu, cls)
-        weight = mu.weight_of(cls)
-        if ival > 0:
-            regimes.append((label, ("grow", ival)))
-        elif weight > 0:
-            regimes.append((label, ("decay", weight)))
-        else:
-            regimes.append((label, ("hold", base_point.length_of(label))))
-    return PathSpec(mu, base_point, grid, tuple(regimes))
-
-
-def validate_path_spec(spec: PathSpec) -> None:
-    """Check the regime of every curve against the driving lamination."""
-    surface = spec.mu.surface
-    labels = set(surface.boundaries) | set(surface.interior_curves)
-    reg = spec.regime_dict()
-    if set(reg) != labels:
-        raise InvalidSpecError("regimes must cover every coordinate curve once")
-    for label, (kind, param) in reg.items():
-        cls = surface.curve_class(label)
-        ival = lam.intersection_number(spec.mu, cls)
-        weight = spec.mu.weight_of(cls)
-        if kind == "grow" and not (ival > 0 and abs(param - ival) < 1e-12):
-            raise InvalidSpecError(f"{label}: grow regime needs i(mu, C) > 0")
-        if kind == "decay" and not (ival == 0 and weight > 0
-                                    and abs(param - weight) < 1e-12):
-            raise InvalidSpecError(f"{label}: decay regime needs a leaf weight")
-        if kind == "hold" and not (ival == 0 and weight == 0):
-            raise InvalidSpecError(f"{label}: hold regime needs i = 0 and w = 0")
+    return PathSpec(mu, base_point, grid)
 
 
 def scaling_path(spec: PathSpec, t: float) -> geo.FNPoint:
     """The point at parameter t; deterministic, twists from the base point."""
     if not (math.isfinite(t) and t >= 0):
         raise DomainError("path parameter must be >= 0")
-    validate_path_spec(spec)
     surface = spec.mu.surface
     chi = abs_double_chi(surface)
-
-    def coord_length(label):
-        kind, param = spec.regime_dict()[label]
+    lengths = {}
+    for label, (kind, param) in spec.regimes:
         if kind == "grow":
-            return math.exp(t) * param
-        if kind == "decay":
-            return max(ht.leaf_decay_bound(param, t, chi), _LENGTH_FLOOR)
-        return param
-
-    boundary = {label: coord_length(label) for label in surface.boundaries}
-    interior = {label: (coord_length(label), spec.base_point.twist_of(label))
+            lengths[label] = math.exp(t) * param
+        elif kind == "decay":
+            lengths[label] = max(ht.leaf_decay_bound(param, t, chi), _LENGTH_FLOOR)
+        else:
+            lengths[label] = param
+    boundary = {label: lengths[label] for label in surface.boundaries}
+    interior = {label: (lengths[label], spec.base_point.twist_of(label))
                 for label in surface.interior_curves}
     return geo.fn_point(surface, interior, boundary)
 
@@ -132,6 +125,38 @@ class DeviationReport:
     flagged: bool
 
 
+def deviation_walk(spec: PathSpec, targets, grid=None, cap=50.0):
+    """Walk the path once: l_a(X_t) - e^t i(mu, a) for every target a.
+
+    Returns (columns, reports, skipped).  columns maps the index of each
+    supported target to its deviations over the grid, and reports holds its
+    DeviationReport, both in target order; skipped lists (target, reason)
+    for the targets some point does not support.
+    """
+    grid = tuple(grid) if grid is not None else spec.grid
+    ivals = [lam.intersection_number(spec.mu, target) for target in targets]
+    columns = {k: [] for k in range(len(targets))}
+    reasons = {}
+    for t in grid:
+        X = scaling_path(spec, t)
+        for k in list(columns):
+            try:
+                length = geo.class_length(X, targets[k])
+            except UnsupportedClassError as exc:
+                reasons[k] = str(exc)
+                del columns[k]
+                continue
+            columns[k].append(length - math.exp(t) * ivals[k])
+    reports = []
+    for k, devs in columns.items():
+        # 0.0 - dev, not -dev: a zero deviation stays +0.0
+        lower = max([-math.inf] + [0.0 - dev for dev in devs])
+        upper = max([-math.inf] + devs)
+        reports.append(DeviationReport(str(targets[k]), ivals[k], lower, upper,
+                                       flagged=max(lower, upper) > cap))
+    return columns, reports, [(str(targets[k]), reasons[k]) for k in sorted(reasons)]
+
+
 def verify_key_inequality(spec: PathSpec, targets, grid=None, cap=50.0):
     """Sandwich check: e^t i(mu, a) - C <= l_a(X_t) <= e^t i(mu, a) + C_a.
 
@@ -139,23 +164,7 @@ def verify_key_inequality(spec: PathSpec, targets, grid=None, cap=50.0):
     envelope exceeds the cap.  Unsupported targets are skipped with notice,
     never silently dropped.
     """
-    grid = tuple(grid) if grid is not None else spec.grid
-    reports, skipped = [], []
-    for target in targets:
-        ival = lam.intersection_number(spec.mu, target)
-        lower, upper = -math.inf, -math.inf
-        try:
-            for t in grid:
-                X = scaling_path(spec, t)
-                length = geo.class_length(X, target)
-                growth = math.exp(t) * ival
-                lower = max(lower, growth - length)
-                upper = max(upper, length - growth)
-        except UnsupportedClassError as exc:
-            skipped.append((str(target), str(exc)))
-            continue
-        reports.append(DeviationReport(str(target), ival, lower, upper,
-                                       flagged=max(lower, upper) > cap))
+    _, reports, skipped = deviation_walk(spec, targets, grid, cap)
     return reports, skipped
 
 
@@ -203,20 +212,6 @@ class SeparationWitness:
     t: float
 
 
-def _log_sup_intersection_ratio(mu, Y, panel) -> float:
-    best = 0.0
-    for entry in panel:
-        ival = lam.intersection_number(mu, entry)
-        if ival > 0:
-            length = geo.class_length(Y, entry)
-            # a class crushed below double precision gives an effectively
-            # infinite ratio; keep the comparison meaningful
-            best = math.inf if length <= 0.0 else max(best, ival / length)
-    if best == 0.0:
-        raise DegeneratePanelError("panel misses the lamination")
-    return math.log(best) if math.isfinite(best) else math.inf
-
-
 def separation_experiment(mu: lam.RationalLamination,
                           nu: lam.RationalLamination,
                           X0: geo.FNPoint,
@@ -228,7 +223,7 @@ def separation_experiment(mu: lam.RationalLamination,
 
     Scans scaling paths driven by the blended refinements
     (1 - eps) mu + (eps / L) zeta over the epsilon and t grids; a returned
-    witness is always re-verified by direct evaluation of both suprema.
+    witness carries the two log-suprema that certified it.
     """
     surface = mu.surface
     if panel is None:
@@ -253,17 +248,16 @@ def separation_experiment(mu: lam.RationalLamination,
         spec = make_path_spec(blend, X0, grid)
         for t in grid:
             Y = scaling_path(spec, t)
-            try:
-                lhs = _log_sup_intersection_ratio(nu, Y, panel)
-                rhs = _log_sup_intersection_ratio(mu, Y, panel)
-            except DegeneratePanelError:
+            sup_nu = met.sup_intersection_ratio(nu, Y, panel)
+            if sup_nu == 0.0:
+                continue  # the panel misses nu
+            sup_mu = met.sup_intersection_ratio(mu, Y, panel)
+            if sup_mu == 0.0:
                 continue
+            # a crushed class makes a supremum inf, and its log inf too
+            lhs, rhs = math.log(sup_nu), math.log(sup_mu)
             if lhs - rhs >= min_gap:
-                # independent re-verification before certifying
-                lhs2 = _log_sup_intersection_ratio(nu, Y, panel)
-                rhs2 = _log_sup_intersection_ratio(mu, Y, panel)
-                if lhs2 - rhs2 >= min_gap:
-                    return SeparationWitness(Y, lhs2, rhs2, eps, t)
+                return SeparationWitness(Y, lhs, rhs, eps, t)
             attempts.append((eps, t))
         if zeta.is_zero():
             break  # epsilon does not enter without a refinement part

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import random
 import sys
 
@@ -25,7 +24,7 @@ from . import metric as met
 from .errors import (ArcmetricError, DomainError, InvalidSpecError,
                      NoWitnessError, UnsupportedClassError,
                      UnsupportedCoordinatesError, UnsupportedSurfaceError)
-from .topology import build_surface, enumerate_panel, panel_to_dict
+from .topology import ArcClass, build_surface, enumerate_panel, panel_to_dict
 
 
 def _fmt(x: float) -> str:
@@ -59,14 +58,6 @@ def _point_from_args(args, which: str) -> geo.FNPoint:
     return _make_point(args, coords)
 
 
-def _surface_from_args(args):
-    if args.pants is not None:
-        return geo.pants_surface()
-    if args.torus is not None:
-        return geo.torus_surface()
-    raise DomainError("select a surface with --pants or --torus")
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -93,7 +84,7 @@ def _config_surface(config):
 def _config_grid(config) -> tuple:
     grid = config.get("grid")
     if grid is None:
-        return asy.default_grid()
+        return asy.DEFAULT_GRID
     if isinstance(grid, dict):
         start, stop = float(grid["start"]), float(grid["stop"])
         step = float(grid["step"])
@@ -125,7 +116,9 @@ def _emit(data, path=None):
 
 def cmd_arc_length(args) -> int:
     X = _point_from_args(args, "point")
-    arc = X.surface.arc_alias(args.arc)
+    arc = lam.class_from_id(X.surface, args.arc)
+    if not isinstance(arc, ArcClass):
+        raise DomainError(f"{args.arc!r} names a curve, not an arc")
     print(_fmt(geo.arc_length(X, arc)))
     return 0
 
@@ -188,18 +181,11 @@ def cmd_experiment_inequality(config, csv_path, json_path) -> int:
     spec = asy.make_path_spec(mu, base, grid)
     names = config.get("targets") or panel.labels()
     targets = [lam.class_from_id(surface, n) for n in names]
-    rows = []
-    for t in grid:
-        X = asy.scaling_path(spec, t)
-        row = [t]
-        for target in targets:
-            growth = math.exp(t) * lam.intersection_number(mu, target)
-            row.append(geo.class_length(X, target) - growth)
-        rows.append(row)
+    columns, reports, skipped = asy.deviation_walk(spec, targets, grid)
     if csv_path:
-        _write_csv(csv_path, ["t"] + [f"dev[{n}]" for n in names]
-                   + [f"panel_n={panel.complexity}"], rows)
-    reports, skipped = asy.verify_key_inequality(spec, targets, grid)
+        _write_csv(csv_path, ["t"] + [f"dev[{names[k]}]" for k in columns]
+                   + [f"panel_n={panel.complexity}"],
+                   zip(grid, *columns.values()))
     _emit({"targets": [r.__dict__ for r in reports],
            "skipped": skipped, "panel_n": panel.complexity}, json_path)
     return 0

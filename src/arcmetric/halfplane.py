@@ -101,15 +101,6 @@ def geodesic_distance(g1: Geodesic, g2: Geodesic) -> float:
     return math.acosh(k)
 
 
-def translation_matrix(g: Geodesic, t: float):
-    """Matrix translating hyperbolic distance t along g (toward g.end)."""
-    # columns (end | start) conjugate diag(e^{t/2}, e^{-t/2}) onto g
-    C = np.array([[g.end[0], g.start[0]], [g.end[1], g.start[1]]], dtype=float)
-    D = np.diag([math.exp(t / 2.0), math.exp(-t / 2.0)])
-    M = C @ D @ np.linalg.inv(C)
-    return M / math.sqrt(abs(np.linalg.det(M)))
-
-
 def reflection_matrix(g: Geodesic):
     """Determinant -1 matrix of the reflection fixing g (acts on conj(z))."""
     if abs(g.start[1]) < 1e-300 or abs(g.end[1]) < 1e-300:

@@ -41,15 +41,6 @@ def log_sinh(x: float) -> float:
     return x + math.log1p(-math.exp(-2.0 * x)) - _LN2
 
 
-def acosh_clamped(x: float) -> float:
-    """arccosh with rounding guard: x in [1 - 1e-12, 1] is clamped to 1."""
-    if x < 1.0:
-        if x < 1.0 - 1e-12:
-            raise DomainError(f"arccosh argument {x} < 1")
-        return 0.0
-    return math.acosh(x)
-
-
 def _asinh_of_exp(lx: float) -> float:
     """arcsinh(exp(lx)), stable for lx anywhere in the double range."""
     if lx > 33.0:

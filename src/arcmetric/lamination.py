@@ -557,9 +557,16 @@ def class_from_id(surface: Surface, class_id: str):
         if q < 1 or math.gcd(abs(p), q) != 1:
             raise DomainError(f"slope ({p},{q}) is not primitive with q >= 1")
         return CurveClass("word", f"w({p},{q})", (p, q))
-    for arc in surface.pants_arcs() + surface.word_arcs(6):
-        if arc.label == class_id:
-            return arc
+    _, tilde, twist = class_id.partition("~")
+    if tilde:  # twisted torus arc: its twist k is any nonzero integer
+        try:
+            k = int(twist)
+        except ValueError:
+            raise DomainError(f"arc twist in {class_id!r} is not an integer") from None
+        for arc in surface.word_arcs_at(abs(k) + 1):
+            if arc.label == class_id:
+                return arc
+        raise DomainError(f"unknown arc {class_id!r} on {surface.signature}")
     return surface.arc_alias(class_id)
 
 

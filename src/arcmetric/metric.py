@@ -9,7 +9,7 @@ values are monotone nondecreasing under panel refinement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import geometry as geo
 from . import lamination as lam
@@ -66,17 +66,45 @@ def thurston_vector(X: geo.FNPoint, panel: Panel) -> tuple[float, ...]:
 # -- horofunctions -----------------------------------------------------------------
 
 
+def sup_intersection_ratio(mu, Y: geo.FNPoint, panel: Panel,
+                           scale: float = 1.0) -> float:
+    """sup over the panel of i(mu, .) / (scale * l(., Y)).
+
+    0.0 when every panel class misses mu; inf when a crossed class is
+    crushed below double precision at Y.
+    """
+    best = 0.0
+    for entry in panel:
+        ival = lam.intersection_number(mu, entry)
+        if ival > 0:
+            denom = scale * geo.class_length(Y, entry)
+            best = math.inf if denom <= 0.0 else max(best, ival / denom)
+    return best
+
+
 @dataclass(frozen=True)
 class Horofunction:
     """Either an interior point function d(., X) - d(X0, X), or the boundary
     function attached to a projective lamination via the normalized
-    intersection form."""
+    intersection form.
+
+    constant is computed once, here: d(X0, X) for an interior point, and
+    the normalizer sup i(mu, .)/l(., X0) for a lamination.
+    """
 
     kind: str  # "interior" | "boundary"
     base_point: geo.FNPoint
     panel: Panel
     point: geo.FNPoint | None = None
     mu: lam.RationalLamination | None = None
+    constant: float = field(init=False)
+
+    def __post_init__(self):
+        if self.kind == "interior":
+            constant = arc_metric(self.base_point, self.point, self.panel).value
+        else:
+            constant = sup_intersection_ratio(self.mu, self.base_point, self.panel)
+        object.__setattr__(self, "constant", constant)
 
 
 def interior_horofunction(X: geo.FNPoint, base_point: geo.FNPoint,
@@ -84,40 +112,29 @@ def interior_horofunction(X: geo.FNPoint, base_point: geo.FNPoint,
     return Horofunction("interior", base_point, panel, point=X)
 
 
-def _normalizer(mu, base_point, panel) -> float:
-    """sup over the panel of i(mu, .)/l(., X0); scale-invariant data for mu."""
-    best = 0.0
-    for entry in panel:
-        ival = lam.intersection_number(mu, entry)
-        if ival > 0:
-            best = max(best, ival / geo.class_length(base_point, entry))
-    return best
-
-
 def boundary_horofunction(mu: lam.RationalLamination, base_point: geo.FNPoint,
                           panel: Panel) -> Horofunction:
     if mu.is_zero():
         raise DomainError("boundary horofunction needs a nonzero lamination")
-    if _normalizer(mu, base_point, panel) == 0.0:
+    h = Horofunction("boundary", base_point, panel, mu=mu)
+    if h.constant == 0.0:
         raise DegeneratePanelError(
             "every panel class misses the lamination; refine the panel")
-    return Horofunction("boundary", base_point, panel, mu=mu)
+    if h.constant == math.inf:
+        raise DomainError("a crossed panel class has length 0 at the base point")
+    return h
 
 
 def horofunction_eval(h: Horofunction, Y: geo.FNPoint) -> float:
     """Value at Y: interior points give d(Y, X) - d(X0, X); boundary points
     give log sup of the normalized intersection form against lengths at Y."""
     if h.kind == "interior":
-        return (arc_metric(Y, h.point, h.panel).value
-                - arc_metric(h.base_point, h.point, h.panel).value)
-    norm = _normalizer(h.mu, h.base_point, h.panel)
-    best = 0.0
-    for entry in h.panel:
-        ival = lam.intersection_number(h.mu, entry)
-        if ival > 0:
-            best = max(best, ival / (norm * geo.class_length(Y, entry)))
+        return arc_metric(Y, h.point, h.panel).value - h.constant
+    best = sup_intersection_ratio(h.mu, Y, h.panel, scale=h.constant)
     if best == 0.0:
         raise DegeneratePanelError("panel misses the lamination at Y")
+    if best == math.inf:
+        raise DomainError("a crossed panel class has length 0 at Y")
     return math.log(best)
 
 

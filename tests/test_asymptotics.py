@@ -2,13 +2,16 @@
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from arcmetric import asymptotics as asy
+from arcmetric import cli
 from arcmetric import geometry as geo
 from arcmetric import hyptrig as ht
 from arcmetric import lamination as lam
+from arcmetric import metric as met
 from arcmetric.errors import DomainError, InvalidSpecError, NoWitnessError
 from arcmetric.topology import CurveClass, enumerate_panel
 
@@ -60,15 +63,26 @@ def test_scaling_path_decay_regime():
 
 
 def test_invalid_spec_rejected():
-    bad = asy.PathSpec(MU, BASE, (0.0, 1.0),
-                       (("B1", ("grow", 1.0)), ("B2", ("hold", 1.0)),
-                        ("B3", ("grow", 2.0))))
     with pytest.raises(InvalidSpecError):
-        asy.validate_path_spec(bad)
+        asy.PathSpec(MU, BASE, (0.0, 1.0),
+                     (("B1", ("grow", 1.0)), ("B2", ("hold", 1.0)),
+                      ("B3", ("grow", 2.0))))
     with pytest.raises(InvalidSpecError):
         asy.make_path_spec(MU, BASE, grid=[1.0, 0.5])
     with pytest.raises(DomainError):
         asy.scaling_path(SPEC, -1.0)
+
+
+def test_path_spec_checks_given_regimes():
+    good = SPEC.regimes
+    assert asy.PathSpec(MU, BASE, (0.0, 1.0), good).regimes == good
+    for bad in (good[:2], good + good[:1],
+                (("B1", ("hold", 1.5)),) + good[1:],
+                (("B1", ("decay", 1.0)),) + good[1:]):
+        with pytest.raises(InvalidSpecError):
+            asy.PathSpec(MU, BASE, (0.0, 1.0), bad)
+    with pytest.raises(InvalidSpecError):
+        asy.make_path_spec(MU, geo.torus_point(1.0, 0.0, 2.0))
 
 
 def test_key_inequality_limit_constant():
@@ -107,6 +121,64 @@ def test_unsupported_target_skipped_with_notice():
     reports, skipped = asy.verify_key_inequality(SPEC, [word], grid=[0.0, 1.0])
     assert reports == []
     assert len(skipped) == 1 and skipped[0][0] == "w(1,1)"
+
+
+def test_deviation_walk_matches_key_inequality():
+    targets = [A12, CurveClass("word", "w(1,1)", (1, 1)), A33]
+    columns, reports, skipped = asy.deviation_walk(SPEC, targets)
+    assert list(columns) == [0, 2]
+    assert [len(devs) for devs in columns.values()] == [21, 21]
+    assert skipped == asy.verify_key_inequality(SPEC, targets)[1]
+    assert reports == asy.verify_key_inequality(SPEC, targets)[0]
+    for devs, r in zip(columns.values(), reports):
+        assert r.max_upper_deviation == max(devs)
+        assert r.max_lower_deviation == max(-d for d in devs)
+    # a zero deviation is reported as +0.0, not -0.0
+    b3 = asy.verify_key_inequality(SPEC, [CurveClass("boundary", "B3")])[0][0]
+    assert math.copysign(1.0, b3.max_lower_deviation) == 1.0
+
+
+def test_inequality_cli_walks_each_grid_point_once(monkeypatch, tmp_path):
+    calls = []
+    walk = asy.scaling_path
+
+    def counting(spec, t):
+        calls.append(t)
+        return walk(spec, t)
+
+    monkeypatch.setattr(asy, "scaling_path", counting)
+    config = Path(__file__).resolve().parent.parent / "demos" / "configs" \
+        / "demo_cprime.json"
+    code = cli.main(["experiment", "inequality", str(config),
+                     "--csv", str(tmp_path / "out.csv"),
+                     "--json", str(tmp_path / "out.json")])
+    assert code == 0
+    assert len(calls) == 21 and len(set(calls)) == 21
+
+
+def test_horo_convergence_builds_each_constant_once(monkeypatch):
+    sup_calls, metric_calls = [], []
+    sup, metric = met.sup_intersection_ratio, met.arc_metric
+
+    def counting_sup(mu, Y, panel, scale=1.0):
+        sup_calls.append(Y)
+        return sup(mu, Y, panel, scale)
+
+    def counting_metric(X, Y, panel):
+        metric_calls.append(X)
+        return metric(X, Y, panel)
+
+    monkeypatch.setattr(met, "sup_intersection_ratio", counting_sup)
+    monkeypatch.setattr(met, "arc_metric", counting_metric)
+    probes = [geo.pants_point(2, 2, 2), geo.pants_point(1.5, 2.5, 3),
+              geo.pants_point(3.2, 1.1, 2.4)]
+    grid = [4.0, 6.0, 8.0, 10.0]
+    asy.horo_convergence(SPEC, BASE, probes, PANEL, grid=grid)
+    # the normalizer sup i(mu, .)/l(., X0) once, then one sup per probe
+    assert sum(Y == BASE for Y in sup_calls) == 1
+    assert len(sup_calls) == 1 + len(probes)
+    # d(X0, X_t) once per grid point, not once per probe
+    assert sum(X == BASE for X in metric_calls) == len(grid)
 
 
 def test_boundary_convergence_pants():

@@ -130,6 +130,25 @@ def test_horofn_boundary():
     assert float(out.stdout) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_horofn_crushed_class_is_domain_error():
+    mu = json.dumps([{"class_id": "a33", "weight": 1}])
+    out = run("horofn", "--pants", "--base", "1,1,1", "--at", "1500,1500,1",
+              "--mu", mu)
+    assert out.returncode == 3
+    assert "Traceback" not in out.stderr
+
+
+def test_twisted_arc_any_twist():
+    for verb, flag in (("arc-length", "--arc"), ("curve-length", "--curve")):
+        out = run(verb, "--torus", "1,0,2", flag, "a(B1;C1,C1)~6")
+        assert out.returncode == 0
+        assert float(out.stdout) > 0
+    out = run("arc-length", "--torus", "1,0,2", "--arc", "a(B1;C1,C1)~2")
+    assert out.returncode == 0
+    out = run("arc-length", "--torus", "1,0,2", "--arc", "C1")
+    assert out.returncode == 3
+
+
 def test_dt_sphere_report():
     out = run("experiment", "dt-sphere", "--surface", "1,0,1")
     data = json.loads(out.stdout)
@@ -171,6 +190,21 @@ def test_experiment_csv_byte_identical(tmp_path):
             "--json", str(tmp_path / "sink.json"))
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_experiment_inequality_skips_unsupported_target(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CPRIME, "targets": ["a12", "w(1,1)"]}))
+    csv_path = tmp_path / "out.csv"
+    out = run("experiment", "inequality", str(cfg), "--csv", str(csv_path))
+    assert out.returncode == 0
+    data = json.loads(out.stdout)
+    assert [r["target"] for r in data["targets"]] == ["a(B1,B2;B3)"]
+    assert [name for name, _ in data["skipped"]] == ["w(1,1)"]
+    assert "unsupported" in data["skipped"][0][1]
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "t,dev[a12],panel_n=0"
+    assert len(lines) == 22 and all(len(l.split(",")) == 2 for l in lines[1:])
 
 
 def test_experiment_boundary_limit(tmp_path):

@@ -310,3 +310,19 @@ def test_class_from_id():
     assert lam.class_from_id(T, "a(B1;C1,C1)~1").twist == 1
     with pytest.raises(DomainError):
         lam.class_from_id(S, "nope")
+
+
+@pytest.mark.parametrize("k", [6, -7, 40])
+def test_class_from_id_twisted_arc_any_twist(k):
+    arc = lam.class_from_id(T, f"a(B1;C1,C1)~{k}")
+    assert arc.twist == k
+    assert lam.class_from_id(T, str(arc)) == arc
+
+
+def test_class_from_id_rejects_bad_twists():
+    for bad in ("a(B1;C1,C1)~0", "a(B1;C1,C1)~+6", "a(B1;C1,C1)~x",
+                "a(B2;C1,C1)~3"):
+        with pytest.raises(DomainError):
+            lam.class_from_id(T, bad)
+    with pytest.raises(DomainError):
+        lam.class_from_id(S, "a(B1;B2,B3)~1")

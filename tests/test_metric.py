@@ -169,6 +169,30 @@ def test_degenerate_panel_error():
         met.boundary_horofunction(mu, X222, tiny)
 
 
+def test_boundary_horofunction_crushed_class_is_domain_error():
+    # at (1500, 1500, 1) the arc a(B1,B2;B3) underflows to length 0.0
+    mu = lam.rational_lamination(S, {S.arc_alias("a33"): 1.0})
+    Y = geo.pants_point(1500, 1500, 1)
+    assert met.sup_intersection_ratio(mu, Y, PANEL) == math.inf
+    h = met.boundary_horofunction(mu, geo.pants_point(1, 1, 1), PANEL)
+    with pytest.raises(DomainError):
+        met.horofunction_eval(h, Y)
+    # the same class crushed at the base point makes the normalizer infinite
+    with pytest.raises(DomainError):
+        met.boundary_horofunction(mu, Y, PANEL)
+
+
+def test_sup_intersection_ratio_scale():
+    mu = lam.rational_lamination(S, {S.arc_alias("a33"): 1.0})
+    sup = met.sup_intersection_ratio(mu, X444, PANEL)
+    assert sup == max(lam.intersection_number(mu, e) / geo.class_length(X444, e)
+                      for e in PANEL if lam.intersection_number(mu, e) > 0)
+    assert met.sup_intersection_ratio(mu, X444, PANEL, scale=2.0) \
+        == pytest.approx(sup / 2, rel=1e-15)
+    assert met.sup_intersection_ratio(lam.rational_lamination(S, {}),
+                                      X444, PANEL) == 0.0
+
+
 # -- limit detection ----------------------------------------------------------------
 
 
