@@ -186,16 +186,24 @@ def boundary_convergence(spec: PathSpec, panel: Panel, grid=None):
 
 def horo_convergence(spec: PathSpec, base_point: geo.FNPoint, probes,
                      panel: Panel, grid=None):
-    """Max over probe points of |Phi_{X_t} - Phi_mu| along the path."""
+    """Max over probe points of |Phi_{X_t} - Phi_mu| along the path.
+
+    Phi_{X_t}(Y) = d(Y, X_t) - d(X0, X_t).  The length vectors of the base
+    point and the probes are computed once; each t adds the one of X_t.
+    """
     grid = tuple(grid) if grid is not None else spec.grid
+    if any(P.surface != spec.mu.surface for P in (base_point, *probes)):
+        raise DomainError("points live on different surfaces")
     h_mu = met.boundary_horofunction(spec.mu, base_point, panel)
     mu_values = [met.horofunction_eval(h_mu, Y) for Y in probes]
+    base_lengths = met._length_vector(base_point, panel)
+    probe_lengths = [met._length_vector(Y, panel) for Y in probes]
     out = []
     for t in grid:
-        X = scaling_path(spec, t)
-        h_t = met.interior_horofunction(X, base_point, panel)
-        dev = max(abs(met.horofunction_eval(h_t, Y) - v)
-                  for Y, v in zip(probes, mu_values))
+        lengths = met._length_vector(scaling_path(spec, t), panel)
+        d_base = met._log_sup_ratio(base_lengths, lengths)[0]
+        dev = max(abs((met._log_sup_ratio(ly, lengths)[0] - d_base) - v)
+                  for ly, v in zip(probe_lengths, mu_values))
         out.append((t, dev))
     return out
 

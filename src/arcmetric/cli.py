@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import random
 import sys
@@ -153,7 +154,11 @@ def cmd_horofn(args) -> int:
     at = _point_from_args(args, "at")
     panel = enumerate_panel(base.surface, args.panel_n)
     if args.mu:
-        mu = lam.lamination_from_dict(base.surface, json.loads(args.mu))
+        try:
+            data = json.loads(args.mu)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"--mu is not valid JSON: {exc.msg}") from None
+        mu = lam.lamination_from_dict(base.surface, data)
         h = met.boundary_horofunction(mu, base, panel)
     elif args.point:
         h = met.interior_horofunction(_point_from_args(args, "point"),
@@ -265,7 +270,10 @@ def _add_surface_flags(sub):
                      help="one-holed torus; optionally the point itself")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by later main() calls
+    (parse_args returns a new Namespace each time)."""
     parser = argparse.ArgumentParser(
         prog="arcmetric",
         description="lengths, the arc metric, and boundary experiments on "

@@ -346,24 +346,6 @@ def arc_length(X: FNPoint, arc: ArcClass) -> float:
     return ht.arc_length_distinct_boundaries(lb1, lb2, _side_length(X, pattern[3]))
 
 
-def arc_length_doubled_route(X: FNPoint, arc: ArcClass) -> float:
-    """Arc length as half the doubled closed curve's length on X^d.
-
-    Exact for the symmetric doubles produced by double_point; agrees with
-    the formula route to 1e-9 (tested invariant).
-    """
-    if arc.twist != 0:
-        raise UnsupportedClassError("doubled route registered for base arcs only")
-    Xd = double_point(X)
-    hol = holonomy_build(Xd)
-    if X.surface.signature == _PANTS_SIG:
-        alias = _pants_arc_alias(arc)
-        return 0.5 * hol.word_length(f"{alias}^d")
-    if X.surface.signature == _TORUS_SIG:
-        return 0.5 * hol.word_length("a(B1;C1,C1)^d")
-    raise UnsupportedSurfaceError("doubled route is registered on tier-1 only")
-
-
 def _pants_arc_alias(arc: ArcClass) -> str:
     pat = arc.pattern
     if pat[0] == "same":

@@ -550,10 +550,16 @@ def sample_supported_lamination(surface: Surface, rng) -> RationalLamination:
 
 def class_from_id(surface: Surface, class_id: str):
     """Resolve a class id: curve label, w(p,q) slope, or arc label."""
+    if not isinstance(class_id, str):
+        raise DomainError(f"class id must be a string, got {class_id!r}")
     if class_id in surface.boundaries or class_id in surface.interior_curves:
         return surface.curve_class(class_id)
     if class_id.startswith("w(") and class_id.endswith(")"):
-        p, q = (int(t) for t in class_id[2:-1].split(","))
+        try:
+            p, q = (int(t) for t in class_id[2:-1].split(","))
+        except ValueError:
+            raise DomainError(f"slope id {class_id!r} is not w(p,q) with "
+                              f"integers p and q") from None
         if q < 1 or math.gcd(abs(p), q) != 1:
             raise DomainError(f"slope ({p},{q}) is not primitive with q >= 1")
         return CurveClass("word", f"w({p},{q})", (p, q))
@@ -575,8 +581,18 @@ def lamination_to_dict(mu: RationalLamination) -> list:
 
 
 def lamination_from_dict(surface: Surface, data) -> RationalLamination:
-    weights = {class_from_id(surface, item["class_id"]): float(item["weight"])
-               for item in data}
+    """Lamination from a list of {"class_id": id, "weight": w} items."""
+    if not isinstance(data, (list, tuple)):
+        raise DomainError(f"a lamination is a list of class_id/weight items, "
+                          f"got {data!r}")
+    weights = {}
+    for item in data:
+        try:
+            class_id, weight = item["class_id"], float(item["weight"])
+        except (TypeError, KeyError, ValueError):
+            raise DomainError(f"lamination item {item!r} needs a class_id and "
+                              f"a numeric weight") from None
+        weights[class_from_id(surface, class_id)] = weight
     return rational_lamination(surface, weights)
 
 

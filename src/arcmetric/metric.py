@@ -30,6 +30,19 @@ def _length_vector(X: geo.FNPoint, panel: Panel) -> list[float]:
     return [geo.class_length(X, entry) for entry in panel]
 
 
+def _log_sup_ratio(lx, ly) -> tuple:
+    """(log sup ly/lx, index of the first entry attaining it).
+
+    A ratio is inf where lx <= 0, and log(inf) is reported as inf.
+    """
+    best, best_index = -math.inf, None
+    for k, (a, b) in enumerate(zip(lx, ly)):
+        ratio = math.inf if a <= 0.0 else b / a
+        if ratio > best:
+            best, best_index = ratio, k
+    return math.log(best) if math.isfinite(best) else math.inf, best_index
+
+
 def arc_metric(X: geo.FNPoint, Y: geo.FNPoint, panel: Panel) -> MetricValue:
     """d(X, Y) = log sup of length ratios l(Y)/l(X) over the panel.
 
@@ -39,14 +52,9 @@ def arc_metric(X: geo.FNPoint, Y: geo.FNPoint, panel: Panel) -> MetricValue:
         raise DomainError("panel is empty")
     if X.surface != Y.surface:
         raise DomainError("points live on different surfaces")
-    best, best_entry = -math.inf, None
-    for entry, lx, ly in zip(panel, _length_vector(X, panel),
-                             _length_vector(Y, panel)):
-        ratio = math.inf if lx <= 0.0 else ly / lx
-        if ratio > best:
-            best, best_entry = ratio, entry
-    return MetricValue(math.log(best) if math.isfinite(best) else math.inf,
-                       str(best_entry), panel.complexity)
+    value, k = _log_sup_ratio(_length_vector(X, panel), _length_vector(Y, panel))
+    return MetricValue(value, str(None if k is None else panel.entries[k]),
+                       panel.complexity)
 
 
 def symmetrized_metric(X, Y, panel) -> float:
@@ -66,6 +74,24 @@ def thurston_vector(X: geo.FNPoint, panel: Panel) -> tuple[float, ...]:
 # -- horofunctions -----------------------------------------------------------------
 
 
+def _crossed(mu, panel: Panel) -> tuple:
+    """(entry, i(mu, entry)) for every panel entry that mu crosses."""
+    pairs = []
+    for entry in panel:
+        ival = lam.intersection_number(mu, entry)
+        if ival > 0:
+            pairs.append((entry, ival))
+    return tuple(pairs)
+
+
+def _sup_crossed_ratio(crossed, Y: geo.FNPoint, scale: float = 1.0) -> float:
+    best = 0.0
+    for entry, ival in crossed:
+        denom = scale * geo.class_length(Y, entry)
+        best = math.inf if denom <= 0.0 else max(best, ival / denom)
+    return best
+
+
 def sup_intersection_ratio(mu, Y: geo.FNPoint, panel: Panel,
                            scale: float = 1.0) -> float:
     """sup over the panel of i(mu, .) / (scale * l(., Y)).
@@ -73,13 +99,7 @@ def sup_intersection_ratio(mu, Y: geo.FNPoint, panel: Panel,
     0.0 when every panel class misses mu; inf when a crossed class is
     crushed below double precision at Y.
     """
-    best = 0.0
-    for entry in panel:
-        ival = lam.intersection_number(mu, entry)
-        if ival > 0:
-            denom = scale * geo.class_length(Y, entry)
-            best = math.inf if denom <= 0.0 else max(best, ival / denom)
-    return best
+    return _sup_crossed_ratio(_crossed(mu, panel), Y, scale)
 
 
 @dataclass(frozen=True)
@@ -89,7 +109,9 @@ class Horofunction:
     intersection form.
 
     constant is computed once, here: d(X0, X) for an interior point, and
-    the normalizer sup i(mu, .)/l(., X0) for a lamination.
+    the normalizer sup i(mu, .)/l(., X0) for a lamination.  crossed holds
+    the (entry, i(mu, entry)) pairs of the panel entries mu crosses, also
+    computed once (empty for an interior point).
     """
 
     kind: str  # "interior" | "boundary"
@@ -98,12 +120,16 @@ class Horofunction:
     point: geo.FNPoint | None = None
     mu: lam.RationalLamination | None = None
     constant: float = field(init=False)
+    crossed: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "interior":
+            crossed = ()
             constant = arc_metric(self.base_point, self.point, self.panel).value
         else:
-            constant = sup_intersection_ratio(self.mu, self.base_point, self.panel)
+            crossed = _crossed(self.mu, self.panel)
+            constant = _sup_crossed_ratio(crossed, self.base_point)
+        object.__setattr__(self, "crossed", crossed)
         object.__setattr__(self, "constant", constant)
 
 
@@ -130,7 +156,7 @@ def horofunction_eval(h: Horofunction, Y: geo.FNPoint) -> float:
     give log sup of the normalized intersection form against lengths at Y."""
     if h.kind == "interior":
         return arc_metric(Y, h.point, h.panel).value - h.constant
-    best = sup_intersection_ratio(h.mu, Y, h.panel, scale=h.constant)
+    best = _sup_crossed_ratio(h.crossed, Y, scale=h.constant)
     if best == 0.0:
         raise DegeneratePanelError("panel misses the lamination at Y")
     if best == math.inf:

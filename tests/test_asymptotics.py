@@ -157,28 +157,38 @@ def test_inequality_cli_walks_each_grid_point_once(monkeypatch, tmp_path):
 
 
 def test_horo_convergence_builds_each_constant_once(monkeypatch):
-    sup_calls, metric_calls = [], []
-    sup, metric = met.sup_intersection_ratio, met.arc_metric
+    length_calls, intersection_calls = [], []
+    length, intersection = geo.class_length, lam.intersection_number
 
-    def counting_sup(mu, Y, panel, scale=1.0):
-        sup_calls.append(Y)
-        return sup(mu, Y, panel, scale)
+    def counting_length(X, cls):
+        length_calls.append(X)
+        return length(X, cls)
 
-    def counting_metric(X, Y, panel):
-        metric_calls.append(X)
-        return metric(X, Y, panel)
+    def counting_intersection(mu, gamma):
+        intersection_calls.append(gamma)
+        return intersection(mu, gamma)
 
-    monkeypatch.setattr(met, "sup_intersection_ratio", counting_sup)
-    monkeypatch.setattr(met, "arc_metric", counting_metric)
+    monkeypatch.setattr(geo, "class_length", counting_length)
+    monkeypatch.setattr(lam, "intersection_number", counting_intersection)
     probes = [geo.pants_point(2, 2, 2), geo.pants_point(1.5, 2.5, 3),
               geo.pants_point(3.2, 1.1, 2.4)]
     grid = [4.0, 6.0, 8.0, 10.0]
     asy.horo_convergence(SPEC, BASE, probes, PANEL, grid=grid)
-    # the normalizer sup i(mu, .)/l(., X0) once, then one sup per probe
-    assert sum(Y == BASE for Y in sup_calls) == 1
-    assert len(sup_calls) == 1 + len(probes)
-    # d(X0, X_t) once per grid point, not once per probe
-    assert sum(X == BASE for X in metric_calls) == len(grid)
+    crossed = sum(intersection(MU, e) > 0 for e in PANEL)
+    assert len(PANEL) == 9 and crossed == 4
+    # one length vector per base point and probe, one per grid point, and
+    # the crossed entries for the normalizer and each probe's mu-value
+    assert len(length_calls) == (1 + 3) * 9 + 4 * 9 + (1 + 3) * 4 == 88
+    # i(mu, .) once per panel entry
+    assert len(intersection_calls) == 9
+
+
+def test_horo_convergence_rejects_points_on_other_surfaces():
+    probe = geo.torus_point(1.0, 0.0, 2.0)
+    with pytest.raises(DomainError):
+        asy.horo_convergence(SPEC, BASE, [probe], PANEL, grid=[4.0])
+    with pytest.raises(DomainError):
+        asy.horo_convergence(SPEC, probe, [BASE], PANEL, grid=[4.0])
 
 
 def test_boundary_convergence_pants():

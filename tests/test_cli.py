@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from arcmetric import cli
+
 ARC = [sys.executable, "-m", "arcmetric.cli"]
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -136,6 +138,48 @@ def test_horofn_crushed_class_is_domain_error():
               "--mu", mu)
     assert out.returncode == 3
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve-length", "--torus", "1,0,2", "--curve", "w(a,b)"],
+    ["curve-length", "--torus", "1,0,2", "--curve", "w(1)"],
+    ["horofn", "--pants", "--base", "1,1,1", "--at", "2,2,2",
+     "--mu", '[{"class_id": "a33"}]'],
+    ["horofn", "--pants", "--base", "1,1,1", "--at", "2,2,2",
+     "--mu", '[{"class_id": "a33", "weight": "heavy"}]'],
+    ["horofn", "--pants", "--base", "1,1,1", "--at", "2,2,2",
+     "--mu", '{"class_id": "a33", "weight": 1}'],
+    ["horofn", "--pants", "--base", "1,1,1", "--at", "2,2,2", "--mu", "a33"],
+])
+def test_malformed_ids_and_laminations_are_domain_errors(argv, capsys):
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    mu = json.dumps([{"class_id": "a33", "weight": 1.0}])
+    argvs = [["distance", "--pants", "--x", "2,2,2"],  # usage error: no --y
+             ["distance", "--pants", "--x", "2,2,2", "--y", "4,4,4"],
+             ["experiment", "dt-sphere", "--surface", "0,0,3", "--samples", "3"],
+             ["horofn", "--pants", "--base", "2,2,2", "--at", "3,1,2",
+              "--mu", mu],
+             ["distance", "--pants", "--x", "2,2,2", "--y", "4,4,4"]]
+
+    def run_main(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    cli.build_parser.cache_clear()
+    shared = [run_main(argv) for argv in argvs]
+    assert cli.build_parser.cache_info().misses == 1
+    assert [code for code, _ in shared] == [2, 0, 0, 0, 0]
+    for argv, result in zip(argvs, shared):
+        cli.build_parser.cache_clear()  # a freshly built parser
+        assert run_main(argv) == result
+    assert shared[1] == shared[4]
 
 
 def test_twisted_arc_any_twist():

@@ -326,3 +326,25 @@ def test_class_from_id_rejects_bad_twists():
             lam.class_from_id(T, bad)
     with pytest.raises(DomainError):
         lam.class_from_id(S, "a(B1;B2,B3)~1")
+
+
+@pytest.mark.parametrize("bad", ["w(a,b)", "w(1)", "w(1,2,3)", "w()", 5, None])
+def test_class_from_id_rejects_malformed_ids(bad):
+    with pytest.raises(DomainError):
+        lam.class_from_id(T, bad)
+
+
+@pytest.mark.parametrize("data", [
+    [{"class_id": "a33"}],                      # no weight
+    [{"weight": 1.0}],                          # no class id
+    [{"class_id": "a33", "weight": "heavy"}],   # non-numeric weight
+    [{"class_id": "a33", "weight": None}],
+    [{"class_id": 33, "weight": 1.0}],          # non-string class id
+    ["a33"],                                    # item is not an object
+    {"class_id": "a33", "weight": 1.0},         # not a list
+    "a33",
+    None,
+])
+def test_lamination_from_dict_rejects_malformed_items(data):
+    with pytest.raises(DomainError):
+        lam.lamination_from_dict(S, data)

@@ -193,6 +193,28 @@ def test_sup_intersection_ratio_scale():
                                       X444, PANEL) == 0.0
 
 
+def test_log_sup_ratio_kernel():
+    # ties go to the first entry in panel order; lx <= 0 gives an inf ratio
+    assert met._log_sup_ratio([1.0, 2.0, 3.0], [2.0, 4.0, 3.0]) \
+        == (math.log(2.0), 0)
+    assert met._log_sup_ratio([1.0, 0.0, 2.0], [2.0, 1.0, 9.0]) == (math.inf, 1)
+    lx, ly = met._length_vector(X222, PANEL), met._length_vector(X444, PANEL)
+    value, k = met._log_sup_ratio(lx, ly)
+    d = met.arc_metric(X222, X444, PANEL)
+    assert (d.value, d.maximizer) == (value, str(PANEL.entries[k]))
+
+
+def test_boundary_horofunction_crossed_pairs():
+    mu = lam.rational_lamination(S, {S.arc_alias("a33"): 1.0})
+    h = met.boundary_horofunction(mu, X222, PANEL)
+    assert h.crossed == tuple((e, lam.intersection_number(mu, e))
+                              for e in PANEL
+                              if lam.intersection_number(mu, e) > 0)
+    assert len(h.crossed) == 4
+    assert h.constant == met.sup_intersection_ratio(mu, X222, PANEL)
+    assert met.interior_horofunction(X444, X222, PANEL).crossed == ()
+
+
 # -- limit detection ----------------------------------------------------------------
 
 
