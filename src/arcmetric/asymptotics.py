@@ -95,8 +95,7 @@ def scaling_path(spec: PathSpec, t: float) -> geo.FNPoint:
     """The point at parameter t; deterministic, twists from the base point."""
     if not (math.isfinite(t) and t >= 0):
         raise DomainError("path parameter must be >= 0")
-    surface = spec.mu.surface
-    chi = abs_double_chi(surface)
+    chi = abs_double_chi(spec.mu.surface)
     lengths = {}
     for label, (kind, param) in spec.regimes:
         if kind == "grow":
@@ -105,10 +104,7 @@ def scaling_path(spec: PathSpec, t: float) -> geo.FNPoint:
             lengths[label] = max(ht.leaf_decay_bound(param, t, chi), _LENGTH_FLOOR)
         else:
             lengths[label] = param
-    boundary = {label: lengths[label] for label in surface.boundaries}
-    interior = {label: (lengths[label], spec.base_point.twist_of(label))
-                for label in surface.interior_curves}
-    return geo.fn_point(surface, interior, boundary)
+    return spec.base_point.with_lengths(lengths)
 
 
 # -- experiments -----------------------------------------------------------------
@@ -125,6 +121,12 @@ class DeviationReport:
     flagged: bool
 
 
+def _walk(spec: PathSpec, plan: geo.LengthPlan, grid, skip=()):
+    """The plan's length vectors at X_t, t in grid; held lengths are reused."""
+    held = [label for label, (kind, _) in spec.regimes if kind == "hold"]
+    return plan.walk((scaling_path(spec, t) for t in grid), held, skip)
+
+
 def deviation_walk(spec: PathSpec, targets, grid=None, cap=50.0):
     """Walk the path once: l_a(X_t) - e^t i(mu, a) for every target a.
 
@@ -134,19 +136,17 @@ def deviation_walk(spec: PathSpec, targets, grid=None, cap=50.0):
     for the targets some point does not support.
     """
     grid = tuple(grid) if grid is not None else spec.grid
-    ivals = [lam.intersection_number(spec.mu, target) for target in targets]
+    plan = geo.LengthPlan(spec.mu.surface, targets)
+    ivals = plan.intersections(spec.mu)
     columns = {k: [] for k in range(len(targets))}
     reasons = {}
-    for t in grid:
-        X = scaling_path(spec, t)
+    for t, lengths in zip(grid, _walk(spec, plan, grid, UnsupportedClassError)):
         for k in list(columns):
-            try:
-                length = geo.class_length(X, targets[k])
-            except UnsupportedClassError as exc:
-                reasons[k] = str(exc)
+            if isinstance(lengths[k], UnsupportedClassError):
+                reasons[k] = str(lengths[k])
                 del columns[k]
                 continue
-            columns[k].append(length - math.exp(t) * ivals[k])
+            columns[k].append(lengths[k] - math.exp(t) * ivals[k])
     reports = []
     for k, devs in columns.items():
         # 0.0 - dev, not -dev: a zero deviation stays +0.0
@@ -164,23 +164,24 @@ def verify_key_inequality(spec: PathSpec, targets, grid=None, cap=50.0):
     envelope exceeds the cap.  Unsupported targets are skipped with notice,
     never silently dropped.
     """
-    _, reports, skipped = deviation_walk(spec, targets, grid, cap)
-    return reports, skipped
+    return deviation_walk(spec, targets, grid, cap)[1:]
 
 
-def boundary_convergence(spec: PathSpec, panel: Panel, grid=None):
+def boundary_convergence(spec: PathSpec, panel, grid=None):
     """Projective sup-norm distance between the length vector of X_t and the
-    normalized intersection vector of the driving lamination."""
+    normalized intersection vector of the driving lamination.  panel is a
+    Panel or its geo.LengthPlan, which keeps that intersection vector."""
     grid = tuple(grid) if grid is not None else spec.grid
-    ivec = [lam.intersection_number(spec.mu, entry) for entry in panel]
+    plan = geo.panel_plan(panel)
+    ivec = plan.intersections(spec.mu)
     top = max(ivec)
     if top == 0:
         raise DegeneratePanelError("panel misses the driving lamination")
     target = [v / top for v in ivec]
     out = []
-    for t in grid:
-        vec = met.thurston_vector(scaling_path(spec, t), panel)
-        out.append((t, max(abs(a - b) for a, b in zip(vec, target))))
+    for t, lengths in zip(grid, _walk(spec, plan, grid)):
+        top = max(lengths)
+        out.append((t, max(abs(v / top - b) for v, b in zip(lengths, target))))
     return out
 
 
@@ -189,18 +190,20 @@ def horo_convergence(spec: PathSpec, base_point: geo.FNPoint, probes,
     """Max over probe points of |Phi_{X_t} - Phi_mu| along the path.
 
     Phi_{X_t}(Y) = d(Y, X_t) - d(X0, X_t).  The length vectors of the base
-    point and the probes are computed once; each t adds the one of X_t.
+    point and the probes are computed once, and Phi_mu reads its lengths
+    from them; each t adds the one of X_t.
     """
     grid = tuple(grid) if grid is not None else spec.grid
     if any(P.surface != spec.mu.surface for P in (base_point, *probes)):
         raise DomainError("points live on different surfaces")
-    h_mu = met.boundary_horofunction(spec.mu, base_point, panel)
-    mu_values = [met.horofunction_eval(h_mu, Y) for Y in probes]
-    base_lengths = met._length_vector(base_point, panel)
-    probe_lengths = [met._length_vector(Y, panel) for Y in probes]
+    plan = geo.panel_plan(panel)
+    ivals = plan.intersections(spec.mu)
+    base_lengths, *probe_lengths = [plan.vector(P) for P in (base_point, *probes)]
+    constant = met._normalizer(spec.mu, ivals, base_lengths)
+    mu_values = [math.log(met._checked_sup(ivals, ly, constant, "Y"))
+                 for ly in probe_lengths]
     out = []
-    for t in grid:
-        lengths = met._length_vector(scaling_path(spec, t), panel)
+    for t, lengths in zip(grid, _walk(spec, plan, grid)):
         d_base = met._log_sup_ratio(base_lengths, lengths)[0]
         dev = max(abs((met._log_sup_ratio(ly, lengths)[0] - d_base) - v)
                   for ly, v in zip(probe_lengths, mu_values))
@@ -246,6 +249,8 @@ def separation_experiment(mu: lam.RationalLamination,
         raise DomainError("laminations must be distinct")
 
     mu_hat, zeta = lam.refine(mu)
+    plan = geo.panel_plan(panel)
+    i_nu, i_mu = plan.intersections(nu), plan.intersections(mu)
     attempts = []
     for eps in epsilons:
         if zeta.is_zero():
@@ -254,18 +259,15 @@ def separation_experiment(mu: lam.RationalLamination,
             L = geo.lamination_length(X0, zeta)
             blend = mu.scaled(1.0 - eps) + zeta.scaled(eps / L)
         spec = make_path_spec(blend, X0, grid)
-        for t in grid:
-            Y = scaling_path(spec, t)
-            sup_nu = met.sup_intersection_ratio(nu, Y, panel)
-            if sup_nu == 0.0:
-                continue  # the panel misses nu
-            sup_mu = met.sup_intersection_ratio(mu, Y, panel)
-            if sup_mu == 0.0:
-                continue
+        for t, lengths in zip(grid, _walk(spec, plan, grid)):
+            sup_nu = met._sup_crossed_ratio(i_nu, lengths)
+            sup_mu = met._sup_crossed_ratio(i_mu, lengths)
+            if sup_nu == 0.0 or sup_mu == 0.0:
+                continue  # the panel misses nu or mu
             # a crushed class makes a supremum inf, and its log inf too
             lhs, rhs = math.log(sup_nu), math.log(sup_mu)
             if lhs - rhs >= min_gap:
-                return SeparationWitness(Y, lhs, rhs, eps, t)
+                return SeparationWitness(scaling_path(spec, t), lhs, rhs, eps, t)
             attempts.append((eps, t))
         if zeta.is_zero():
             break  # epsilon does not enter without a refinement part

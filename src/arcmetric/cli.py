@@ -39,24 +39,19 @@ def _parse_triple(text: str):
     return parts
 
 
-def _make_point(args, coords: str | None) -> geo.FNPoint:
-    """Build a point from 'l1,l2,l3' (pants) or 'lC,tau,lB' (torus)."""
+def _point_from_args(args, which: str) -> geo.FNPoint:
+    """The point named by flag `which`, or by the surface flag's own value:
+    'l1,l2,l3' on the pants, 'lC,tau,lB' on the torus."""
+    coords = getattr(args, which, None)
+    if coords is None and which == "point":
+        coords = args.pants if args.pants else args.torus
     if not coords:
         raise DomainError("missing Fenchel-Nielsen coordinates")
     if args.pants is not None:
         return geo.pants_point(*_parse_triple(coords))
     if args.torus is not None:
-        l, tau, b = _parse_triple(coords)
-        return geo.torus_point(l, tau, b)
+        return geo.torus_point(*_parse_triple(coords))
     raise DomainError("select a surface with --pants or --torus")
-
-
-def _point_from_args(args, which: str) -> geo.FNPoint:
-    """The point named by flag `which`, or by the surface flag's own value."""
-    coords = getattr(args, which, None)
-    if coords is None and which == "point":
-        coords = args.pants if args.pants else args.torus
-    return _make_point(args, coords)
 
 
 def _load_config(path: str) -> dict:
@@ -77,11 +72,6 @@ def _require(config: dict, field: str):
     return config[field]
 
 
-def _config_surface(config):
-    g, n, p = _require(config, "surface")
-    return build_surface(int(g), int(n), int(p))
-
-
 def _config_grid(config) -> tuple:
     grid = config.get("grid")
     if grid is None:
@@ -95,6 +85,8 @@ def _config_grid(config) -> tuple:
 
 
 def _write_csv(path, header, rows):
+    if not path:
+        return
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -173,7 +165,8 @@ def cmd_horofn(args) -> int:
 
 
 def _experiment_common(config):
-    surface = _config_surface(config)
+    g, n, p = _require(config, "surface")
+    surface = build_surface(int(g), int(n), int(p))
     base = geo.fn_from_dict(surface, _require(config, "base_point"))
     mu = lam.lamination_from_dict(surface, _require(config, "mu"))
     grid = _config_grid(config)
@@ -184,13 +177,12 @@ def _experiment_common(config):
 def cmd_experiment_inequality(config, csv_path, json_path) -> int:
     surface, base, mu, grid, panel = _experiment_common(config)
     spec = asy.make_path_spec(mu, base, grid)
-    names = config.get("targets") or panel.labels()
-    targets = [lam.class_from_id(surface, n) for n in names]
+    names = config.get("targets")
+    targets = [lam.class_from_id(surface, n) for n in names or ()] or panel.entries
+    names = names or panel.labels()
     columns, reports, skipped = asy.deviation_walk(spec, targets, grid)
-    if csv_path:
-        _write_csv(csv_path, ["t"] + [f"dev[{names[k]}]" for k in columns]
-                   + [f"panel_n={panel.complexity}"],
-                   zip(grid, *columns.values()))
+    _write_csv(csv_path, ["t"] + [f"dev[{names[k]}]" for k in columns]
+               + [f"panel_n={panel.complexity}"], zip(grid, *columns.values()))
     _emit({"targets": [r.__dict__ for r in reports],
            "skipped": skipped, "panel_n": panel.complexity}, json_path)
     return 0
@@ -199,11 +191,11 @@ def cmd_experiment_inequality(config, csv_path, json_path) -> int:
 def cmd_experiment_boundary_limit(config, csv_path, json_path) -> int:
     surface, base, mu, grid, panel = _experiment_common(config)
     spec = asy.make_path_spec(mu, base, grid)
-    series = asy.boundary_convergence(spec, panel, grid)
-    if csv_path:
-        _write_csv(csv_path, ["t", "sup_norm_distance",
-                              f"panel_n={panel.complexity}"], series)
-    ivec = [lam.intersection_number(mu, e) for e in panel]
+    plan = geo.panel_plan(panel)
+    series = asy.boundary_convergence(spec, plan, grid)
+    _write_csv(csv_path, ["t", "sup_norm_distance",
+                          f"panel_n={panel.complexity}"], series)
+    ivec = plan.intersections(mu)
     top = max(ivec)
     _emit({"final_distance": series[-1][1],
            "limit_vector": {lab: v / top for lab, v in zip(panel.labels(), ivec)},
@@ -217,9 +209,8 @@ def cmd_experiment_horo_converge(config, csv_path, json_path) -> int:
     spec = asy.make_path_spec(mu, base, grid)
     probes = [geo.fn_from_dict(surface, p) for p in _require(config, "probes")]
     series = asy.horo_convergence(spec, base, probes, panel, grid)
-    if csv_path:
-        _write_csv(csv_path, ["t", "max_probe_deviation",
-                              f"panel_n={panel.complexity}"], series)
+    _write_csv(csv_path, ["t", "max_probe_deviation",
+                          f"panel_n={panel.complexity}"], series)
     _emit({"final_deviation": series[-1][1], "probes": len(probes),
            "panel_n": panel.complexity}, json_path)
     return 0
@@ -228,8 +219,7 @@ def cmd_experiment_horo_converge(config, csv_path, json_path) -> int:
 def cmd_experiment_separate(config, csv_path, json_path) -> int:
     surface, base, mu, grid, panel = _experiment_common(config)
     nu = lam.lamination_from_dict(surface, _require(config, "nu"))
-    mu = lam.normalize(mu, base)
-    nu = lam.normalize(nu, base)
+    mu, nu = lam.normalize(mu, base), lam.normalize(nu, base)
     witness = asy.separation_experiment(mu, nu, base, panel, grid=grid)
     _emit({"witness_point": geo.fn_to_dict(witness.point),
            "lhs": witness.lhs, "rhs": witness.rhs,

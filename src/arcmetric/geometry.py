@@ -61,11 +61,20 @@ class FNPoint:
                 return length
         raise DomainError(f"no coordinate curve {label!r} on {self.surface.signature}")
 
-    def twist_of(self, label: str) -> float:
-        for lab, (_, twist) in self.interior:
-            if lab == label:
-                return twist
-        raise DomainError(f"no interior curve {label!r}")
+    def with_lengths(self, lengths: dict) -> FNPoint:
+        """This point with every coordinate length taken from `lengths`
+        (label -> length), checked as fn_point checks it; twists kept."""
+        interior = tuple((label, (_checked_length(label, lengths[label]), twist))
+                         for label, (_, twist) in self.interior)
+        boundary = tuple((label, _checked_length(label, lengths[label]))
+                         for label, _ in self.boundary)
+        return FNPoint(self.surface, interior, boundary)
+
+
+def _checked_length(label: str, length) -> float:
+    if not (math.isfinite(length) and length > 0):
+        raise DomainError(f"length of {label} must be positive and finite")
+    return float(length)
 
 
 def fn_point(surface: Surface, interior: dict | None = None,
@@ -81,17 +90,12 @@ def fn_point(surface: Surface, interior: dict | None = None,
     for label in sorted(interior):
         v = interior[label]
         length, twist = (v if isinstance(v, tuple) else (v, 0.0))
-        if not (math.isfinite(length) and length > 0):
-            raise DomainError(f"length of {label} must be positive and finite")
+        length = _checked_length(label, length)
         if not math.isfinite(twist):
             raise DomainError(f"twist of {label} must be finite")
-        int_items.append((label, (float(length), float(twist))))
-    bdy_items = []
-    for label in sorted(boundary):
-        v = float(boundary[label])
-        if not (math.isfinite(v) and v > 0):
-            raise DomainError(f"length of {label} must be positive and finite")
-        bdy_items.append((label, v))
+        int_items.append((label, (length, float(twist))))
+    bdy_items = [(label, _checked_length(label, float(boundary[label])))
+                 for label in sorted(boundary)]
     return FNPoint(surface, tuple(int_items), tuple(bdy_items))
 
 
@@ -361,9 +365,122 @@ def class_length(X: FNPoint, cls) -> float:
     return curve_length(X, cls)
 
 
+class LengthPlan:
+    """Length vectors of an ordered list of classes, compiled once.
+
+    Each entry gets a route, evaluated from one {label: length} map of the
+    point (punctures 0.0): a coordinate curve reads its label, an untwisted
+    arc on a bordered surface calls its pants formula on its three side
+    labels, and everything else (word curves, twisted torus arcs, classes
+    on doubles, labels the surface lacks) falls back to class_length.  The
+    formulas are looked up when the plan is built.  Values equal
+    [class_length(X, e) for e in entries] bit for bit, at points of the
+    plan's surface; a point of another surface is a DomainError.
+
+    The plan also keeps the intersection vector of each lamination it is
+    asked for.
+    """
+
+    def __init__(self, surface: Surface, entries):
+        self.surface = surface
+        self.entries = tuple(entries)
+        labels = set(surface.boundaries) | set(surface.interior_curves)
+        sides = labels | set(surface.punctures)
+        routes = []  # (formula or None, input labels or None)
+        for entry in self.entries:
+            if isinstance(entry, CurveClass) \
+                    and entry.kind in ("boundary", "interior") \
+                    and entry.label in labels:
+                routes.append((None, (entry.label,)))
+            elif isinstance(entry, ArcClass) and entry.twist == 0 \
+                    and surface.double_of is None \
+                    and sides.issuperset(entry.pattern[1:]):
+                formula = (ht.arc_length_same_boundary if entry.pattern[0] == "same"
+                           else ht.arc_length_distinct_boundaries)
+                routes.append((formula, entry.pattern[1:]))
+            else:
+                routes.append((class_length, None))
+        self._routes = routes
+        self._punctures = dict.fromkeys(surface.punctures, 0.0)
+        self._intersections = []  # (lamination, its intersection vector)
+
+    def _fill(self, X: FNPoint, indices, out: list, skip=()) -> None:
+        """out[k] = length of entry k at X for k in indices, in that order;
+        an entry raising one of `skip` gets the exception as its value."""
+        if X.surface is not self.surface and X.surface != self.surface:
+            raise DomainError("point and length plan live on different surfaces")
+        lengths = dict(self._punctures)
+        lengths.update(X.boundary)
+        for label, (length, _) in X.interior:
+            lengths[label] = length
+        routes, entries = self._routes, self.entries
+        for k in indices:
+            formula, inputs = routes[k]
+            try:
+                if inputs is None:
+                    out[k] = formula(X, entries[k])
+                elif formula is None:
+                    out[k] = lengths[inputs[0]]
+                else:
+                    out[k] = formula(lengths[inputs[0]], lengths[inputs[1]],
+                                     lengths[inputs[2]])
+            except skip as exc:
+                out[k] = exc
+
+    def vector(self, X: FNPoint) -> list[float]:
+        """[class_length(X, e) for e in entries]."""
+        out = [0.0] * len(self.entries)
+        self._fill(X, range(len(out)), out)
+        return out
+
+    def walk(self, points, held=(), skip=()):
+        """Yield the length vector at each point of a path, a new list each.
+
+        The first point is evaluated in full, in entry order.  Later points
+        re-evaluate only the entries with an input outside `held`, the
+        labels whose length every point shares; fallback entries are always
+        re-evaluated.  An entry whose evaluation raises one of `skip` holds
+        that exception from then on.
+        """
+        held = set(held) | set(self.surface.punctures)
+        moving = [k for k, (_, inputs) in enumerate(self._routes)
+                  if inputs is None or not held.issuperset(inputs)]
+        vec = None
+        for X in points:
+            if vec is None:
+                vec = [0.0] * len(self.entries)
+                self._fill(X, range(len(vec)), vec, skip)
+            else:
+                vec = vec.copy()
+                self._fill(X, moving, vec, skip)
+            if skip:
+                moving = [k for k in moving if not isinstance(vec[k], skip)]
+            yield vec
+
+    def intersections(self, mu) -> tuple:
+        """(i(mu, e) for e in entries), computed once per lamination."""
+        for seen, ivals in self._intersections:
+            if seen is mu:
+                return ivals
+        from . import lamination as lam  # lamination imports this module
+
+        ivals = tuple(lam.intersection_number(mu, e) for e in self.entries)
+        self._intersections.append((mu, ivals))
+        return ivals
+
+
+def panel_plan(panel) -> LengthPlan:
+    """The LengthPlan of a Panel; a LengthPlan is returned as it is."""
+    if isinstance(panel, LengthPlan):
+        return panel
+    return LengthPlan(panel.surface, panel.entries)
+
+
 def lamination_length(X: FNPoint, lamination) -> float:
     """Total weighted length; linear in the weights."""
-    return sum(w * class_length(X, c) for c, w in lamination.components)
+    plan = LengthPlan(X.surface, [c for c, _ in lamination.components])
+    return sum(w * length for (_, w), length
+               in zip(lamination.components, plan.vector(X)))
 
 
 def fn_to_dict(X: FNPoint) -> dict:

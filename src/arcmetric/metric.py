@@ -26,10 +26,6 @@ class MetricValue:
     panel_complexity: int
 
 
-def _length_vector(X: geo.FNPoint, panel: Panel) -> list[float]:
-    return [geo.class_length(X, entry) for entry in panel]
-
-
 def _log_sup_ratio(lx, ly) -> tuple:
     """(log sup ly/lx, index of the first entry attaining it).
 
@@ -52,7 +48,8 @@ def arc_metric(X: geo.FNPoint, Y: geo.FNPoint, panel: Panel) -> MetricValue:
         raise DomainError("panel is empty")
     if X.surface != Y.surface:
         raise DomainError("points live on different surfaces")
-    value, k = _log_sup_ratio(_length_vector(X, panel), _length_vector(Y, panel))
+    plan = geo.panel_plan(panel)
+    value, k = _log_sup_ratio(plan.vector(X), plan.vector(Y))
     return MetricValue(value, str(None if k is None else panel.entries[k]),
                        panel.complexity)
 
@@ -66,7 +63,7 @@ def thurston_vector(X: geo.FNPoint, panel: Panel) -> tuple[float, ...]:
     """Panel length vector normalized to sup-norm 1 (projective class)."""
     if len(panel) == 0:
         raise DomainError("panel is empty")
-    lengths = _length_vector(X, panel)
+    lengths = geo.panel_plan(panel).vector(X)
     top = max(lengths)
     return tuple(v / top for v in lengths)
 
@@ -76,20 +73,35 @@ def thurston_vector(X: geo.FNPoint, panel: Panel) -> tuple[float, ...]:
 
 def _crossed(mu, panel: Panel) -> tuple:
     """(entry, i(mu, entry)) for every panel entry that mu crosses."""
-    pairs = []
-    for entry in panel:
-        ival = lam.intersection_number(mu, entry)
-        if ival > 0:
-            pairs.append((entry, ival))
-    return tuple(pairs)
+    pairs = ((entry, lam.intersection_number(mu, entry)) for entry in panel)
+    return tuple(pair for pair in pairs if pair[1] > 0)
 
 
-def _sup_crossed_ratio(crossed, Y: geo.FNPoint, scale: float = 1.0) -> float:
+def _sup_crossed_ratio(ivals, lengths, scale: float = 1.0) -> float:
+    """sup of ival / (scale * length) over the entries with ival > 0."""
     best = 0.0
-    for entry, ival in crossed:
-        denom = scale * geo.class_length(Y, entry)
-        best = math.inf if denom <= 0.0 else max(best, ival / denom)
+    for ival, length in zip(ivals, lengths):
+        if ival > 0:
+            denom = scale * length
+            best = math.inf if denom <= 0.0 else max(best, ival / denom)
     return best
+
+
+def _checked_sup(ivals, lengths, scale: float, where: str) -> float:
+    """_sup_crossed_ratio, which a boundary horofunction needs finite and > 0."""
+    best = _sup_crossed_ratio(ivals, lengths, scale)
+    if best == 0.0:
+        raise DegeneratePanelError(f"the panel misses the lamination at {where}")
+    if best == math.inf:
+        raise DomainError(f"a crossed panel class has length 0 at {where}")
+    return best
+
+
+def _normalizer(mu, ivals, base_lengths) -> float:
+    """sup i(mu, .)/l(., X0), the constant of a boundary horofunction."""
+    if mu.is_zero():
+        raise DomainError("boundary horofunction needs a nonzero lamination")
+    return _checked_sup(ivals, base_lengths, 1.0, "the base point")
 
 
 def sup_intersection_ratio(mu, Y: geo.FNPoint, panel: Panel,
@@ -99,7 +111,9 @@ def sup_intersection_ratio(mu, Y: geo.FNPoint, panel: Panel,
     0.0 when every panel class misses mu; inf when a crossed class is
     crushed below double precision at Y.
     """
-    return _sup_crossed_ratio(_crossed(mu, panel), Y, scale)
+    crossed = _crossed(mu, panel)
+    plan = geo.LengthPlan(panel.surface, [entry for entry, _ in crossed])
+    return _sup_crossed_ratio([ival for _, ival in crossed], plan.vector(Y), scale)
 
 
 @dataclass(frozen=True)
@@ -109,9 +123,10 @@ class Horofunction:
     intersection form.
 
     constant is computed once, here: d(X0, X) for an interior point, and
-    the normalizer sup i(mu, .)/l(., X0) for a lamination.  crossed holds
-    the (entry, i(mu, entry)) pairs of the panel entries mu crosses, also
-    computed once (empty for an interior point).
+    the normalizer sup i(mu, .)/l(., X0) for a lamination, which must be
+    finite and positive.  crossed holds the (entry, i(mu, entry)) pairs of
+    the panel entries mu crosses (empty for an interior point), and _plan
+    the length plan of those entries; both are built once.
     """
 
     kind: str  # "interior" | "boundary"
@@ -121,15 +136,19 @@ class Horofunction:
     mu: lam.RationalLamination | None = None
     constant: float = field(init=False)
     crossed: tuple = field(init=False, repr=False, compare=False)
+    _plan: geo.LengthPlan | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        crossed, plan = (), None
         if self.kind == "interior":
-            crossed = ()
             constant = arc_metric(self.base_point, self.point, self.panel).value
         else:
             crossed = _crossed(self.mu, self.panel)
-            constant = _sup_crossed_ratio(crossed, self.base_point)
+            plan = geo.LengthPlan(self.panel.surface, [e for e, _ in crossed])
+            constant = _normalizer(self.mu, [ival for _, ival in crossed],
+                                   plan.vector(self.base_point))
         object.__setattr__(self, "crossed", crossed)
+        object.__setattr__(self, "_plan", plan)
         object.__setattr__(self, "constant", constant)
 
 
@@ -140,15 +159,7 @@ def interior_horofunction(X: geo.FNPoint, base_point: geo.FNPoint,
 
 def boundary_horofunction(mu: lam.RationalLamination, base_point: geo.FNPoint,
                           panel: Panel) -> Horofunction:
-    if mu.is_zero():
-        raise DomainError("boundary horofunction needs a nonzero lamination")
-    h = Horofunction("boundary", base_point, panel, mu=mu)
-    if h.constant == 0.0:
-        raise DegeneratePanelError(
-            "every panel class misses the lamination; refine the panel")
-    if h.constant == math.inf:
-        raise DomainError("a crossed panel class has length 0 at the base point")
-    return h
+    return Horofunction("boundary", base_point, panel, mu=mu)
 
 
 def horofunction_eval(h: Horofunction, Y: geo.FNPoint) -> float:
@@ -156,12 +167,8 @@ def horofunction_eval(h: Horofunction, Y: geo.FNPoint) -> float:
     give log sup of the normalized intersection form against lengths at Y."""
     if h.kind == "interior":
         return arc_metric(Y, h.point, h.panel).value - h.constant
-    best = _sup_crossed_ratio(h.crossed, Y, scale=h.constant)
-    if best == 0.0:
-        raise DegeneratePanelError("panel misses the lamination at Y")
-    if best == math.inf:
-        raise DomainError("a crossed panel class has length 0 at Y")
-    return math.log(best)
+    return math.log(_checked_sup([ival for _, ival in h.crossed],
+                                 h._plan.vector(Y), h.constant, "Y"))
 
 
 # -- convergence detection ------------------------------------------------------------
@@ -176,8 +183,8 @@ def normalized_length_vector(X: geo.FNPoint, base_point: geo.FNPoint,
     lengths, toward a projective lamination it tends to a multiple of the
     intersection-number vector.
     """
-    lengths = _length_vector(X, panel)
-    base = _length_vector(base_point, panel)
+    plan = geo.panel_plan(panel)
+    lengths, base = plan.vector(X), plan.vector(base_point)
     sup = max(l / b for l, b in zip(lengths, base))
     return tuple(l / sup for l in lengths)
 
@@ -210,10 +217,7 @@ def detect_limit(points, panel: Panel, tolerance: float = 1e-6,
         return LimitReport("none", panel.complexity)
 
     def coords(X):
-        out = [v for _, v in X.boundary]
-        for _, (length, twist) in X.interior:
-            out.extend((length, twist))
-        return out
+        return [v for _, v in X.boundary] + [v for _, lt in X.interior for v in lt]
 
     coord_step = max(abs(a - b) for a, b in zip(coords(pts[-1]), coords(pts[-2])))
     if coord_step <= tolerance * max(1.0, max(map(abs, coords(pts[-1])))):

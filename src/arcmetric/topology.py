@@ -15,6 +15,7 @@ the arc joins.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -118,9 +119,15 @@ class Surface:
         raise DomainError(f"unknown curve label {label!r} on {self.signature}")
 
     def pants_arcs(self) -> list[ArcClass]:
-        """All pants-local arc classes, in deterministic order."""
-        arcs = []
-        seen = set()
+        """All pants-local arc classes, in deterministic order (a new list
+        on each call; the classes are built once per surface)."""
+        return list(self._arcs_by_label.values())
+
+    @functools.cached_property
+    def _arcs_by_label(self) -> dict:
+        # cached_property writes the instance __dict__, so the frozen
+        # dataclass keeps its fields, equality and hash
+        arcs = {}
         for pants in self.pants:
             s = pants.sides
             for i in range(3):
@@ -128,9 +135,7 @@ class Surface:
                 if s[i] in self.boundaries:
                     g1, g2 = sorted((s[j], s[k]))
                     arc = ArcClass(pants.pants_id, ("same", s[i], g1, g2))
-                    if arc.label not in seen:
-                        seen.add(arc.label)
-                        arcs.append(arc)
+                    arcs.setdefault(arc.label, arc)
             for i in range(3):
                 for j in range(i + 1, 3):
                     k = 3 - i - j
@@ -138,11 +143,10 @@ class Surface:
                             and s[i] != s[j]):
                         b1, b2 = sorted((s[i], s[j]))
                         arc = ArcClass(pants.pants_id, ("distinct", b1, b2, s[k]))
-                        if arc.label not in seen:
-                            seen.add(arc.label)
-                            arcs.append(arc)
-        arcs.sort(key=lambda a: (a.pattern[0] != "same", a.label))
-        return arcs
+                        arcs.setdefault(arc.label, arc)
+        order = sorted(arcs, key=lambda label: (arcs[label].pattern[0] != "same",
+                                                label))
+        return {label: arcs[label] for label in order}
 
     def is_torus(self) -> bool:
         return self.signature == SurfaceSignature(1, 0, 1)
@@ -183,7 +187,7 @@ class Surface:
 
     def arc_alias(self, name: str) -> ArcClass:
         """Resolve short pants aliases a11..a33, a12, a13, a23 and full labels."""
-        arcs = {a.label: a for a in self.pants_arcs()}
+        arcs = self._arcs_by_label
         if name in arcs:
             return arcs[name]
         if self.is_pants() and len(name) == 3 and name[0] == "a":

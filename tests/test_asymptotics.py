@@ -1,5 +1,6 @@
 """Scaling paths, the length sandwich, convergence, and separation."""
 
+import csv
 import math
 import random
 from pathlib import Path
@@ -13,7 +14,8 @@ from arcmetric import hyptrig as ht
 from arcmetric import lamination as lam
 from arcmetric import metric as met
 from arcmetric.errors import DomainError, InvalidSpecError, NoWitnessError
-from arcmetric.topology import CurveClass, enumerate_panel
+from arcmetric.topology import (ArcClass, CurveClass, build_surface,
+                                enumerate_panel)
 
 S = geo.pants_surface()
 T = geo.torus_surface()
@@ -60,6 +62,23 @@ def test_scaling_path_decay_regime():
     assert vals == [ht.leaf_decay_bound(1.0, t, 2) for t in (0, 1, 2, 3)]
     drops = [math.log(a / b) for a, b in zip(vals, vals[1:])]
     assert drops[0] > 0 and drops[1] > drops[0] and drops[2] > 2 * drops[1]
+
+
+def test_scaling_path_checks_lengths_as_fn_point_does():
+    # 2 e^t is inf at t = 709.5, before math.exp(t) itself overflows
+    with pytest.raises(DomainError, match="length of B3 must be positive"):
+        asy.scaling_path(SPEC, 709.5)
+    assert asy.scaling_path(SPEC, 3.0) == geo.pants_point(1.0, 1.0,
+                                                         math.exp(3.0) * 2.0)
+    # twists come from the base point
+    surface = build_surface(0, 0, 4)
+    base = geo.fn_point(surface, {"C1": (1.2, 0.3)},
+                        {"B1": 1.0, "B2": 1.5, "B3": 0.8, "B4": 2.0})
+    mu = lam.rational_lamination(surface, {surface.arc_alias("a(B1;B2,C1)"): 1.0})
+    X = asy.scaling_path(asy.make_path_spec(mu, base), 2.0)
+    assert X.interior == (("C1", (1.2, 0.3)),)
+    assert X.boundary_dict() == {"B1": 2 * math.exp(2.0), "B2": 1.5, "B3": 0.8,
+                                 "B4": 2.0}
 
 
 def test_invalid_spec_rejected():
@@ -156,31 +175,98 @@ def test_inequality_cli_walks_each_grid_point_once(monkeypatch, tmp_path):
     assert len(calls) == 21 and len(set(calls)) == 21
 
 
-def test_horo_convergence_builds_each_constant_once(monkeypatch):
-    length_calls, intersection_calls = [], []
-    length, intersection = geo.class_length, lam.intersection_number
+def test_inequality_without_targets_reads_the_panel(monkeypatch, tmp_path):
+    calls = []
+    parse = lam.class_from_id
+    monkeypatch.setattr(lam, "class_from_id",
+                        lambda surface, cid: calls.append(cid) or parse(surface, cid))
+    config = Path(__file__).resolve().parent.parent / "demos" / "configs" \
+        / "demo_boundary_pants.json"  # no targets: the whole panel
+    code = cli.main(["experiment", "inequality", str(config),
+                     "--csv", str(tmp_path / "out.csv"),
+                     "--json", str(tmp_path / "out.json")])
+    assert code == 0
+    assert calls == ["a33"]  # the lamination only; panel entries are not re-parsed
+    with open(tmp_path / "out.csv", newline="") as fh:
+        header = next(csv.reader(fh))
+    assert header[1:-1] == [f"dev[{label}]" for label in PANEL.labels()]
 
-    def counting_length(X, cls):
-        length_calls.append(X)
-        return length(X, cls)
+
+def test_boundary_limit_cli_computes_the_intersection_vector_once(monkeypatch,
+                                                                  tmp_path):
+    calls = []
+    intersection = lam.intersection_number
+
+    def counting(mu, gamma):
+        calls.append(gamma)
+        return intersection(mu, gamma)
+
+    monkeypatch.setattr(lam, "intersection_number", counting)
+    config = Path(__file__).resolve().parent.parent / "demos" / "configs" \
+        / "demo_boundary_pants.json"
+    code = cli.main(["experiment", "boundary-limit", str(config),
+                     "--csv", str(tmp_path / "out.csv"),
+                     "--json", str(tmp_path / "out.json")])
+    assert code == 0
+    # the path's regimes of B1, B2, B3, then one per entry of the 9-entry
+    # panel for the limit vector, which the sweep and the summary share
+    assert len(calls) == 3 + 9
+
+
+def _count_formula_calls(monkeypatch):
+    """Record each pants-formula evaluation (plans look them up when built)."""
+    calls = []
+    for name in ("arc_length_same_boundary", "arc_length_distinct_boundaries"):
+        def counting(*args, formula=getattr(ht, name)):
+            calls.append(args)
+            return formula(*args)
+        monkeypatch.setattr(ht, name, counting)
+    return calls
+
+
+def test_horo_convergence_builds_each_constant_once(monkeypatch):
+    formula_calls, intersection_calls = _count_formula_calls(monkeypatch), []
+    intersection = lam.intersection_number
 
     def counting_intersection(mu, gamma):
         intersection_calls.append(gamma)
         return intersection(mu, gamma)
 
-    monkeypatch.setattr(geo, "class_length", counting_length)
     monkeypatch.setattr(lam, "intersection_number", counting_intersection)
     probes = [geo.pants_point(2, 2, 2), geo.pants_point(1.5, 2.5, 3),
               geo.pants_point(3.2, 1.1, 2.4)]
     grid = [4.0, 6.0, 8.0, 10.0]
     asy.horo_convergence(SPEC, BASE, probes, PANEL, grid=grid)
-    crossed = sum(intersection(MU, e) > 0 for e in PANEL)
-    assert len(PANEL) == 9 and crossed == 4
-    # one length vector per base point and probe, one per grid point, and
-    # the crossed entries for the normalizer and each probe's mu-value
-    assert len(length_calls) == (1 + 3) * 9 + 4 * 9 + (1 + 3) * 4 == 88
+    arcs = sum(isinstance(e, ArcClass) for e in PANEL)
+    assert len(PANEL) == 9 and arcs == 6
+    # one length vector per base point and probe, one per grid point; the
+    # normalizer and the probes' mu-values read theirs (every arc has the
+    # growing side B3, so each t re-evaluates all six)
+    assert len(formula_calls) == (1 + 3) * 6 + 4 * 6 == 48
     # i(mu, .) once per panel entry
     assert len(intersection_calls) == 9
+
+
+def test_walk_reevaluates_only_moving_entries(monkeypatch):
+    # on S_{0,0,4}, a(B1;B2,C1) grows B1: the arcs of the pants (C1, B3, B4)
+    # keep their lengths along the path and are evaluated at the first t only
+    surface = build_surface(0, 0, 4)
+    panel = enumerate_panel(surface, 0)
+    mu = lam.rational_lamination(surface, {surface.arc_alias("a(B1;B2,C1)"): 1.0})
+    base = geo.fn_point(surface, {"C1": (1.2, 0.3)},
+                        {"B1": 1.0, "B2": 1.5, "B3": 0.8, "B4": 2.0})
+    spec = asy.make_path_spec(mu, base, (0.0, 1.0, 2.0, 3.0))
+    calls = _count_formula_calls(monkeypatch)
+    series = asy.boundary_convergence(spec, panel)
+    arcs = [e for e in panel if isinstance(e, ArcClass)]
+    moving = [a for a in arcs if "B1" in a.pattern[1:]]
+    assert (len(arcs), len(moving)) == (6, 3)
+    assert len(calls) == len(arcs) + 3 * len(moving)
+    monkeypatch.undo()
+    for t, dist in series:
+        vec = met.thurston_vector(asy.scaling_path(spec, t), panel)
+        ivec = [lam.intersection_number(mu, e) for e in panel]
+        assert dist == max(abs(a - b / max(ivec)) for a, b in zip(vec, ivec))
 
 
 def test_horo_convergence_rejects_points_on_other_surfaces():

@@ -198,7 +198,8 @@ def test_log_sup_ratio_kernel():
     assert met._log_sup_ratio([1.0, 2.0, 3.0], [2.0, 4.0, 3.0]) \
         == (math.log(2.0), 0)
     assert met._log_sup_ratio([1.0, 0.0, 2.0], [2.0, 1.0, 9.0]) == (math.inf, 1)
-    lx, ly = met._length_vector(X222, PANEL), met._length_vector(X444, PANEL)
+    plan = geo.panel_plan(PANEL)
+    lx, ly = plan.vector(X222), plan.vector(X444)
     value, k = met._log_sup_ratio(lx, ly)
     d = met.arc_metric(X222, X444, PANEL)
     assert (d.value, d.maximizer) == (value, str(PANEL.entries[k]))

@@ -1,0 +1,144 @@
+"""LengthPlan: compiled panel length vectors equal the class_length dispatch.
+
+Every value is compared with ==, bit for bit: the plan routes each entry to
+the same formula with the same floats, so nothing may round differently.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arcmetric import asymptotics as asy
+from arcmetric import geometry as geo
+from arcmetric import lamination as lam
+from arcmetric.errors import DomainError, UnsupportedClassError
+from arcmetric.topology import ArcClass, CurveClass, build_surface, enumerate_panel
+
+# the experiment-sweep surfaces: tier 1 and the decomposition-level ones
+SIGNATURES = [(0, 0, 3), (1, 0, 1), (0, 0, 4), (1, 0, 2), (2, 0, 1), (0, 0, 6)]
+SURFACES = [build_surface(*sig) for sig in SIGNATURES]
+# surfaces whose arcs have a puncture (length 0) as a side
+PUNCTURED = [build_surface(*sig) for sig in [(0, 1, 2), (1, 1, 1)]]
+TORUS = geo.torus_surface()
+
+lengths = st.floats(0.05, 20.0)
+twists = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def points(draw, surface, cuffs=lengths):
+    interior = {c: (draw(cuffs), draw(twists)) for c in surface.interior_curves}
+    boundary = {b: draw(cuffs) for b in surface.boundaries}
+    return geo.fn_point(surface, interior, boundary)
+
+
+def direct(X, entries):
+    """[class_length(X, e) for e in entries], or the type of its first error."""
+    try:
+        return [geo.class_length(X, e) for e in entries]
+    except Exception as exc:  # the plan must raise the same type
+        return type(exc)
+
+
+def planned(plan, X):
+    try:
+        return plan.vector(X)
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SURFACES + PUNCTURED).flatmap(
+    lambda s: st.tuples(st.just(s), points(s))))
+def test_panel_zero_vectors_equal_class_length(case):
+    surface, X = case
+    panel = enumerate_panel(surface, 0)
+    assert geo.panel_plan(panel).vector(X) == direct(X, panel.entries)
+
+
+@settings(max_examples=25, deadline=None)
+@given(points(TORUS, cuffs=st.floats(0.1, 8.0)), st.sampled_from([3, 6]))
+def test_torus_word_panels_fall_back_to_class_length(X, complexity):
+    # word curves and twisted arcs take the fallback route
+    panel = enumerate_panel(TORUS, complexity)
+    assert planned(geo.panel_plan(panel), X) == direct(X, panel.entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SURFACES[2:]).flatmap(
+    lambda s: st.tuples(st.just(s), points(s), st.sampled_from(s.pants_arcs()),
+                        st.floats(0.3, 2.0))))
+def test_walk_equals_class_length_at_every_point(case):
+    # along a scaling path only the entries with a moving side are
+    # re-evaluated; the held ones keep their first value, which is exact
+    surface, X0, arc, weight = case
+    mu = lam.rational_lamination(surface, {arc: weight})
+    spec = asy.make_path_spec(mu, X0, (0.0, 1.5, 3.0, 6.0))
+    panel = enumerate_panel(surface, 0)
+    plan = geo.panel_plan(panel)
+    held = [label for label, (kind, _) in spec.regimes if kind == "hold"]
+    path = [asy.scaling_path(spec, t) for t in spec.grid]
+    walked = list(plan.walk(path, held))
+    assert walked == [direct(X, panel.entries) for X in path]
+    assert len({id(vec) for vec in walked}) == len(walked)  # a new list each
+
+
+def test_intersections_are_computed_once_per_lamination(monkeypatch):
+    surface = SURFACES[0]
+    panel = enumerate_panel(surface, 0)
+    mu = lam.rational_lamination(surface, {surface.arc_alias("a33"): 1.0})
+    plan = geo.panel_plan(panel)
+    expected = tuple(lam.intersection_number(mu, e) for e in panel)
+    calls = []
+    intersection = lam.intersection_number
+    monkeypatch.setattr(lam, "intersection_number",
+                        lambda m, e: calls.append(e) or intersection(m, e))
+    assert plan.intersections(mu) == expected
+    assert plan.intersections(mu) is plan.intersections(mu)
+    assert len(calls) == len(panel)
+
+
+def test_errors_match_class_length():
+    X = geo.pants_point(1.0, 2.0, 3.0)
+    panel = enumerate_panel(X.surface, 0)
+    plan = geo.panel_plan(panel)
+    # arcs on a double: the pants plan at the doubled point, and a plan
+    # compiled on the double itself
+    D = geo.double_point(X)
+    arc = X.surface.arc_alias("a12")
+    assert direct(D, panel.entries) is DomainError
+    with pytest.raises(DomainError):
+        plan.vector(D)
+    assert direct(D, [arc]) is DomainError
+    with pytest.raises(DomainError):
+        geo.LengthPlan(D.surface, [arc]).vector(D)
+    # a word class is unsupported on the pants
+    word = CurveClass("word", "w(1,1)", (1, 1))
+    assert direct(X, [word]) is UnsupportedClassError
+    with pytest.raises(UnsupportedClassError):
+        geo.LengthPlan(X.surface, [word]).vector(X)
+    # a twisted arc is registered on the torus only
+    twisted = ArcClass(arc.pants_id, arc.pattern, twist=2)
+    assert direct(X, [twisted]) is UnsupportedClassError
+    with pytest.raises(UnsupportedClassError):
+        geo.LengthPlan(X.surface, [twisted]).vector(X)
+    # a point of another surface
+    T = geo.torus_point(1.0, 0.0, 2.0)
+    assert direct(T, panel.entries) is DomainError
+    with pytest.raises(DomainError):
+        plan.vector(T)
+    assert direct(X, enumerate_panel(TORUS, 0).entries) is DomainError
+    with pytest.raises(DomainError):
+        geo.panel_plan(enumerate_panel(TORUS, 0)).vector(X)
+
+
+def test_walk_skips_entries_raising_a_skip_type():
+    X = geo.pants_point(1.0, 2.0, 3.0)
+    word = CurveClass("word", "w(1,1)", (1, 1))
+    b1 = CurveClass("boundary", "B1")
+    plan = geo.LengthPlan(X.surface, [b1, word])
+    first, second = plan.walk([X, X], skip=UnsupportedClassError)
+    assert first[0] == second[0] == 1.0
+    assert isinstance(first[1], UnsupportedClassError) and second[1] is first[1]
+    with pytest.raises(UnsupportedClassError):
+        list(plan.walk([X]))

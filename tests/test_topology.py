@@ -70,6 +70,21 @@ def test_pants_arcs_closed_list():
     assert s.arc_alias("a33").label == "a(B3;B1,B2)"
 
 
+def test_pants_arcs_built_once_per_surface():
+    s = top.build_surface(0, 0, 4)
+    arcs = s.pants_arcs()
+    arcs.clear()  # callers get their own list
+    assert [a.label for a in s.pants_arcs()] == [
+        "a(B1;B2,C1)", "a(B2;B1,C1)", "a(B3;B4,C1)", "a(B4;B3,C1)",
+        "a(B1,B2;C1)", "a(B3,B4;C1)"]
+    # the classes are built once, and aliases resolve without rebuilding
+    assert s.pants_arcs()[0] is s.pants_arcs()[0]
+    assert s.arc_alias("a(B1,B2;C1)") is s.arc_alias("a(B1,B2;C1)")
+    # the cache is not part of the surface's identity
+    fresh = top.build_surface(0, 0, 4)
+    assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+
+
 def test_torus_arc_list():
     s = top.build_surface(1, 0, 1)
     assert [a.label for a in s.pants_arcs()] == ["a(B1;C1,C1)"]
