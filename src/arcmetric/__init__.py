@@ -12,16 +12,15 @@ from .errors import (ArcmetricError, DegeneratePanelError, DomainError,
 from .topology import (ArcClass, CurveClass, Panel, Pants, Surface,
                        SurfaceSignature, build_surface, double_topology,
                        enumerate_panel, mirror_label)
-from .hyptrig import (PantsIntersectionData, arc_length_distinct_boundaries,
-                      arc_length_same_boundary, intersection_arc_distinct,
-                      intersection_arc_same, leaf_decay_bound)
+from .hyptrig import (arc_length_distinct_boundaries, arc_length_same_boundary,
+                      intersection_arc_distinct, intersection_arc_same,
+                      leaf_decay_bound)
 from .geometry import (FNPoint, Holonomy, arc_length, class_length,
                        curve_length, double_point, fn_from_dict, fn_point,
                        fn_to_dict, holonomy_build, lamination_length,
                        pants_point, pants_surface, torus_point, torus_surface)
-from .lamination import (DTCoordinates, ErgodicDecomposition,
-                         RationalLamination, class_from_id, dt_decode,
-                         dt_double_coordinates, dt_encode, ergodic_decomposition,
+from .lamination import (DTCoordinates, RationalLamination, class_from_id,
+                         dt_decode, dt_double_coordinates, dt_encode,
                          intersection_number, lamination_from_dict,
                          lamination_to_dict, normalize, rational_lamination,
                          ratio_sup, refine, sample_supported_lamination,

@@ -91,19 +91,29 @@ def make_path_spec(mu: lam.RationalLamination, base_point: geo.FNPoint,
     return PathSpec(mu, base_point, grid)
 
 
-def scaling_path(spec: PathSpec, t: float) -> geo.FNPoint:
-    """The point at parameter t; deterministic, twists from the base point."""
+def _moving_lengths(spec: PathSpec, t: float) -> dict:
+    """Checked lengths at X_t of the growing and decaying curves: one e^t,
+    and e^t * rate is tested in log space, so past the doubles it is inf."""
     if not (math.isfinite(t) and t >= 0):
         raise DomainError("path parameter must be >= 0")
-    chi = abs_double_chi(spec.mu.surface)
-    lengths = {}
+    et = math.exp(t) if t <= ht._LOG_MAX else math.inf
+    chi, lengths = abs_double_chi(spec.mu.surface), {}
     for label, (kind, param) in spec.regimes:
-        if kind == "grow":
-            lengths[label] = math.exp(t) * param
-        elif kind == "decay":
-            lengths[label] = max(ht.leaf_decay_bound(param, t, chi), _LENGTH_FLOOR)
+        if kind == "decay":
+            length = max(ht.leaf_decay_bound(param, t, chi), _LENGTH_FLOOR)
+        elif kind == "grow":  # where e^t alone overflows, e^t * rate may not
+            lx = t + math.log(param)
+            length = et * param if et < math.inf or lx > ht._LOG_MAX else math.exp(lx)
         else:
-            lengths[label] = param
+            continue
+        lengths[label] = geo._checked_length(label, length)
+    return lengths
+
+
+def scaling_path(spec: PathSpec, t: float) -> geo.FNPoint:
+    """The point at parameter t; deterministic, twists from the base point."""
+    lengths = {label: param for label, (kind, param) in spec.regimes if kind == "hold"}
+    lengths.update(_moving_lengths(spec, t))
     return spec.base_point.with_lengths(lengths)
 
 
@@ -122,9 +132,14 @@ class DeviationReport:
 
 
 def _walk(spec: PathSpec, plan: geo.LengthPlan, grid, skip=()):
-    """The plan's length vectors at X_t, t in grid; held lengths are reused."""
-    held = [label for label, (kind, _) in spec.regimes if kind == "hold"]
-    return plan.walk((scaling_path(spec, t) for t in grid), held, skip)
+    """The plan's length vectors at X_t, t in grid, one grid point at a time;
+    an FNPoint is built only for the plan's fallback entries."""
+    if plan.surface is not spec.mu.surface and plan.surface != spec.mu.surface:
+        raise DomainError("point and length plan live on different surfaces")
+    held = {label: geo._checked_length(label, param)
+            for label, (kind, param) in spec.regimes if kind == "hold"}
+    return plan.walk(held, (_moving_lengths(spec, t) for t in grid),
+                     spec.base_point.with_lengths, skip)
 
 
 def deviation_walk(spec: PathSpec, targets, grid=None, cap=50.0):
@@ -141,12 +156,15 @@ def deviation_walk(spec: PathSpec, targets, grid=None, cap=50.0):
     columns = {k: [] for k in range(len(targets))}
     reasons = {}
     for t, lengths in zip(grid, _walk(spec, plan, grid, UnsupportedClassError)):
+        if t > ht._LOG_MAX and any(ivals[k] for k in columns):
+            raise DomainError(f"e^t i(mu, target) overflows at t = {t}")
+        et = math.exp(min(t, ht._LOG_MAX))  # past it, every i(mu, target) is 0
         for k in list(columns):
             if isinstance(lengths[k], UnsupportedClassError):
                 reasons[k] = str(lengths[k])
                 del columns[k]
                 continue
-            columns[k].append(lengths[k] - math.exp(t) * ivals[k])
+            columns[k].append(lengths[k] - et * ivals[k])
     reports = []
     for k, devs in columns.items():
         # 0.0 - dev, not -dev: a zero deviation stays +0.0

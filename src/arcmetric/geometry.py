@@ -99,17 +99,12 @@ def fn_point(surface: Surface, interior: dict | None = None,
     return FNPoint(surface, tuple(int_items), tuple(bdy_items))
 
 
-@lru_cache(maxsize=8)
-def _cached_surface(g, n, p) -> Surface:
-    return build_surface(g, n, p)
-
-
 def pants_surface() -> Surface:
-    return _cached_surface(0, 0, 3)
+    return build_surface(0, 0, 3)
 
 
 def torus_surface() -> Surface:
-    return _cached_surface(1, 0, 1)
+    return build_surface(1, 0, 1)
 
 
 def pants_point(l1: float, l2: float, l3: float) -> FNPoint:
@@ -368,17 +363,16 @@ def class_length(X: FNPoint, cls) -> float:
 class LengthPlan:
     """Length vectors of an ordered list of classes, compiled once.
 
-    Each entry gets a route, evaluated from one {label: length} map of the
+    Each entry gets a route, evaluated from a {label: length} map of the
     point (punctures 0.0): a coordinate curve reads its label, an untwisted
-    arc on a bordered surface calls its pants formula on its three side
-    labels, and everything else (word curves, twisted torus arcs, classes
-    on doubles, labels the surface lacks) falls back to class_length.  The
-    formulas are looked up when the plan is built.  Values equal
-    [class_length(X, e) for e in entries] bit for bit, at points of the
-    plan's surface; a point of another surface is a DomainError.
-
-    The plan also keeps the intersection vector of each lamination it is
-    asked for.
+    arc with its endpoints on coordinate curves of a bordered surface calls
+    a hyptrig formula core (looked up when the plan is built) on the log
+    terms of its sides, and everything else (word curves, twisted torus
+    arcs, classes on doubles, labels the surface lacks) falls back to
+    class_length.  Values equal [class_length(X, e) for e in entries] bit
+    for bit, at points of the plan's surface; a point of another surface is
+    a DomainError.  The plan also keeps the intersection vector of each
+    lamination it is asked for.
     """
 
     def __init__(self, surface: Surface, entries):
@@ -386,76 +380,86 @@ class LengthPlan:
         self.entries = tuple(entries)
         labels = set(surface.boundaries) | set(surface.interior_curves)
         sides = labels | set(surface.punctures)
-        routes = []  # (formula or None, input labels or None)
+        same, distinct = ht.arc_same_from_logs, ht.arc_distinct_from_logs
+        routes = []  # (input labels, evaluate(lengths, log cosh, log sinh) or None)
+        arc_sides = set()  # labels whose log terms a formula reads
         for entry in self.entries:
             if isinstance(entry, CurveClass) \
                     and entry.kind in ("boundary", "interior") \
                     and entry.label in labels:
-                routes.append((None, (entry.label,)))
+                routes.append(((entry.label,), lambda L, C, S, a=entry.label: L[a]))
             elif isinstance(entry, ArcClass) and entry.twist == 0 \
                     and surface.double_of is None \
-                    and sides.issuperset(entry.pattern[1:]):
-                formula = (ht.arc_length_same_boundary if entry.pattern[0] == "same"
-                           else ht.arc_length_distinct_boundaries)
-                routes.append((formula, entry.pattern[1:]))
+                    and sides.issuperset(entry.pattern[1:]) \
+                    and labels.issuperset(entry.endpoints()):
+                kind, a, b, c = entry.pattern
+                if kind == "same":  # from a back to a, separating b and c
+                    evaluate = lambda L, C, S, a=a, b=b, c=c: same(
+                        L[b], L[c], C[a], S[a], C[b], C[c])
+                else:  # from a to b, c the third side
+                    evaluate = lambda L, C, S, a=a, b=b, c=c: distinct(
+                        L[a], L[b], C[c], S[a], S[b])
+                routes.append(((a, b, c), evaluate))
+                arc_sides.update((a, b, c))
             else:
-                routes.append((class_length, None))
-        self._routes = routes
+                routes.append(((), None))
+        self._routes, self._sides = routes, arc_sides
+        self._log_terms = ht.log_cosh, ht.log_sinh
         self._punctures = dict.fromkeys(surface.punctures, 0.0)
         self._intersections = []  # (lamination, its intersection vector)
 
-    def _fill(self, X: FNPoint, indices, out: list, skip=()) -> None:
-        """out[k] = length of entry k at X for k in indices, in that order;
-        an entry raising one of `skip` gets the exception as its value."""
+    def vector(self, X: FNPoint) -> list[float]:
+        """[class_length(X, e) for e in entries]: the one-point walk."""
         if X.surface is not self.surface and X.surface != self.surface:
             raise DomainError("point and length plan live on different surfaces")
-        lengths = dict(self._punctures)
-        lengths.update(X.boundary)
-        for label, (length, _) in X.interior:
-            lengths[label] = length
-        routes, entries = self._routes, self.entries
-        for k in indices:
-            formula, inputs = routes[k]
-            try:
-                if inputs is None:
-                    out[k] = formula(X, entries[k])
-                elif formula is None:
-                    out[k] = lengths[inputs[0]]
-                else:
-                    out[k] = formula(lengths[inputs[0]], lengths[inputs[1]],
-                                     lengths[inputs[2]])
-            except skip as exc:
-                out[k] = exc
+        held = {label: _checked_length(label, length) for label, length in
+                X.boundary + tuple((label, v) for label, (v, _) in X.interior)}
+        return next(self.walk(held, ({},), lambda lengths: X))
 
-    def vector(self, X: FNPoint) -> list[float]:
-        """[class_length(X, e) for e in entries]."""
-        out = [0.0] * len(self.entries)
-        self._fill(X, range(len(out)), out)
-        return out
-
-    def walk(self, points, held=(), skip=()):
+    def walk(self, held: dict, moving, point, skip=()):
         """Yield the length vector at each point of a path, a new list each.
 
-        The first point is evaluated in full, in entry order.  Later points
-        re-evaluate only the entries with an input outside `held`, the
-        labels whose length every point shares; fallback entries are always
-        re-evaluated.  An entry whose evaluation raises one of `skip` holds
-        that exception from then on.
-        """
-        held = set(held) | set(self.surface.punctures)
-        moving = [k for k, (_, inputs) in enumerate(self._routes)
-                  if inputs is None or not held.issuperset(inputs)]
-        vec = None
-        for X in points:
-            if vec is None:
-                vec = [0.0] * len(self.entries)
-                self._fill(X, range(len(vec)), vec, skip)
-            else:
-                vec = vec.copy()
-                self._fill(X, moving, vec, skip)
+        held maps the labels every point shares to their (checked) lengths;
+        moving yields the checked lengths of the other labels, point by
+        point.  A label's log terms are computed once per point, a held
+        label's once.  The first point is evaluated in full, in entry order;
+        later ones re-evaluate the entries with a moving input and fallback
+        entries, which read point(lengths), built once per point.  An entry
+        raising one of `skip` holds that exception from then on."""
+        log_cosh, log_sinh = self._log_terms
+        lengths = {**self._punctures, **held}
+        lc, ls = {}, {}
+
+        def log_terms(labels):
+            for label in self._sides.intersection(labels):
+                lc[label] = log_cosh(lengths[label] / 2)
+                if label not in self._punctures:
+                    ls[label] = log_sinh(lengths[label] / 2)
+
+        log_terms(lengths)
+        routes, entries = self._routes, self.entries
+        moving_entries = [k for k, (inputs, evaluate) in enumerate(routes)
+                          if evaluate is None or not lengths.keys() >= set(inputs)]
+        vec, indices = [0.0] * len(entries), range(len(entries))
+        for row in moving:
+            lengths.update(row)
+            log_terms(row)
+            X = None
+            for k in indices:
+                evaluate = routes[k][1]
+                try:
+                    if evaluate is None:
+                        X = point(lengths) if X is None else X
+                        vec[k] = class_length(X, entries[k])
+                    else:
+                        vec[k] = evaluate(lengths, lc, ls)
+                except skip as exc:
+                    vec[k] = exc
             if skip:
-                moving = [k for k in moving if not isinstance(vec[k], skip)]
+                moving_entries = [k for k in moving_entries
+                                  if not isinstance(vec[k], skip)]
             yield vec
+            vec, indices = vec.copy(), moving_entries
 
     def intersections(self, mu) -> tuple:
         """(i(mu, e) for e in entries), computed once per lamination."""

@@ -14,11 +14,12 @@ that case via cosh(0) = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 
 from .errors import DomainError
 
 _LN2 = math.log(2.0)
+_LOG_MAX = math.log(sys.float_info.max)  # exp overflows beyond it
 
 
 def _check_finite(name, x):
@@ -49,11 +50,6 @@ def _asinh_of_exp(lx: float) -> float:
     return math.asinh(math.exp(lx))  # underflow of exp gives a true 0 length
 
 
-def _logsumexp(terms) -> float:
-    m = max(terms)
-    return m + math.log(sum(math.exp(t - m) for t in terms))
-
-
 def arc_length_same_boundary(lb: float, lg1: float, lg2: float) -> float:
     """Length of the arc from a boundary of length lb back to itself.
 
@@ -76,10 +72,18 @@ def arc_length_same_boundary(lb: float, lg1: float, lg2: float) -> float:
             raise DomainError(f"{name} must be nonnegative, got {v}")
     if lb == 0:
         raise DomainError("arc from a cusp is undefined (lb = 0)")
+    return arc_same_from_logs(lg1, lg2, log_cosh(lb / 2), log_sinh(lb / 2),
+                              log_cosh(lg1 / 2), log_cosh(lg2 / 2))
+
+
+def arc_same_from_logs(lg1, lg2, cb, sb, c1, c2) -> float:
+    """arc_length_same_boundary from unchecked log terms: cb, sb are log cosh
+    and log sinh of lb/2, and c1, c2 log cosh of lg1/2 and lg2/2."""
     if lg1 < lg2:
-        lg1, lg2 = lg2, lg1  # bit-stable symmetry in the gamma sides
-    cb, c1, c2 = log_cosh(lb / 2), log_cosh(lg1 / 2), log_cosh(lg2 / 2)
-    le = _logsumexp([2 * c1, 2 * c2, _LN2 + cb + c1 + c2]) - 2 * log_sinh(lb / 2)
+        c1, c2 = c2, c1  # bit-stable symmetry in the gamma sides
+    x, y, z = 2 * c1, 2 * c2, _LN2 + cb + c1 + c2
+    m = max(x, y, z)  # log-sum-exp, summed left to right
+    le = m + math.log(math.exp(x - m) + math.exp(y - m) + math.exp(z - m)) - 2 * sb
     return 2.0 * _asinh_of_exp(le / 2.0)
 
 
@@ -104,8 +108,16 @@ def arc_length_distinct_boundaries(lb1: float, lb2: float, lg: float) -> float:
             raise DomainError(f"{name} must be nonnegative, got {v}")
     if lb1 == 0 or lb2 == 0:
         raise DomainError("arc endpoint on a cusp is undefined (lb = 0)")
-    le = (_logsumexp([log_cosh(lg / 2), log_cosh((lb1 - lb2) / 2)]) - _LN2
-          - log_sinh(lb1 / 2) - log_sinh(lb2 / 2))
+    return arc_distinct_from_logs(lb1, lb2, log_cosh(lg / 2), log_sinh(lb1 / 2),
+                                  log_sinh(lb2 / 2))
+
+
+def arc_distinct_from_logs(lb1, lb2, cg, s1, s2) -> float:
+    """arc_length_distinct_boundaries from unchecked log terms: cg is log cosh
+    of lg/2, and s1, s2 log sinh of lb1/2 and lb2/2."""
+    cd = log_cosh((lb1 - lb2) / 2)
+    m = max(cg, cd)
+    le = m + math.log(math.exp(cg - m) + math.exp(cd - m)) - _LN2 - s1 - s2
     return 2.0 * _asinh_of_exp(le / 2.0)
 
 
@@ -166,39 +178,11 @@ def leaf_decay_bound(omega: float, t: float, abs_chi: int) -> float:
         raise DomainError("leaf weight omega must be positive")
     if abs_chi < 1:
         raise DomainError("|chi| must be at least 1")
-    x = math.exp(t) * omega / 2.0
+    lx = t + math.log(omega) - _LN2  # log x, tested before e^t can overflow
+    if lx > _LOG_MAX:
+        return 0.0  # the envelope underflowed long before x leaves the doubles
+    x = math.exp(t) * omega / 2.0 if t <= _LOG_MAX else math.exp(lx)
     if x <= 700.0:
         return 3.0 * abs_chi / math.sinh(x)
     ly = math.log(3.0 * abs_chi) - log_sinh(x)
     return math.exp(ly)  # may underflow to 0.0 for astronomical arguments
-
-
-# -- grouped value types ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PantsIntersectionData:
-    """Intersection numbers and boundary-leaf weights of mu with three sides."""
-
-    i_side1: float
-    i_side2: float
-    i_side3: float
-    w_side1: float = 0.0
-    w_side2: float = 0.0
-    w_side3: float = 0.0
-
-    def __post_init__(self):
-        _check_side(self.i_side1, self.w_side1, "1")
-        _check_side(self.i_side2, self.w_side2, "2")
-        _check_side(self.i_side3, self.w_side3, "3")
-
-    def arc_same(self) -> float:
-        """Arc from side 1 to itself, separating sides 2 and 3."""
-        return intersection_arc_same(self.i_side1, self.i_side2, self.i_side3,
-                                     self.w_side1)
-
-    def arc_distinct(self) -> float:
-        """Arc joining sides 1 and 2, with side 3 as the third boundary."""
-        return intersection_arc_distinct(self.i_side1, self.i_side2,
-                                         self.i_side3, self.w_side1,
-                                         self.w_side2)

@@ -75,7 +75,15 @@ def _host_sides(surface: Surface, arc: ArcClass):
 
 
 def class_intersection(surface: Surface, c, target) -> float:
-    """i(c, target) for unweighted classes, c the measured side."""
+    """i(c, target) for unweighted classes, c the measured side; once a pair."""
+    key, table = (c, target), surface._intersections
+    value = table.get(key)
+    if value is None:
+        value = table[key] = _class_intersection(surface, c, target)
+    return value
+
+
+def _class_intersection(surface: Surface, c, target) -> float:
     if isinstance(c, CurveClass) and isinstance(target, CurveClass):
         return _curve_curve(surface, c, target)
     if isinstance(c, ArcClass) and isinstance(target, CurveClass):
@@ -179,28 +187,7 @@ def normalize(mu: RationalLamination, X0: geo.FNPoint) -> RationalLamination:
     return mu.scaled(1.0 / total)
 
 
-# -- ergodic decomposition and the ratio supremum --------------------------------
-
-
-@dataclass(frozen=True)
-class ErgodicDecomposition:
-    """Coefficients of a lamination over the components of a base lamination."""
-
-    base: RationalLamination
-    coefficients: tuple  # ((class, f_j), ...) aligned with base.components
-
-
-def ergodic_decomposition(nu: RationalLamination,
-                          mu: RationalLamination) -> ErgodicDecomposition | None:
-    """Express nu over mu's components, or None if some component is missing."""
-    base_weights = {str(c): (c, w) for c, w in mu.components}
-    leftover = {str(c) for c in nu.classes()} - set(base_weights)
-    if leftover:
-        return None
-    nu_weights = {str(c): w for c, w in nu.components}
-    coeffs = tuple((c, nu_weights.get(label, 0.0) / w)
-                   for label, (c, w) in base_weights.items())
-    return ErgodicDecomposition(mu, coeffs)
+# -- the ratio supremum ---------------------------------------------------------
 
 
 def ratio_sup(nu: RationalLamination, mu: RationalLamination) -> float:
@@ -214,10 +201,10 @@ def ratio_sup(nu: RationalLamination, mu: RationalLamination) -> float:
         raise DomainError("base lamination must be nonzero")
     if nu.is_zero():
         return 0.0
-    dec = ergodic_decomposition(nu, mu)
-    if dec is None:
+    base, nu_weights = ({str(c): w for c, w in m.components} for m in (mu, nu))
+    if not nu_weights.keys() <= base.keys():
         return math.inf
-    return max(f for _, f in dec.coefficients)
+    return max(nu_weights.get(label, 0.0) / w for label, w in base.items())
 
 
 # -- Dehn-Thurston coordinates ----------------------------------------------------

@@ -148,6 +148,14 @@ class Surface:
                                                 label))
         return {label: arcs[label] for label in order}
 
+    @functools.cached_property
+    def _panels(self) -> dict:
+        return {}  # complexity -> Panel, filled by enumerate_panel
+
+    @functools.cached_property
+    def _intersections(self) -> dict:
+        return {}  # (c, target) -> i(c, target), filled by lamination
+
     def is_torus(self) -> bool:
         return self.signature == SurfaceSignature(1, 0, 1)
 
@@ -167,10 +175,6 @@ class Surface:
             if p > 0:
                 out.append(CurveClass("word", f"w({-p},{q})", (-p, q)))
         return out
-
-    def word_curves(self, max_word_length: int) -> list[CurveClass]:
-        return [c for n in range(1, max_word_length + 1)
-                for c in self.word_curves_at(n)]
 
     def word_arcs_at(self, word_length: int) -> list[ArcClass]:
         """Twisted torus arcs whose host curve has the given word length."""
@@ -203,8 +207,9 @@ class Surface:
         raise DomainError(f"unknown arc {name!r} on {self.signature}")
 
 
+@functools.cache
 def build_surface(genus: int, punctures: int, boundary: int) -> Surface:
-    """Signature checks plus a deterministic canonical pants decomposition."""
+    """Checked signature, canonical pants decomposition; built once each."""
     sig = SurfaceSignature(genus, punctures, boundary)
     if genus < 0 or punctures < 0 or boundary < 1:
         raise UnsupportedSurfaceError(
@@ -319,7 +324,7 @@ class Panel:
 
 
 def enumerate_panel(surface: Surface, complexity: int = 0) -> Panel:
-    """Deterministic panel, monotone in complexity.
+    """Deterministic panel, monotone in complexity; built once per level.
 
     Level 0 holds the boundary classes, the decomposition curves, and all
     pants-local arcs; higher levels append registered word classes (tier-1
@@ -327,6 +332,8 @@ def enumerate_panel(surface: Surface, complexity: int = 0) -> Panel:
     """
     if complexity < 0:
         raise DomainError("panel complexity must be >= 0")
+    if complexity in surface._panels:
+        return surface._panels[complexity]
     entries: list = []
     entries.extend(surface.boundary_classes())
     entries.extend(surface.interior_classes())
@@ -334,7 +341,8 @@ def enumerate_panel(surface: Surface, complexity: int = 0) -> Panel:
     for n in range(1, complexity + 1):  # level order makes panels nested
         entries.extend(surface.word_curves_at(n))
         entries.extend(surface.word_arcs_at(n))
-    return Panel(surface, complexity, tuple(entries))
+    panel = surface._panels[complexity] = Panel(surface, complexity, tuple(entries))
+    return panel
 
 
 # -- JSON schema ---------------------------------------------------------------

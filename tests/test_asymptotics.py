@@ -1,6 +1,7 @@
 """Scaling paths, the length sandwich, convergence, and separation."""
 
 import csv
+import json
 import math
 import random
 from pathlib import Path
@@ -27,6 +28,7 @@ A12 = S.arc_alias("a12")
 MU = lam.rational_lamination(S, {A33: 1.0})
 BASE = geo.pants_point(1, 1, 2)
 SPEC = asy.make_path_spec(MU, BASE)
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 # l(a12) - e^t tends to -2 log sinh(1/2) along the path (large-argument
 # expansion of the boundary-joining formula; frozen at double precision)
@@ -79,6 +81,77 @@ def test_scaling_path_checks_lengths_as_fn_point_does():
     assert X.interior == (("C1", (1.2, 0.3)),)
     assert X.boundary_dict() == {"B1": 2 * math.exp(2.0), "B2": 1.5, "B3": 0.8,
                                  "B4": 2.0}
+
+
+def test_scaling_path_past_the_double_range():
+    # a growing B3 (rate 2) leaves the double range once t + log 2 exceeds
+    # log(DBL_MAX); that is a DomainError at every such t, never an
+    # OverflowError from e^t
+    for t in (709.5, 710.0, 720.0):
+        with pytest.raises(DomainError, match="length of B3 must be positive"):
+            asy.scaling_path(SPEC, t)
+    assert asy.scaling_path(SPEC, 709.0).length_of("B3") == math.exp(709.0) * 2
+    # a decaying leaf is floored at 1e-300 there; the other sides hold
+    mu = lam.rational_lamination(S, {CurveClass("boundary", "B1"): 1.0})
+    spec = asy.make_path_spec(mu, BASE)
+    for t in (709.5, 710.0, 720.0):
+        assert ht.leaf_decay_bound(1.0, t, 2) == 0.0
+        assert asy.scaling_path(spec, t) == geo.pants_point(1e-300, 1.0, 2.0)
+
+
+def test_boundary_limit_past_the_double_range_exits_3(tmp_path, capsys):
+    config = json.loads((CONFIGS / "demo_boundary_pants.json").read_text())
+    config["grid"] = [0.0, 720.0]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = cli.main(["experiment", "boundary-limit", str(path),
+                     "--csv", str(tmp_path / "out.csv"),
+                     "--json", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: length of") and "Traceback" not in err
+
+
+def test_deviation_walk_past_the_double_range():
+    # a leaf-only lamination moves no length off the double range, but
+    # e^t i(mu, a) of a crossed target does
+    mu = lam.rational_lamination(S, {CurveClass("boundary", "B1"): 1.0})
+    spec = asy.make_path_spec(mu, BASE, (0.0, 720.0))
+    with pytest.raises(DomainError, match="overflows at t = 720.0"):
+        asy.deviation_walk(spec, [A12])
+    b2 = asy.deviation_walk(spec, [CurveClass("boundary", "B2")])[0][0]
+    assert b2 == [1.0, 1.0]  # B2 holds its length 1 and i(mu, B2) = 0
+
+
+def test_separation_keeps_a_witness_found_before_the_double_range():
+    X0 = geo.pants_point(2, 2, 2)
+    mu = lam.normalize(lam.rational_lamination(S, {A33: 1.0}), X0)
+    nu = lam.normalize(
+        lam.rational_lamination(S, {CurveClass("boundary", "B3"): 1.0}), X0)
+    assert asy.separation_experiment(mu, nu, X0, PANEL,
+                                     grid=(0.0, 3.0, 720.0)).t == 3.0
+    with pytest.raises(DomainError):
+        asy.separation_experiment(mu, nu, X0, PANEL, grid=(0.0, 720.0))
+
+
+def test_class_intersection_runs_once_per_pair(monkeypatch, tmp_path):
+    # the CLI's surface is the interned pants, whose pair table starts
+    # empty here; a second run reads every pair from it
+    assert build_surface(0, 0, 3) is S
+    monkeypatch.delitem(vars(S), "_intersections", raising=False)
+    calls = []
+    body = lam._class_intersection
+    monkeypatch.setattr(lam, "_class_intersection",
+                        lambda surface, c, target: calls.append((c, target))
+                        or body(surface, c, target))
+    argv = ["experiment", "boundary-limit",
+            str(CONFIGS / "demo_boundary_pants.json"),
+            "--csv", str(tmp_path / "out.csv"), "--json", str(tmp_path / "out.json")]
+    assert cli.main(argv) == 0
+    assert calls and len(calls) == len(set(calls))
+    first = len(calls)
+    assert cli.main(argv) == 0
+    assert len(calls) == first
 
 
 def test_invalid_spec_rejected():
@@ -158,14 +231,17 @@ def test_deviation_walk_matches_key_inequality():
 
 
 def test_inequality_cli_walks_each_grid_point_once(monkeypatch, tmp_path):
-    calls = []
-    walk = asy.scaling_path
+    # the walk computes the moving lengths once per grid point and builds
+    # no point (every target has a formula route)
+    calls, points = [], []
+    lengths = asy._moving_lengths
 
     def counting(spec, t):
         calls.append(t)
-        return walk(spec, t)
+        return lengths(spec, t)
 
-    monkeypatch.setattr(asy, "scaling_path", counting)
+    monkeypatch.setattr(asy, "_moving_lengths", counting)
+    monkeypatch.setattr(asy, "scaling_path", lambda spec, t: points.append(t))
     config = Path(__file__).resolve().parent.parent / "demos" / "configs" \
         / "demo_cprime.json"
     code = cli.main(["experiment", "inequality", str(config),
@@ -173,6 +249,7 @@ def test_inequality_cli_walks_each_grid_point_once(monkeypatch, tmp_path):
                      "--json", str(tmp_path / "out.json")])
     assert code == 0
     assert len(calls) == 21 and len(set(calls)) == 21
+    assert points == []
 
 
 def test_inequality_without_targets_reads_the_panel(monkeypatch, tmp_path):
@@ -214,9 +291,10 @@ def test_boundary_limit_cli_computes_the_intersection_vector_once(monkeypatch,
 
 
 def _count_formula_calls(monkeypatch):
-    """Record each pants-formula evaluation (plans look them up when built)."""
+    """Record each call of a pants-formula core (plans look them up when
+    built)."""
     calls = []
-    for name in ("arc_length_same_boundary", "arc_length_distinct_boundaries"):
+    for name in ("arc_same_from_logs", "arc_distinct_from_logs"):
         def counting(*args, formula=getattr(ht, name)):
             calls.append(args)
             return formula(*args)

@@ -107,7 +107,7 @@ def test_invariant_leaf_disjoint_from_support():
     with pytest.raises(DomainError):
         ht.intersection_arc_same(1.0, 0, 0, w_beta=1.0)
     with pytest.raises(DomainError):
-        ht.PantsIntersectionData(1.0, 0, 0, w_side1=0.5)
+        ht.intersection_arc_distinct(1.0, 0, 0, w_beta1=0.5)
 
 
 @given(st.integers(0, 3200), st.integers(0, 3200))
@@ -132,13 +132,6 @@ def test_same_case_beta_seam_continuity(g1, g2, w):
     w_beta = 0 there)."""
     beta = g1 + g2
     assert ht.intersection_arc_same(beta, g1, g2, 0.0) == 0.0
-
-
-def test_pants_intersection_data_helpers():
-    data = ht.PantsIntersectionData(4, 3, 2)
-    assert data.arc_same() == 0.5
-    data2 = ht.PantsIntersectionData(0, 0, 2)
-    assert data2.arc_distinct() == 1.0
 
 
 # -- decay bound -----------------------------------------------------------------

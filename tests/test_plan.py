@@ -64,23 +64,87 @@ def test_torus_word_panels_fall_back_to_class_length(X, complexity):
     assert planned(geo.panel_plan(panel), X) == direct(X, panel.entries)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(SURFACES[2:]).flatmap(
-    lambda s: st.tuples(st.just(s), points(s), st.sampled_from(s.pants_arcs()),
-                        st.floats(0.3, 2.0))))
+def walked(spec, plan, grid):
+    """The walk's vectors along the path, then the type of its error."""
+    out = []
+    try:
+        out.extend(asy._walk(spec, plan, grid))
+    except Exception as exc:
+        out.append(type(exc))
+    return out
+
+
+def expected(spec, entries, grid):
+    """class_length at each scaling_path point, up to the first error."""
+    out = []
+    for t in grid:
+        try:
+            X = asy.scaling_path(spec, t)
+        except Exception as exc:
+            return out + [type(exc)]
+        out.append(direct(X, entries))
+        if isinstance(out[-1], type):
+            break
+    return out
+
+
+log_cuffs = st.floats(-8.0, 3.0).map(lambda e: 10.0 ** e)  # [1e-8, 1e3]
+
+
+@st.composite
+def paths(draw, surfaces, cuffs):
+    """(spec, panel): a pants arc, maybe with a boundary leaf disjoint from
+    it, drives a path from a random point."""
+    surface = draw(st.sampled_from(surfaces))
+    arc = draw(st.sampled_from(surface.pants_arcs()))
+    weights = {arc: draw(st.floats(0.3, 2.0))}
+    leaves = [b for b in surface.boundaries if b not in arc.endpoints()]
+    if leaves and draw(st.booleans()):
+        weights[surface.curve_class(draw(st.sampled_from(leaves)))] = \
+            draw(st.floats(0.3, 2.0))
+    mu = lam.rational_lamination(surface, weights)
+    spec = asy.make_path_spec(mu, draw(points(surface, cuffs)),
+                              (0.0, 1.5, 3.0, 6.0, 8.0))
+    return spec, enumerate_panel(surface, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(paths(SURFACES[2:] + PUNCTURED, log_cuffs))
 def test_walk_equals_class_length_at_every_point(case):
     # along a scaling path only the entries with a moving side are
-    # re-evaluated; the held ones keep their first value, which is exact
-    surface, X0, arc, weight = case
-    mu = lam.rational_lamination(surface, {arc: weight})
-    spec = asy.make_path_spec(mu, X0, (0.0, 1.5, 3.0, 6.0))
-    panel = enumerate_panel(surface, 0)
+    # re-evaluated; the held ones keep their first value, which is exact.
+    # Cuffs span [1e-8, 1e3], and a leaf decays to the 1e-300 floor by t = 8
+    spec, panel = case
     plan = geo.panel_plan(panel)
-    held = [label for label, (kind, _) in spec.regimes if kind == "hold"]
-    path = [asy.scaling_path(spec, t) for t in spec.grid]
-    walked = list(plan.walk(path, held))
-    assert walked == [direct(X, panel.entries) for X in path]
-    assert len({id(vec) for vec in walked}) == len(walked)  # a new list each
+    vectors = walked(spec, plan, spec.grid)
+    assert vectors == expected(spec, panel.entries, spec.grid)
+    assert len({id(vec) for vec in vectors}) == len(vectors)  # a new list each
+
+
+@settings(max_examples=20, deadline=None)
+@given(points(TORUS, cuffs=st.floats(0.1, 3.0)), st.sampled_from([3, 6]),
+       st.sampled_from([TORUS.pants_arcs()[0], CurveClass("word", "w(0,1)", (0, 1))]))
+def test_walk_fallback_entries_equal_class_length(X0, complexity, cls):
+    # word curves and twisted arcs are evaluated at a point built per t
+    panel = enumerate_panel(TORUS, complexity)
+    spec = asy.make_path_spec(lam.rational_lamination(TORUS, {cls: 1.0}), X0,
+                              (0.0, 0.5, 1.0, 2.0))
+    assert walked(spec, geo.panel_plan(panel), spec.grid) \
+        == expected(spec, panel.entries, spec.grid)
+
+
+def test_walk_stops_at_the_double_range():
+    # B3 grows at rate 2: the vectors before t + log 2 > log(DBL_MAX) are
+    # yielded, and the walk raises DomainError (not OverflowError from e^t)
+    # at the first point past it
+    surface = SURFACES[0]
+    mu = lam.rational_lamination(surface, {surface.arc_alias("a33"): 1.0})
+    spec = asy.make_path_spec(mu, geo.pants_point(1.0, 1.0, 2.0))
+    panel = enumerate_panel(surface, 0)
+    grid = (0.0, 5.0, 700.0, 709.0, 720.0)
+    vectors = walked(spec, geo.panel_plan(panel), grid)
+    assert vectors == expected(spec, panel.entries, grid)
+    assert len(vectors) == 5 and vectors[-1] is DomainError
 
 
 def test_intersections_are_computed_once_per_lamination(monkeypatch):
@@ -137,8 +201,10 @@ def test_walk_skips_entries_raising_a_skip_type():
     word = CurveClass("word", "w(1,1)", (1, 1))
     b1 = CurveClass("boundary", "B1")
     plan = geo.LengthPlan(X.surface, [b1, word])
-    first, second = plan.walk([X, X], skip=UnsupportedClassError)
+    held = {label: X.length_of(label) for label in X.surface.boundaries}
+    first, second = plan.walk(held, ({}, {}), lambda lengths: X,
+                              skip=UnsupportedClassError)
     assert first[0] == second[0] == 1.0
     assert isinstance(first[1], UnsupportedClassError) and second[1] is first[1]
     with pytest.raises(UnsupportedClassError):
-        list(plan.walk([X]))
+        list(plan.walk(held, ({},), lambda lengths: X))

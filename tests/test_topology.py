@@ -81,8 +81,18 @@ def test_pants_arcs_built_once_per_surface():
     assert s.pants_arcs()[0] is s.pants_arcs()[0]
     assert s.arc_alias("a(B1,B2;C1)") is s.arc_alias("a(B1,B2;C1)")
     # the cache is not part of the surface's identity
-    fresh = top.build_surface(0, 0, 4)
+    fresh = top.build_surface.__wrapped__(0, 0, 4)  # built again, not interned
+    assert fresh is not s
     assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+
+
+def test_surfaces_and_panels_are_built_once():
+    s = top.build_surface(2, 0, 1)
+    assert top.build_surface(2, 0, 1) is s
+    assert top.enumerate_panel(s, 0) is top.enumerate_panel(s, 0)
+    assert top.enumerate_panel(s, 1) is not top.enumerate_panel(s, 0)
+    with pytest.raises(UnsupportedSurfaceError):  # errors are not interned
+        top.build_surface(0, 0, 2)
 
 
 def test_torus_arc_list():
