@@ -15,10 +15,10 @@ from .topology import (ArcClass, CurveClass, Panel, Pants, Surface,
 from .hyptrig import (arc_length_distinct_boundaries, arc_length_same_boundary,
                       intersection_arc_distinct, intersection_arc_same,
                       leaf_decay_bound)
-from .geometry import (FNPoint, Holonomy, arc_length, class_length,
-                       curve_length, double_point, fn_from_dict, fn_point,
-                       fn_to_dict, holonomy_build, lamination_length,
-                       pants_point, pants_surface, torus_point, torus_surface)
+from .geometry import (FNPoint, arc_length, class_length, curve_length,
+                       double_point, fn_from_dict, fn_point, fn_to_dict,
+                       holonomy_build, lamination_length, pants_point,
+                       pants_surface, torus_point, torus_surface)
 from .lamination import (DTCoordinates, RationalLamination, class_from_id,
                          dt_decode, dt_double_coordinates, dt_encode,
                          intersection_number, lamination_from_dict,

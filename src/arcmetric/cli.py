@@ -72,16 +72,24 @@ def _require(config: dict, field: str):
     return config[field]
 
 
+_MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError)
+
+
 def _config_grid(config) -> tuple:
+    """The config's t grid: a list, or {start, stop, step} of <= 10**6 points."""
     grid = config.get("grid")
     if grid is None:
         return asy.DEFAULT_GRID
-    if isinstance(grid, dict):
-        start, stop = float(grid["start"]), float(grid["stop"])
-        step = float(grid["step"])
+    try:
+        if isinstance(grid, list):
+            return tuple(float(t) for t in grid)
+        start, stop, step = (float(grid[k]) for k in ("start", "stop", "step"))
         n = int(round((stop - start) / step))
-        return tuple(start + k * step for k in range(n + 1))
-    return tuple(float(t) for t in grid)
+        if n <= 10 ** 6:
+            return tuple(start + k * step for k in range(n + 1))
+    except _MALFORMED as exc:
+        raise InvalidSpecError(f"config grid {grid!r}: {exc!r}") from None
+    raise InvalidSpecError(f"config grid {grid!r} has over 10**6 points")
 
 
 def _write_csv(path, header, rows):
@@ -170,7 +178,11 @@ def _experiment_common(config):
     base = geo.fn_from_dict(surface, _require(config, "base_point"))
     mu = lam.lamination_from_dict(surface, _require(config, "mu"))
     grid = _config_grid(config)
-    panel = enumerate_panel(surface, int(config.get("panel_n", 0)))
+    try:
+        panel_n = int(config.get("panel_n", 0))
+    except _MALFORMED as exc:
+        raise InvalidSpecError(f"config panel_n: {exc!r}") from None
+    panel = enumerate_panel(surface, panel_n)
     return surface, base, mu, grid, panel
 
 

@@ -1,9 +1,11 @@
 """Fenchel-Nielsen points, the doubling embedding, and geodesic lengths.
 
 Lengths of decomposition and boundary curves are Fenchel-Nielsen coordinates
-and exact; pants-local arcs go through the closed-form pants formulas; word
-classes on tier-1 surfaces and their doubles go through explicit holonomy
-matrices (trace-length relation l = 2 arccosh(|tr|/2)).
+and exact; pants-local arcs go through the closed-form pants formulas;
+slope curves on the one-holed torus (and the hosts of its twisted arcs) go
+through the log-space trace descent of hyptrig.torus_slope_length; word
+classes on doubles go through explicit holonomy matrices (trace-length
+relation l = 2 arccosh(|tr|/2)).
 
 Twists are hyperbolic lengths, positive = right twist; the mirror side of a
 double carries negated twists.
@@ -17,19 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from . import hyptrig as ht
-from .errors import DomainError, UnsupportedClassError, UnsupportedSurfaceError
+from .errors import DomainError, UnsupportedClassError
 from .topology import (ArcClass, CurveClass, Surface, SurfaceSignature,
                        build_surface, double_topology)
 
-if TYPE_CHECKING:
-    import numpy as np
-
-    from . import holonomy as ho
-
-_PANTS_SIG = SurfaceSignature(0, 0, 3)
 _TORUS_SIG = SurfaceSignature(1, 0, 1)
 
 
@@ -130,163 +125,12 @@ def double_point(X: FNPoint) -> FNPoint:
     return fn_point(dsurf, interior, {})
 
 
-# -- holonomy -----------------------------------------------------------------
-
-
-class Holonomy:
-    """Named holonomy generators plus the registered word table.
-
-    Generator matrices have |det| = 1; mirror gluing generators have
-    determinant -1 and occur an even number of times in any closed word.
-    """
-
-    def __init__(self, surface: Surface, gens: ho.GeneratorSet,
-                 words: dict, boundary_lengths: dict):
-        self.surface = surface
-        self.gens = gens
-        self.words = dict(words)
-        self._boundary_lengths = dict(boundary_lengths)
-
-    def word_for(self, label: str):
-        if label not in self.words:
-            raise UnsupportedClassError(
-                f"no registered word for {label!r} on {self.surface.signature}")
-        return self.words[label]
-
-    def word_length(self, label: str) -> float:
-        return self.gens.word_length(self.word_for(label))
-
-    def matrix(self, label: str) -> np.ndarray:
-        return self.gens.matrix(self.word_for(label))
-
-    def generator_trace_errors(self) -> dict:
-        """|trace| vs 2cosh(l/2) for every coordinate curve with a word."""
-        import numpy as np
-
-        out = {}
-        for label, length in self._boundary_lengths.items():
-            if label in self.words:
-                tr = abs(float(np.trace(self.matrix(label))))
-                out[label] = abs(tr - 2.0 * math.cosh(length / 2.0))
-        return out
-
-    def relator_residuals(self) -> list[float]:
-        """Deviation of the defining relators from +-identity."""
-        import numpy as np
-
-        res = []
-        for word in self.words.get("_relators", []):
-            M = self.gens.matrix(word)
-            res.append(min(float(np.abs(M - np.eye(2)).max()),
-                           float(np.abs(M + np.eye(2)).max())))
-        return res
-
-
-def _slope_word(p: int, q: int) -> list:
-    """Registered word of the simple closed curve of slope (p, q), gcd 1."""
-    if q < 0:
-        p, q = -p, -q
-    flip = p < 0
-    p = abs(p)
-    if math.gcd(p, q) != 1:
-        raise UnsupportedClassError(f"slope ({p},{q}) is not primitive")
-
-    def rec(p, q):
-        if (p, q) == (1, 0):
-            return [("a", 1)]
-        if (p, q) == (0, 1):
-            return [("b", 1)]
-        if p >= q:
-            inner = rec(p - q, q)
-            sub = {"b": [("a", 1), ("b", 1)]}
-        else:
-            inner = rec(p, q - p)
-            sub = {"a": [("a", 1), ("b", 1)]}
-        out = []
-        for name, exp in inner:
-            out.extend(sub.get(name, [(name, exp)]))
-        return out
-
-    word = rec(p, q)
-    if flip:
-        word = [(n, -e if n == "a" else e) for n, e in word]
-    return word
-
-
-def _build_holonomy(X: FNPoint) -> Holonomy:
+@lru_cache(maxsize=256)
+def holonomy_build(X: FNPoint):
+    """holonomy.Holonomy of a pants or a tier-1 double; loads numpy."""
     from . import holonomy as ho
 
-    surf = X.surface
-    sig = surf.signature
-    if surf.double_of is None:
-        if sig == _PANTS_SIG:
-            b = X.boundary_dict()
-            pants = ho.build_pants(b["B1"], b["B2"], b["B3"])
-            gens = ho.GeneratorSet({"x1": pants.cuff_matrices[0],
-                                    "x2": pants.cuff_matrices[1],
-                                    "x3": pants.cuff_matrices[2]})
-            words = {"B1": [("x1", 1)], "B2": [("x2", 1)], "B3": [("x3", 1)],
-                     "_relators": [[("x1", 1), ("x2", 1), ("x3", 1)]]}
-            lengths = {lab: X.length_of(lab) for lab in surf.boundaries}
-            return Holonomy(surf, gens, words, lengths)
-        if sig == _TORUS_SIG:
-            lC, tau = X.interior_dict()["C1"]
-            lB = X.boundary_dict()["B1"]
-            gens = ho.torus_holonomy(lC, tau, lB)
-            words = {"C1": [("a", 1)],
-                     "B1": [("b", -1), ("a", 1), ("b", 1), ("a", -1)],
-                     "_relators": [[("a", 1), ("b", -1), ("a", -1), ("b", 1),
-                                    ("x3", 1)]]}
-            return Holonomy(surf, gens, words, {"C1": lC, "B1": lB})
-        raise UnsupportedSurfaceError(
-            f"no registered holonomy marking for {sig}")
-
-    base = surf.double_of
-    coords = X.interior_dict()
-    if base == _PANTS_SIG:
-        lengths = tuple(coords[f"B{j}"][0] for j in (1, 2, 3))
-        twists = tuple(coords[f"B{j}"][1] for j in (1, 2, 3))
-        gens = ho.pants_double_holonomy(lengths, twists)
-        words = {"B1": [("x1", 1)], "B2": [("x2", 1)], "B3": [("x3", 1)]}
-        # doubled seam arcs and doubled same-boundary arcs
-        words["a12^d"] = [("h2", 1), ("h1", -1)]
-        words["a13^d"] = [("h3", 1), ("h1", -1)]
-        words["a23^d"] = [("h3", 1), ("h2", -1)]
-        words["a11^d"] = [("h1", 1), ("x2", 1), ("h1", -1), ("x2", -1)]
-        words["a22^d"] = [("h2", 1), ("x3", 1), ("h2", -1), ("x3", -1)]
-        words["a33^d"] = [("h3", 1), ("x1", 1), ("h3", -1), ("x1", -1)]
-        # each gluing map preserves its cuff axis, so it commutes with the
-        # cuff holonomy; these are the edge relations of the assembly
-        words["_relators"] = [
-            [("h1", 1), ("x1", 1), ("h1", -1), ("x1", -1)],
-            [("h2", 1), ("x2", 1), ("h2", -1), ("x2", -1)],
-            [("h3", 1), ("x3", 1), ("h3", -1), ("x3", -1)],
-        ]
-        blen = {f"B{j}": lengths[j - 1] for j in (1, 2, 3)}
-        return Holonomy(surf, gens, words, blen)
-    if base == _TORUS_SIG:
-        lC, tC = coords["C1"]
-        lB, tB = coords["B1"]
-        lCm, tCm = coords["C1m"]
-        gens = ho.torus_double_holonomy(lC, tC, lB, tB, lCm, tCm)
-        words = {"C1": [("a", 1)],
-                 "C1m": [("am", 1)],
-                 "B1": [("b", -1), ("a", 1), ("b", 1), ("a", -1)],
-                 "w(0,1)": [("b", 1)],
-                 "w(0,1)m": [("bm", 1)],
-                 "a(B1;C1,C1)^d": [("h3", 1), ("a", 1), ("h3", -1), ("a", -1)],
-                 "_relators": [
-                     [("a", 1), ("b", -1), ("a", -1), ("b", 1), ("x3", 1)],
-                     [("h3", 1), ("x3", 1), ("h3", -1), ("x3", -1)],
-                 ]}
-        return Holonomy(surf, gens, words, {"C1": lC, "B1": lB, "C1m": lCm})
-    raise UnsupportedSurfaceError(f"no registered marking for double of {base}")
-
-
-@lru_cache(maxsize=256)
-def holonomy_build(X: FNPoint) -> Holonomy:
-    """Explicit holonomy for a tier-1 surface or tier-1 double."""
-    return _build_holonomy(X)
+    return ho.point_holonomy(X)
 
 
 # -- length evaluation ----------------------------------------------------------
@@ -305,8 +149,7 @@ def curve_length(X: FNPoint, curve: CurveClass) -> float:
         return X.length_of(curve.label)
     if curve.kind == "word":
         if X.surface.signature == _TORUS_SIG and curve.slope is not None:
-            hol = holonomy_build(X)
-            return hol.gens.word_length(_slope_word(*curve.slope))
+            return _torus_slope_length(X, *curve.slope)
         if X.surface.double_of is not None:
             return holonomy_build(X).word_length(curve.label)
         raise UnsupportedClassError(
@@ -314,18 +157,17 @@ def curve_length(X: FNPoint, curve: CurveClass) -> float:
     raise UnsupportedClassError(f"unknown curve kind {curve.kind!r}")
 
 
-def _torus_host_curve_length(X: FNPoint, twist: int) -> float:
-    if twist == 0:
-        return X.length_of("C1")
-    return curve_length(X, CurveClass("word", f"w(1,{twist})", (1, twist)))
+def _torus_slope_length(X: FNPoint, p: int, q: int) -> float:
+    (_, (lC, tau)), = X.interior
+    return ht.torus_slope_length(lC, tau, X.length_of("B1"), p, q)
 
 
 def arc_length(X: FNPoint, arc: ArcClass) -> float:
     """Length of the orthogeodesic arc at X, via the pants formulas.
 
     The formulas take the host pants' side lengths; on the one-holed torus a
-    twisted arc's host pants is bounded by the slope-(1, k) curve, so the
-    host length itself comes from holonomy.
+    twisted arc's host pants is bounded by the slope-(1, k) curve, whose
+    length comes from the torus trace descent.
     """
     if X.surface.double_of is not None:
         raise DomainError("arcs live on bordered surfaces, not doubles")
@@ -334,7 +176,7 @@ def arc_length(X: FNPoint, arc: ArcClass) -> float:
         if X.surface.signature != _TORUS_SIG:
             raise UnsupportedClassError("twisted arcs are registered on the "
                                         "one-holed torus only")
-        host = _torus_host_curve_length(X, arc.twist)
+        host = _torus_slope_length(X, 1, arc.twist)
         return ht.arc_length_same_boundary(X.length_of("B1"), host, host)
     if pattern[0] == "same":
         lb = _side_length(X, pattern[1])

@@ -171,14 +171,9 @@ def point_along(g: Geodesic, foot: complex, s: float) -> complex:
 # -- circle utilities used by the right-angled hexagon construction ---------
 
 
-def circle_point_at_arc_distance(R: float, s: float) -> complex:
-    """Point on the geodesic |z| = R at distance s from iR, toward +R."""
-    theta = 2.0 * math.atan(math.exp(-s))
-    return R * complex(math.cos(theta), math.sin(theta))
-
-
 def perpendicular_at_circle_point(R: float, s: float) -> Geodesic:
-    """Geodesic orthogonal to |z| = R at circle_point_at_arc_distance(R, s)."""
+    """Geodesic orthogonal to |z| = R at the point at distance s from iR,
+    toward +R."""
     theta = 2.0 * math.atan(math.exp(-s))
     center = R / math.cos(theta)
     radius = R * math.tan(theta)

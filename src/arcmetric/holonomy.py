@@ -8,10 +8,10 @@ shooting argument (the opposite seam must have perpendicular distance l3/2).
 Boundary holonomies are products of reflections in the seam geodesics, so
 the pants relation X1*X2*X3 = 1 holds exactly by construction.
 
-Glued surfaces (the one-holed torus, and the doubles of the two registered
-bordered surfaces) are assembled from pants by explicit cuff-gluing matrices:
-a frame transport composed with a twist translation, plus a mirror reflection
-for the doubling gluings.  Twists are in hyperbolic length units.
+The doubles of the two registered bordered surfaces are assembled from pants
+by explicit cuff-gluing matrices: a frame transport composed with a twist
+translation, plus a mirror reflection for the doubling gluings.  Twists are
+in hyperbolic length units.
 """
 
 from __future__ import annotations
@@ -23,8 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import halfplane as hp
-from .errors import DomainError, UnsupportedSurfaceError
+from .errors import DomainError, UnsupportedClassError, UnsupportedSurfaceError
+from .topology import Surface, SurfaceSignature
 
+_PANTS_SIG = SurfaceSignature(0, 0, 3)
+_TORUS_SIG = SurfaceSignature(1, 0, 1)
 _MIRROR = np.array([[-1.0, 0.0], [0.0, 1.0]])  # reflection in the imaginary axis
 
 
@@ -270,23 +273,7 @@ class GeneratorSet:
         return hp.translation_length(M)
 
 
-# -- glued Tier-1 surfaces -----------------------------------------------------
-
-
-def torus_holonomy(l_curve: float, twist: float, l_boundary: float) -> GeneratorSet:
-    """One-holed torus: pants (l_curve, l_curve, l_boundary) self-glued.
-
-    Generators: "a" is the holonomy of the gluing curve, "b" the handle
-    letter crossing it once; the boundary is the commutator word.
-    """
-    pants = build_pants(l_curve, l_curve, l_boundary)
-    t = glue_matrix(pants.cuff_axes[0], pants.cuff_feet[0],
-                    pants.cuff_axes[1], pants.cuff_feet[1], twist)
-    return GeneratorSet({
-        "a": pants.cuff_matrices[0],
-        "b": t,
-        "x3": pants.cuff_matrices[2],
-    })
+# -- tier-1 doubles -------------------------------------------------------------
 
 
 def pants_double_holonomy(lengths, twists) -> GeneratorSet:
@@ -350,3 +337,91 @@ def torus_double_holonomy(l_curve, tw_curve, l_boundary, tw_boundary,
         "am": _normalize_sign(H3 @ _mirror_matrix(pants.cuff_matrices[0])
                               @ np.linalg.inv(H3)),
     })
+
+
+# -- registered holonomy of a point ------------------------------------------
+
+
+class Holonomy:
+    """Named holonomy generators plus the registered word table.
+
+    Generator matrices have |det| = 1; mirror gluing generators have
+    determinant -1 and occur an even number of times in any closed word.
+    """
+
+    def __init__(self, surface: Surface, gens: GeneratorSet,
+                 words: dict, boundary_lengths: dict):
+        self.surface, self.gens, self.words = surface, gens, dict(words)
+        self._boundary_lengths = dict(boundary_lengths)
+
+    def word_length(self, label: str) -> float:
+        if label not in self.words:
+            raise UnsupportedClassError(
+                f"no registered word for {label!r} on {self.surface.signature}")
+        return self.gens.word_length(self.words[label])
+
+    def generator_trace_errors(self) -> dict:
+        """|trace| vs 2cosh(l/2) for every coordinate curve with a word."""
+        return {label: abs(abs(float(np.trace(self.gens.matrix(self.words[label]))))
+                           - 2.0 * math.cosh(length / 2.0))
+                for label, length in self._boundary_lengths.items()
+                if label in self.words}
+
+    def relator_residuals(self) -> list[float]:
+        """Deviation of the defining relators from +-identity."""
+        return [min(float(np.abs(M - s * np.eye(2)).max()) for s in (1, -1))
+                for M in map(self.gens.matrix, self.words.get("_relators", []))]
+
+
+def _commutator(g: str, h: str) -> list:
+    return [(g, 1), (h, 1), (g, -1), (h, -1)]
+
+
+def point_holonomy(X) -> Holonomy:
+    """Holonomy of an FNPoint on a pants or a tier-1 double."""
+    surf, base = X.surface, X.surface.double_of
+    if base is None:
+        if surf.signature != _PANTS_SIG:
+            raise UnsupportedSurfaceError(
+                f"no registered holonomy marking for {surf.signature}")
+        b = X.boundary_dict()
+        pants = build_pants(b["B1"], b["B2"], b["B3"])
+        gens = GeneratorSet({"x1": pants.cuff_matrices[0],
+                             "x2": pants.cuff_matrices[1],
+                             "x3": pants.cuff_matrices[2]})
+        words = {"B1": [("x1", 1)], "B2": [("x2", 1)], "B3": [("x3", 1)],
+                 "_relators": [[("x1", 1), ("x2", 1), ("x3", 1)]]}
+        return Holonomy(surf, gens, words, b)
+
+    coords = X.interior_dict()
+    if base == _PANTS_SIG:
+        lengths = tuple(coords[f"B{j}"][0] for j in (1, 2, 3))
+        twists = tuple(coords[f"B{j}"][1] for j in (1, 2, 3))
+        gens = pants_double_holonomy(lengths, twists)
+        words = {f"B{j}": [(f"x{j}", 1)] for j in (1, 2, 3)}
+        for i, j in ((1, 2), (1, 3), (2, 3)):  # doubled seam arcs
+            words[f"a{i}{j}^d"] = [(f"h{j}", 1), (f"h{i}", -1)]
+        for j, k in ((1, 2), (2, 3), (3, 1)):  # doubled same-boundary arcs
+            words[f"a{j}{j}^d"] = _commutator(f"h{j}", f"x{k}")
+        # each gluing map preserves its cuff axis, so it commutes with the
+        # cuff holonomy; these are the edge relations of the assembly
+        words["_relators"] = [_commutator(f"h{j}", f"x{j}") for j in (1, 2, 3)]
+        blen = {f"B{j}": lengths[j - 1] for j in (1, 2, 3)}
+        return Holonomy(surf, gens, words, blen)
+    if base == _TORUS_SIG:
+        lC, tC = coords["C1"]
+        lB, tB = coords["B1"]
+        lCm, tCm = coords["C1m"]
+        gens = torus_double_holonomy(lC, tC, lB, tB, lCm, tCm)
+        words = {"C1": [("a", 1)],
+                 "C1m": [("am", 1)],
+                 "B1": [("b", -1), ("a", 1), ("b", 1), ("a", -1)],
+                 "w(0,1)": [("b", 1)],
+                 "w(0,1)m": [("bm", 1)],
+                 "a(B1;C1,C1)^d": _commutator("h3", "a"),
+                 "_relators": [
+                     [("a", 1), ("b", -1), ("a", -1), ("b", 1), ("x3", 1)],
+                     _commutator("h3", "x3"),
+                 ]}
+        return Holonomy(surf, gens, words, {"C1": lC, "B1": lB, "C1m": lCm})
+    raise UnsupportedSurfaceError(f"no registered marking for double of {base}")

@@ -1,9 +1,10 @@
 """Hyperbolic trigonometry of a pair of pants.
 
 Closed-form lengths of the two kinds of orthogeodesic arcs in a hyperbolic
-pair of pants with geodesic boundary, the piecewise-linear intersection
-numbers of a measured lamination with those arcs, and the decay envelope for
-a boundary leaf along exponential scaling paths.
+pair of pants with geodesic boundary, the lengths of the slope curves of the
+one-holed torus glued from one, the piecewise-linear intersection numbers of
+a measured lamination with those arcs, and the decay envelope for a boundary
+leaf along exponential scaling paths.
 
 Lengths are evaluated in log space throughout, so boundary lengths of order
 10^5 (cosh far beyond double range) are handled without overflow.  A cusp is
@@ -20,6 +21,8 @@ from .errors import DomainError
 
 _LN2 = math.log(2.0)
 _LOG_MAX = math.log(sys.float_info.max)  # exp overflows beyond it
+_EPS = sys.float_info.epsilon
+_SLOPE_RTOL = 1e-10  # a torus slope length with a larger error bound raises
 
 
 def _check_finite(name, x):
@@ -119,6 +122,77 @@ def arc_distinct_from_logs(lb1, lb2, cg, s1, s2) -> float:
     m = max(cg, cd)
     le = m + math.log(math.exp(cg - m) + math.exp(cd - m)) - _LN2 - s1 - s2
     return 2.0 * _asinh_of_exp(le / 2.0)
+
+
+def _log_cosh_rel(x: float) -> float:
+    """log(cosh(x)) to a few ulps of its value, also for small x."""
+    return math.log1p(2.0 * math.sinh(x / 2) ** 2) if abs(x) < 1 else log_cosh(x)
+
+
+def torus_slope_length(lC: float, tau: float, lB: float, p: int, q: int) -> float:
+    """Length of the slope-(p, q) curve on the one-holed torus whose curve
+    C1 = (1, 0) has length lC and twist tau, and whose boundary has length lB.
+
+    Works on c = log cosh(l/2) = log(trace/2).  With d the perpendicular
+    arc_length_distinct_boundaries(lC, lC, lB), a slope (k, 1) has
+    c = log cosh(d/2) + log cosh((tau + k lC)/2); a slope in (n, n+1) follows
+    by Stern-Brocot descent from (n, 1) and (n+1, 1) on tr(u+v) =
+    tr(u) tr(v) - tr(u-v), in logs c(u+v) = c(u) + c(v) + log 2 +
+    log1p(-e^delta), delta = c(u-v) - c(u) - c(v) - log 2.  Each c carries a
+    bound on its absolute error, divided by 1 - e^delta in each step (the
+    descent cancels at large twists); a length whose relative error bound
+    exceeds 1e-10 is a DomainError.  A length below the double range is
+    0.0, as d is."""
+    _check_finite("tau", tau)
+    if math.gcd(p, q) != 1:
+        raise DomainError(f"slope ({p},{q}) is not primitive")
+    d = arc_length_distinct_boundaries(lC, lC, lB)  # checks lC and lB
+    p, q = (-p, -q) if q < 0 or (q == 0 and p < 0) else (p, q)
+    if q == 0:
+        return lC
+    cd = _log_cosh_rel(d / 2)
+    # d = 2 asinh(e^(x/2)) holds the rounding of x, at most
+    # eps (3 lC + 2 lB + 8), damped by d(cd)/dx = tanh^2(d/2)/2 <= min(cd, 1/2)
+    ecd = _EPS * ((3 * lC + 2 * lB + 8) * min(cd, 0.5) + 4 * cd)
+
+    def closed(k):  # c of the slope (k, 1) and its error bound
+        s = tau + k * lC  # rounded by at most eps (|tau| + 2 |k lC|) / 2
+        c = cd + _log_cosh_rel(s / 2)
+        return c, ecd + _EPS * (4 * c + math.tanh(abs(s) / 2)
+                                * (abs(tau) + 2 * abs(k * lC)) / 4)
+
+    n = p // q
+    a, b, m = (n, 1), (n + 1, 1), (n, 1)
+    (ca, ea), (cb, eb) = closed(n), closed(n + 1)
+    cw = _log_cosh_rel(lC / 2)  # C1 = b - a
+    c, e, ew = ca, ea, 4 * _EPS * cw
+    while m != (p, q):
+        m = (a[0] + b[0], a[1] + b[1])
+        delta = cw - ca - cb - _LN2
+        if delta >= 0.0:  # cancels completely
+            e = math.inf
+            break
+        g = -math.expm1(delta)  # 1 - e^delta
+        c = ca + cb + _LN2 + (math.log(g) if delta > -_LN2
+                              else math.log1p(-math.exp(delta)))
+        e = (ea + eb + (1 - g) * ew
+             + 2 * _EPS * (abs(ca) + abs(cb) + abs(cw) + 1)) / g
+        if p * m[1] < m[0] * q:  # p/q left of the mediant: into (a, m)
+            b, cb, eb, cw, ew = m, c, e, cb, eb
+        else:  # into (m, b)
+            a, ca, ea, cw, ew = m, c, e, ca, ea
+    if q == 1 and c < 1.0:  # short, c may underflow: cosh(l/2) - 1 by parts,
+        s = tau + p * lC  # sinh^2(l/4) = sinh^2(d/4) cosh(s/2) + sinh^2(s/4)
+        length = 4 * math.asinh(math.hypot(
+            math.sinh(d / 4) * math.sqrt(math.cosh(s / 2)), math.sinh(s / 4)))
+        r = math.tanh(length / 2)
+    else:
+        r = math.sqrt(-math.expm1(-2 * c)) if c > 0 else 0.0  # else refused
+        length = 2 * (c + math.log1p(r))
+    if not 2 * e <= _SLOPE_RTOL * r * length:  # r = tanh(l/2), dl/dc = 2/r
+        raise DomainError(f"slope ({p},{q}) at ({lC!r}, {tau!r}, {lB!r}): length "
+                          f"not resolved to {_SLOPE_RTOL:g} in double precision")
+    return length
 
 
 # -- intersection of a measured lamination with a pants-local arc -----------

@@ -56,9 +56,14 @@ def test_unknown_arc_is_domain_error():
     assert out.returncode == 3
 
 
-def test_long_cuff_torus_word_is_domain_error():
+def test_long_cuff_torus_word_has_a_length_or_a_domain_error():
     out = run("curve-length", "--torus", "50,0.3,1", "--curve", "w(1,1)")
+    assert out.returncode == 0
+    assert out.stdout == "50.3\n"  # mpmath: 50.30000000000...
+    # where the trace descent cancels beyond 1e-10 the length is refused
+    out = run("curve-length", "--torus", "451.5,42.2,27.5", "--curve", "w(-1,2)")
     assert out.returncode == 3
+    assert out.stderr.startswith("error: ")
     assert "Traceback" not in out.stderr
 
 
@@ -71,10 +76,12 @@ def test_closed_form_verbs_load_no_numpy_or_scipy():
     assert report == {"codes": [0, 0, 0], "numpy": False, "scipy": False}
 
 
-def test_torus_word_loads_numpy_but_not_scipy():
+def test_torus_words_load_no_numpy_or_scipy():
     report = loaded_packages(
-        ["curve-length", "--torus", "2,0.3,1", "--curve", "w(1,1)"])
-    assert report == {"codes": [0], "numpy": True, "scipy": False}
+        ["curve-length", "--torus", "2,0.3,1", "--curve", "w(1,1)"],
+        ["distance", "--torus", "--x", "1.2,0.4,2.2", "--y", "3,-1,0.5",
+         "--panel-n", "3"])
+    assert report == {"codes": [0, 0], "numpy": False, "scipy": False}
 
 
 def test_unsupported_surface_exit_code():
@@ -301,3 +308,21 @@ def test_malformed_config_reports_location(tmp_path):
     out2 = run("experiment", "inequality", str(path2))
     assert out2.returncode == 3
     assert "base_point" in out2.stderr
+
+
+@pytest.mark.parametrize("field, value", [
+    ("grid", {"start": 0, "stop": 1, "step": 0}),
+    ("grid", "abc"),
+    ("grid", {"start": 0, "stop": 1}),
+    ("grid", 5),
+    ("grid", {"start": 0, "stop": 1, "step": 1e-320}),
+    ("panel_n", "abc"),
+])
+def test_malformed_config_values_are_spec_errors(field, value, tmp_path,
+                                                 capsys):
+    cfg = json.loads((CONFIGS / "demo_boundary_pants.json").read_text())
+    cfg[field] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["experiment", "boundary-limit", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: config {field}")

