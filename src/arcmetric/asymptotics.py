@@ -12,7 +12,8 @@ targets crossing several pants would be exploratory and are not registered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from . import geometry as geo
 from . import hyptrig as ht
@@ -43,8 +44,7 @@ def _regime(mu, base_point, label) -> tuple:
     return ("hold", base_point.length_of(label))
 
 
-@dataclass(frozen=True)
-class PathSpec:
+class PathSpec(namedtuple("PathSpec", "mu base_point grid regimes")):
     """Coordinate-wise scaling path driven by a lamination.
 
     regimes maps every coordinate curve label to ("grow", rate),
@@ -53,33 +53,31 @@ class PathSpec:
     PathSpec that exists is valid.
     """
 
-    mu: lam.RationalLamination
-    base_point: geo.FNPoint
-    grid: tuple
-    regimes: tuple | None = None  # ((label, (kind, parameter)), ...)
+    __slots__ = ()
 
-    def __post_init__(self):
-        surface = self.mu.surface
-        if self.base_point.surface != surface:
+    def __new__(cls, mu: lam.RationalLamination, base_point: geo.FNPoint,
+                grid: tuple, regimes: tuple | None = None):
+        surface = mu.surface
+        if base_point.surface != surface:
             raise InvalidSpecError("base point and lamination disagree on surface")
-        grid = tuple(float(t) for t in self.grid)
+        grid = tuple(float(t) for t in grid)
         if len(grid) < 1 or any(t < 0 for t in grid) \
                 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvalidSpecError("grid must be strictly increasing with t >= 0")
-        object.__setattr__(self, "grid", grid)
-        regimes = {label: _regime(self.mu, self.base_point, label)
-                   for label in surface.boundaries + surface.interior_curves}
-        if self.regimes is None:
-            object.__setattr__(self, "regimes", tuple(regimes.items()))
-            return
-        given = dict(self.regimes)
-        if len(given) != len(self.regimes) or given.keys() != regimes.keys():
-            raise InvalidSpecError("regimes must cover every coordinate curve once")
-        for label, (kind, param) in regimes.items():
-            if given[label][0] != kind or abs(given[label][1] - param) >= 1e-12:
-                raise InvalidSpecError(
-                    f"{label}: the lamination gives regime {kind!r} "
-                    f"with parameter {param!r}, not {given[label]!r}")
+        found = {label: _regime(mu, base_point, label)
+                 for label in surface.boundaries + surface.interior_curves}
+        if regimes is None:
+            regimes = tuple(found.items())
+        else:  # ((label, (kind, parameter)), ...), checked label by label
+            given = dict(regimes)
+            if len(given) != len(regimes) or given.keys() != found.keys():
+                raise InvalidSpecError("regimes must cover every coordinate curve once")
+            for label, (kind, param) in found.items():
+                if given[label][0] != kind or abs(given[label][1] - param) >= 1e-12:
+                    raise InvalidSpecError(
+                        f"{label}: the lamination gives regime {kind!r} "
+                        f"with parameter {param!r}, not {given[label]!r}")
+        return super().__new__(cls, mu, base_point, grid, regimes)
 
     def regime_dict(self) -> dict:
         return dict(self.regimes)
@@ -120,8 +118,7 @@ def scaling_path(spec: PathSpec, t: float) -> geo.FNPoint:
 # -- experiments -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(NamedTuple):
     """Per-target envelope of l(X_t) - e^t i(mu, target) over the grid."""
 
     target: str
@@ -232,8 +229,7 @@ def horo_convergence(spec: PathSpec, base_point: geo.FNPoint, probes,
 # -- separation ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeparationWitness:
+class SeparationWitness(NamedTuple):
     point: geo.FNPoint
     lhs: float   # log sup i(nu, .)/l(., Y)
     rhs: float   # log sup i(mu, .)/l(., Y)

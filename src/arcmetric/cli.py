@@ -15,6 +15,7 @@ import argparse
 import csv
 import functools
 import json
+import operator
 import random
 import sys
 
@@ -33,10 +34,23 @@ def _fmt(x: float) -> str:
 
 
 def _parse_triple(text: str):
-    parts = [float(t) for t in text.split(",")]
+    try:
+        parts = [float(t) for t in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 3:
         raise DomainError(f"expected three comma-separated values, got {text!r}")
     return parts
+
+
+def _signature(items, convert=operator.index) -> tuple:
+    """(g, n, p) from a config list of three integers, or with convert=int
+    from the three parts of a 'g,n,p' flag."""
+    try:
+        g, n, p = map(convert, items)
+    except (TypeError, ValueError):
+        raise InvalidSpecError(f"surface {items!r} is not three integers g,n,p") from None
+    return g, n, p
 
 
 def _point_from_args(args, which: str) -> geo.FNPoint:
@@ -93,14 +107,13 @@ def _config_grid(config) -> tuple:
 
 
 def _write_csv(path, header, rows):
+    """The header through csv (labels may hold commas), then rows of floats."""
     if not path:
         return
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        csv.writer(fh).writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v
-                             for v in row])
+            fh.write(",".join(map("{:.9g}".format, row)) + "\r\n")
 
 
 def _emit(data, path=None):
@@ -173,8 +186,7 @@ def cmd_horofn(args) -> int:
 
 
 def _experiment_common(config):
-    g, n, p = _require(config, "surface")
-    surface = build_surface(int(g), int(n), int(p))
+    surface = build_surface(*_signature(_require(config, "surface")))
     base = geo.fn_from_dict(surface, _require(config, "base_point"))
     mu = lam.lamination_from_dict(surface, _require(config, "mu"))
     grid = _config_grid(config)
@@ -195,7 +207,7 @@ def cmd_experiment_inequality(config, csv_path, json_path) -> int:
     columns, reports, skipped = asy.deviation_walk(spec, targets, grid)
     _write_csv(csv_path, ["t"] + [f"dev[{names[k]}]" for k in columns]
                + [f"panel_n={panel.complexity}"], zip(grid, *columns.values()))
-    _emit({"targets": [r.__dict__ for r in reports],
+    _emit({"targets": [r._asdict() for r in reports],
            "skipped": skipped, "panel_n": panel.complexity}, json_path)
     return 0
 
@@ -242,7 +254,7 @@ def cmd_experiment_separate(config, csv_path, json_path) -> int:
 
 
 def cmd_experiment_dt_sphere(args) -> int:
-    g, n, p = (int(v) for v in args.surface.split(","))
+    g, n, p = _signature(args.surface.split(","), int)
     surface = build_surface(g, n, p)
     coord_dim, sphere_dim = lam.sphere_dimension(surface)
     rng = random.Random(args.seed)

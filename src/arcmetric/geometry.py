@@ -17,8 +17,8 @@ build, so the closed-form routes run on the standard library alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import hyptrig as ht
 from .errors import DomainError, UnsupportedClassError
@@ -28,8 +28,7 @@ from .topology import (ArcClass, CurveClass, Surface, SurfaceSignature,
 _TORUS_SIG = SurfaceSignature(1, 0, 1)
 
 
-@dataclass(frozen=True)
-class FNPoint:
+class FNPoint(NamedTuple):
     """Marked hyperbolic structure in Fenchel-Nielsen coordinates.
 
     interior maps each decomposition curve to (length, twist); boundary maps
@@ -341,9 +340,13 @@ def fn_to_dict(X: FNPoint) -> dict:
 
 def fn_from_dict(surface: Surface, data: dict) -> FNPoint:
     interior, boundary = {}, {}
-    for label, v in data.items():
-        if isinstance(v, dict):
-            interior[label] = (float(v["length"]), float(v.get("twist", 0.0)))
-        else:
-            boundary[label] = float(v)
+    try:
+        for label, v in data.items():
+            if isinstance(v, dict):
+                interior[label] = (float(v["length"]), float(v.get("twist", 0.0)))
+            else:
+                boundary[label] = float(v)
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
+        raise DomainError(f"a point maps each label to a length or to "
+                          f"{{length, twist}}, got {data!r}") from None
     return fn_point(surface, interior, boundary)

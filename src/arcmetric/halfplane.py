@@ -11,7 +11,7 @@ the composed (orientation-preserving) isometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ def _br(u, v) -> float:
     return u[0] * v[1] - u[1] * v[0]
 
 
-@dataclass(frozen=True)
-class Geodesic:
+class Geodesic(NamedTuple):
     """Oriented geodesic with repelling endpoint `start`, attracting `end`."""
 
     start: tuple[float, float]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ def _mirror_geodesic(g: hp.Geodesic) -> hp.Geodesic:
     return hp.Geodesic((-g.start[0], g.start[1]), (-g.end[0], g.end[1]))
 
 
-@dataclass(frozen=True)
-class PantsRealization:
+class PantsRealization(NamedTuple):
     """A hyperbolic pair of pants in normalized position.
 
     cuff_axes[i] is oriented so the pants body lies on its left;

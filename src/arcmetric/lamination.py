@@ -18,8 +18,7 @@ symmetric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from . import geometry as geo
 from . import hyptrig as ht
@@ -113,8 +112,7 @@ def _class_intersection(surface: Surface, c, target) -> float:
 # -- rational laminations --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalLamination:
+class RationalLamination(NamedTuple):
     """Weighted disjoint union of curve and arc classes (may be empty)."""
 
     surface: Surface
@@ -210,8 +208,7 @@ def ratio_sup(nu: RationalLamination, mu: RationalLamination) -> float:
 # -- Dehn-Thurston coordinates ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DTCoordinates:
+class DTCoordinates(NamedTuple):
     """Per interior curve (i, theta) with (0, t) ~ (0, -t); per boundary
     the collapsed coordinate theta_hat (positive: total arc endpoint count;
     negative: minus the boundary-leaf weight; zero: neither)."""
@@ -330,6 +327,7 @@ def _decode_torus(surface: Surface, curve_coords, theta_hats) -> RationalLaminat
         if theta != 0.0:
             weights[CurveClass("interior", "C1")] = abs(theta)
     else:
+        from fractions import Fraction  # only here: keeps it off the import path
         frac = Fraction(theta / i_val).limit_denominator(10 ** 6)
         p, q = frac.numerator, frac.denominator
         if abs(theta * q - i_val * p) > 1e-9 * max(1.0, abs(theta), i_val):

@@ -9,16 +9,16 @@ values are monotone nondecreasing under panel refinement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 from . import geometry as geo
 from . import lamination as lam
 from .errors import DegeneratePanelError, DomainError
-from .topology import Panel
+from .topology import Panel, _immutable
 
 
-@dataclass(frozen=True)
-class MetricValue:
+class MetricValue(NamedTuple):
     """log of the panel supremum, with the entry attaining it."""
 
     value: float
@@ -116,8 +116,8 @@ def sup_intersection_ratio(mu, Y: geo.FNPoint, panel: Panel,
     return _sup_crossed_ratio([ival for _, ival in crossed], plan.vector(Y), scale)
 
 
-@dataclass(frozen=True)
-class Horofunction:
+class Horofunction(namedtuple("Horofunction",
+                              "kind base_point panel point mu constant")):
     """Either an interior point function d(., X) - d(X0, X), or the boundary
     function attached to a projective lamination via the normalized
     intersection form.
@@ -126,30 +126,26 @@ class Horofunction:
     the normalizer sup i(mu, .)/l(., X0) for a lamination, which must be
     finite and positive.  crossed holds the (entry, i(mu, entry)) pairs of
     the panel entries mu crosses (empty for an interior point), and _plan
-    the length plan of those entries; both are built once.
+    the length plan of those entries; both are built once and live in the
+    instance __dict__, outside equality and hash.
     """
 
-    kind: str  # "interior" | "boundary"
-    base_point: geo.FNPoint
-    panel: Panel
-    point: geo.FNPoint | None = None
-    mu: lam.RationalLamination | None = None
-    constant: float = field(init=False)
-    crossed: tuple = field(init=False, repr=False, compare=False)
-    _plan: geo.LengthPlan | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __new__(cls, kind: str, base_point: geo.FNPoint, panel: Panel,
+                point: geo.FNPoint | None = None,
+                mu: lam.RationalLamination | None = None):
         crossed, plan = (), None
-        if self.kind == "interior":
-            constant = arc_metric(self.base_point, self.point, self.panel).value
+        if kind == "interior":
+            constant = arc_metric(base_point, point, panel).value
         else:
-            crossed = _crossed(self.mu, self.panel)
-            plan = geo.LengthPlan(self.panel.surface, [e for e, _ in crossed])
-            constant = _normalizer(self.mu, [ival for _, ival in crossed],
-                                   plan.vector(self.base_point))
-        object.__setattr__(self, "crossed", crossed)
-        object.__setattr__(self, "_plan", plan)
-        object.__setattr__(self, "constant", constant)
+            crossed = _crossed(mu, panel)
+            plan = geo.LengthPlan(panel.surface, [e for e, _ in crossed])
+            constant = _normalizer(mu, [ival for _, ival in crossed],
+                                   plan.vector(base_point))
+        self = super().__new__(cls, kind, base_point, panel, point, mu, constant)
+        self.__dict__.update(crossed=crossed, _plan=plan)
+        return self
+
+    __setattr__ = __delattr__ = _immutable
 
 
 def interior_horofunction(X: geo.FNPoint, base_point: geo.FNPoint,
@@ -189,8 +185,7 @@ def normalized_length_vector(X: geo.FNPoint, base_point: geo.FNPoint,
     return tuple(l / sup for l in lengths)
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(NamedTuple):
     kind: str  # "interior" | "boundary" | "none"
     panel_complexity: int
     point: geo.FNPoint | None = None

@@ -16,15 +16,14 @@ the arc joins.
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .errors import DomainError, UnsupportedSurfaceError
 
 
-@dataclass(frozen=True)
-class SurfaceSignature:
+class SurfaceSignature(NamedTuple):
     genus: int
     punctures: int
     boundary: int
@@ -36,14 +35,12 @@ class SurfaceSignature:
         return f"S_{self.genus},{self.punctures},{self.boundary}"
 
 
-@dataclass(frozen=True)
-class Pants:
+class Pants(NamedTuple):
     pants_id: str
     sides: tuple[str, str, str]
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(NamedTuple):
     """Essential simple closed curve: boundary, decomposition, or word class.
 
     Word classes exist on tier-1 surfaces only; on the one-holed torus the
@@ -59,8 +56,7 @@ class CurveClass:
         return self.label
 
 
-@dataclass(frozen=True)
-class ArcClass:
+class ArcClass(NamedTuple):
     """Essential arc, pants-local: both endpoints on boundary components.
 
     pattern is ("same", beta, gamma1, gamma2) for an arc from boundary beta
@@ -93,15 +89,17 @@ class ArcClass:
         return self.label
 
 
-@dataclass(frozen=True)
-class Surface:
-    signature: SurfaceSignature
-    pants: tuple[Pants, ...]
-    interior_curves: tuple[str, ...]
-    boundaries: tuple[str, ...]
-    punctures: tuple[str, ...]
-    tier1: bool
-    double_of: SurfaceSignature | None = None
+def _immutable(self, name, value=None):
+    raise AttributeError(f"cannot set {name!r}: {type(self).__name__} is immutable")
+
+
+class Surface(namedtuple("Surface", "signature pants interior_curves boundaries "
+                         "punctures tier1 double_of", defaults=(None,))):
+    """A signature with its pants decomposition and curve labels.  Not
+    slotted: the cached_property caches below live in the instance __dict__,
+    outside equality and hash."""
+
+    __setattr__ = __delattr__ = _immutable
 
     # -- class constructors --------------------------------------------------
 
@@ -125,8 +123,6 @@ class Surface:
 
     @functools.cached_property
     def _arcs_by_label(self) -> dict:
-        # cached_property writes the instance __dict__, so the frozen
-        # dataclass keeps its fields, equality and hash
         arcs = {}
         for pants in self.pants:
             s = pants.sides
@@ -305,13 +301,28 @@ def mirror_label(surface: Surface, label: str) -> str:
     return label  # former boundary curves are fixed
 
 
-@dataclass(frozen=True)
 class Panel:
-    """Finite ordered family of curve/arc classes truncating the suprema."""
+    """Finite ordered family of curve/arc classes truncating the suprema.
+    Its len and iteration run over the entries."""
 
-    surface: Surface
-    complexity: int
-    entries: tuple
+    __slots__ = ("surface", "complexity", "entries")
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, surface: Surface, complexity: int, entries: tuple):
+        for name, value in zip(self.__slots__, (surface, complexity, entries)):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return self.surface, self.complexity, self.entries
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is Panel else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Panel(surface=%r, complexity=%r, entries=%r)" % self._key()
 
     def labels(self) -> list[str]:
         return [str(e) for e in self.entries]
@@ -371,11 +382,3 @@ def panel_to_dict(panel: Panel) -> dict:
         "entries": [{"kind": "arc" if isinstance(e, ArcClass) else e.kind,
                      "id": str(e)} for e in panel.entries],
     }
-
-
-def surface_to_json(surface: Surface, **kw) -> str:
-    return json.dumps(surface_to_dict(surface), **kw)
-
-
-def panel_to_json(panel: Panel, **kw) -> str:
-    return json.dumps(panel_to_dict(panel), **kw)

@@ -76,6 +76,33 @@ def test_closed_form_verbs_load_no_numpy_or_scipy():
     assert report == {"codes": [0, 0, 0], "numpy": False, "scipy": False}
 
 
+# stdlib modules the package must not pull in: dataclasses brings inspect,
+# ast, dis and tokenize; fractions brings decimal
+SLOW_STDLIB = ("dataclasses", "inspect", "fractions", "decimal")
+STDLIB_PROBE = """
+import contextlib, io, json, sys
+{setup}
+print(json.dumps([name for name in {modules!r} if name in sys.modules]))
+"""
+RUN_CLOSED_FORM_VERBS = """from arcmetric import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert [cli.main(argv) for argv in json.loads(sys.argv[1])] == [0, 0, 0]"""
+
+
+@pytest.mark.parametrize("setup", [
+    "import arcmetric", "from arcmetric import cli", RUN_CLOSED_FORM_VERBS],
+    ids=["import arcmetric", "import cli", "closed-form verbs"])
+def test_imports_and_closed_form_verbs_load_no_slow_stdlib(setup):
+    argvs = [["distance", "--pants", "--x", "2,2,2", "--y", "4,4,4"],
+             ["double", "--torus", "1.2,0.4,2.2"],
+             ["experiment", "boundary-limit",
+              str(CONFIGS / "demo_boundary_pants.json")]]
+    probe = STDLIB_PROBE.format(setup=setup, modules=SLOW_STDLIB)
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)],
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == []
+
+
 def test_torus_words_load_no_numpy_or_scipy():
     report = loaded_packages(
         ["curve-length", "--torus", "2,0.3,1", "--curve", "w(1,1)"],
@@ -161,6 +188,43 @@ def test_horofn_crushed_class_is_domain_error():
 def test_malformed_ids_and_laminations_are_domain_errors(argv, capsys):
     assert cli.main(argv) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+EXPERIMENT_CONFIGS = {"boundary-limit": "demo_boundary_pants.json",
+                      "horo-converge": "demo_horo_pants.json"}
+BAD_POINTS = [5, {"B1": "x", "B2": 1, "B3": 1},
+              {"B1": {"twist": 1}, "B2": 1, "B3": 1}]
+
+
+MALFORMED_NUMBERS = [
+    *[(["experiment", "boundary-limit"], {"surface": value})
+      for value in ("abc", [0, 0], 5, [0, 0, "x"], [0.5, 0, 3])],
+    *[(["experiment", "boundary-limit"], {"base_point": value})
+      for value in BAD_POINTS],
+    *[(["experiment", "horo-converge"], {"probes": [value]})
+      for value in BAD_POINTS],
+    (["arc-length", "--pants", "a,b,c", "--arc", "a12"], None),
+    (["distance", "--pants", "--x", "1,1,x", "--y", "2,2,2"], None),
+    (["horofn", "--pants", "--base", "1,1,1", "--at", "3,q,3",
+      "--point", "2,2,2"], None),
+    (["experiment", "dt-sphere", "--surface", "a,b,c"], None),
+    (["experiment", "dt-sphere", "--surface", "0,0"], None),
+]
+
+
+@pytest.mark.parametrize("argv, edit", MALFORMED_NUMBERS, ids=[
+    " ".join(argv) + (" " + json.dumps(edit) if edit else "")
+    for argv, edit in MALFORMED_NUMBERS])
+def test_malformed_numbers_are_typed_errors(argv, edit, tmp_path, capsys):
+    if edit is not None:
+        cfg = json.loads((CONFIGS / EXPERIMENT_CONFIGS[argv[1]]).read_text())
+        cfg.update(edit)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = argv + [str(path)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_parser_is_built_once_and_reused(capsys):

@@ -189,9 +189,9 @@ def test_panel_negative_complexity():
 
 def test_json_schema_roundtrip():
     s = top.build_surface(1, 0, 2)
-    data = json.loads(top.surface_to_json(s))
+    data = json.loads(json.dumps(top.surface_to_dict(s)))
     assert data["signature"] == {"genus": 1, "punctures": 0, "boundary": 2}
     assert {p["id"] for p in data["pants"]} == {x.pants_id for x in s.pants}
-    pdata = json.loads(top.panel_to_json(top.enumerate_panel(s, 0)))
+    pdata = json.loads(json.dumps(top.panel_to_dict(top.enumerate_panel(s, 0))))
     assert pdata["complexity"] == 0
     assert all(set(e) == {"kind", "id"} for e in pdata["entries"])
