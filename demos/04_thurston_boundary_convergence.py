@@ -49,7 +49,8 @@ for r in reports:
 print()
 
 print("projective distance to the intersection vector of mu:")
-for t, dist in boundary_convergence(spec, panel, grid=[2, 4, 6, 8, 10]):
+coarse = make_path_spec(mu, base, [2, 4, 6, 8, 10])
+for t, dist in boundary_convergence(coarse, panel):
     print(f"  t = {t:>4.1f}: sup-norm distance {dist:.3e}")
 ivec = [intersection_number(mu, e) for e in panel]
 top = max(ivec)

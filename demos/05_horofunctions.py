@@ -42,8 +42,8 @@ rng = random.Random(11)
 probes = [pants_point(*[rng.uniform(1.0, 4.0) for _ in range(3)])
           for _ in range(5)]
 print("max over 5 probe points of |Phi_{X_t} - Phi_mu| along the path:")
-for t, dev in horo_convergence(spec, base, probes, panel,
-                               grid=[2, 4, 6, 8, 10]):
+coarse = make_path_spec(mu, base, [2, 4, 6, 8, 10])
+for t, dev in horo_convergence(coarse, probes, panel):
     print(f"  t = {t:>4.1f}: {dev:.3e}")
 print()
 

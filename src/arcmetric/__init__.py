@@ -28,7 +28,7 @@ from .lamination import (DTCoordinates, RationalLamination, class_from_id,
 from .metric import (Horofunction, LimitReport, MetricValue, arc_metric,
                      boundary_horofunction, detect_limit, horofunction_eval,
                      interior_horofunction, normalized_length_vector,
-                     symmetrized_metric, thurston_vector)
+                     thurston_vector)
 from .asymptotics import (DeviationReport, PathSpec, SeparationWitness,
                           boundary_convergence, horo_convergence,
                           make_path_spec, scaling_path, separation_experiment,

@@ -21,9 +21,12 @@ from . import lamination as lam
 from . import metric as met
 from .errors import (DegeneratePanelError, DomainError, InvalidSpecError,
                      NoWitnessError, UnsupportedClassError)
-from .topology import Panel, enumerate_panel
+from .topology import Panel
 
 DEFAULT_GRID = tuple(0.5 * k for k in range(21))  # 0.0, 0.5, ..., 10.0
+_CAP = 50.0  # a target whose deviation envelope exceeds it is flagged
+_EPSILONS = (0.5, 0.25, 0.125, 0.0625)  # separation's refinement blends
+_MIN_GAP = 1e-3  # the log gap that certifies a separation witness
 _LENGTH_FLOOR = 1e-300  # decay regime under double precision
 
 
@@ -48,15 +51,14 @@ class PathSpec(namedtuple("PathSpec", "mu base_point grid regimes")):
     """Coordinate-wise scaling path driven by a lamination.
 
     regimes maps every coordinate curve label to ("grow", rate),
-    ("decay", leaf_weight) or ("hold", initial_length).  They are classified
-    from the lamination when omitted, and checked against it when given; a
-    PathSpec that exists is valid.
+    ("decay", leaf_weight) or ("hold", initial_length), classified from the
+    lamination; a PathSpec that exists is valid.
     """
 
     __slots__ = ()
 
     def __new__(cls, mu: lam.RationalLamination, base_point: geo.FNPoint,
-                grid: tuple, regimes: tuple | None = None):
+                grid: tuple):
         surface = mu.surface
         if base_point.surface != surface:
             raise InvalidSpecError("base point and lamination disagree on surface")
@@ -64,19 +66,8 @@ class PathSpec(namedtuple("PathSpec", "mu base_point grid regimes")):
         if len(grid) < 1 or any(t < 0 for t in grid) \
                 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvalidSpecError("grid must be strictly increasing with t >= 0")
-        found = {label: _regime(mu, base_point, label)
-                 for label in surface.boundaries + surface.interior_curves}
-        if regimes is None:
-            regimes = tuple(found.items())
-        else:  # ((label, (kind, parameter)), ...), checked label by label
-            given = dict(regimes)
-            if len(given) != len(regimes) or given.keys() != found.keys():
-                raise InvalidSpecError("regimes must cover every coordinate curve once")
-            for label, (kind, param) in found.items():
-                if given[label][0] != kind or abs(given[label][1] - param) >= 1e-12:
-                    raise InvalidSpecError(
-                        f"{label}: the lamination gives regime {kind!r} "
-                        f"with parameter {param!r}, not {given[label]!r}")
+        regimes = tuple((label, _regime(mu, base_point, label))
+                        for label in surface.boundaries + surface.interior_curves)
         return super().__new__(cls, mu, base_point, grid, regimes)
 
     def regime_dict(self) -> dict:
@@ -128,18 +119,18 @@ class DeviationReport(NamedTuple):
     flagged: bool
 
 
-def _walk(spec: PathSpec, plan: geo.LengthPlan, grid, skip=()):
-    """The plan's length vectors at X_t, t in grid, one grid point at a time;
+def _walk(spec: PathSpec, plan: geo.LengthPlan, skip=()):
+    """The plan's length vectors at X_t, t in spec.grid, one at a time;
     an FNPoint is built only for the plan's fallback entries."""
     if plan.surface is not spec.mu.surface and plan.surface != spec.mu.surface:
         raise DomainError("point and length plan live on different surfaces")
     held = {label: geo._checked_length(label, param)
             for label, (kind, param) in spec.regimes if kind == "hold"}
-    return plan.walk(held, (_moving_lengths(spec, t) for t in grid),
+    return plan.walk(held, (_moving_lengths(spec, t) for t in spec.grid),
                      spec.base_point.with_lengths, skip)
 
 
-def deviation_walk(spec: PathSpec, targets, grid=None, cap=50.0):
+def deviation_walk(spec: PathSpec, targets):
     """Walk the path once: l_a(X_t) - e^t i(mu, a) for every target a.
 
     Returns (columns, reports, skipped).  columns maps the index of each
@@ -147,12 +138,11 @@ def deviation_walk(spec: PathSpec, targets, grid=None, cap=50.0):
     DeviationReport, both in target order; skipped lists (target, reason)
     for the targets some point does not support.
     """
-    grid = tuple(grid) if grid is not None else spec.grid
     plan = geo.LengthPlan(spec.mu.surface, targets)
     ivals = plan.intersections(spec.mu)
     columns = {k: [] for k in range(len(targets))}
     reasons = {}
-    for t, lengths in zip(grid, _walk(spec, plan, grid, UnsupportedClassError)):
+    for t, lengths in zip(spec.grid, _walk(spec, plan, UnsupportedClassError)):
         if t > ht._LOG_MAX and any(ivals[k] for k in columns):
             raise DomainError(f"e^t i(mu, target) overflows at t = {t}")
         et = math.exp(min(t, ht._LOG_MAX))  # past it, every i(mu, target) is 0
@@ -165,28 +155,26 @@ def deviation_walk(spec: PathSpec, targets, grid=None, cap=50.0):
     reports = []
     for k, devs in columns.items():
         # 0.0 - dev, not -dev: a zero deviation stays +0.0
-        lower = max([-math.inf] + [0.0 - dev for dev in devs])
-        upper = max([-math.inf] + devs)
+        lower, upper = max(0.0 - dev for dev in devs), max(devs)
         reports.append(DeviationReport(str(targets[k]), ivals[k], lower, upper,
-                                       flagged=max(lower, upper) > cap))
+                                       flagged=max(lower, upper) > _CAP))
     return columns, reports, [(str(targets[k]), reasons[k]) for k in sorted(reasons)]
 
 
-def verify_key_inequality(spec: PathSpec, targets, grid=None, cap=50.0):
+def verify_key_inequality(spec: PathSpec, targets):
     """Sandwich check: e^t i(mu, a) - C <= l_a(X_t) <= e^t i(mu, a) + C_a.
 
     Returns (reports, skipped); a target is flagged when either deviation
-    envelope exceeds the cap.  Unsupported targets are skipped with notice,
+    envelope exceeds 50.  Unsupported targets are skipped with notice,
     never silently dropped.
     """
-    return deviation_walk(spec, targets, grid, cap)[1:]
+    return deviation_walk(spec, targets)[1:]
 
 
-def boundary_convergence(spec: PathSpec, panel, grid=None):
+def boundary_convergence(spec: PathSpec, panel):
     """Projective sup-norm distance between the length vector of X_t and the
     normalized intersection vector of the driving lamination.  panel is a
     Panel or its geo.LengthPlan, which keeps that intersection vector."""
-    grid = tuple(grid) if grid is not None else spec.grid
     plan = geo.panel_plan(panel)
     ivec = plan.intersections(spec.mu)
     top = max(ivec)
@@ -194,31 +182,31 @@ def boundary_convergence(spec: PathSpec, panel, grid=None):
         raise DegeneratePanelError("panel misses the driving lamination")
     target = [v / top for v in ivec]
     out = []
-    for t, lengths in zip(grid, _walk(spec, plan, grid)):
+    for t, lengths in zip(spec.grid, _walk(spec, plan)):
         top = max(lengths)
         out.append((t, max(abs(v / top - b) for v, b in zip(lengths, target))))
     return out
 
 
-def horo_convergence(spec: PathSpec, base_point: geo.FNPoint, probes,
-                     panel: Panel, grid=None):
+def horo_convergence(spec: PathSpec, probes, panel: Panel):
     """Max over probe points of |Phi_{X_t} - Phi_mu| along the path.
 
-    Phi_{X_t}(Y) = d(Y, X_t) - d(X0, X_t).  The length vectors of the base
-    point and the probes are computed once, and Phi_mu reads its lengths
-    from them; each t adds the one of X_t.
+    Phi_{X_t}(Y) = d(Y, X_t) - d(X0, X_t), X0 the path's base point.  The
+    length vectors of X0 and the probes are computed once, and Phi_mu reads
+    its lengths from them; each t adds the one of X_t.
     """
-    grid = tuple(grid) if grid is not None else spec.grid
-    if any(P.surface != spec.mu.surface for P in (base_point, *probes)):
+    if not probes:
+        raise DomainError("horo_convergence needs at least one probe point")
+    if any(P.surface != spec.mu.surface for P in probes):
         raise DomainError("points live on different surfaces")
     plan = geo.panel_plan(panel)
     ivals = plan.intersections(spec.mu)
-    base_lengths, *probe_lengths = [plan.vector(P) for P in (base_point, *probes)]
+    base_lengths, *probe_lengths = [plan.vector(P) for P in (spec.base_point, *probes)]
     constant = met._normalizer(spec.mu, ivals, base_lengths)
     mu_values = [math.log(met._checked_sup(ivals, ly, constant, "Y"))
                  for ly in probe_lengths]
     out = []
-    for t, lengths in zip(grid, _walk(spec, plan, grid)):
+    for t, lengths in zip(spec.grid, _walk(spec, plan)):
         d_base = met._log_sup_ratio(base_lengths, lengths)[0]
         dev = max(abs((met._log_sup_ratio(ly, lengths)[0] - d_base) - v)
                   for ly, v in zip(probe_lengths, mu_values))
@@ -240,51 +228,44 @@ class SeparationWitness(NamedTuple):
 def separation_experiment(mu: lam.RationalLamination,
                           nu: lam.RationalLamination,
                           X0: geo.FNPoint,
-                          panel: Panel | None = None,
-                          epsilons=(0.5, 0.25, 0.125, 0.0625),
-                          grid=DEFAULT_GRID,
-                          min_gap: float = 1e-3) -> SeparationWitness:
+                          panel: Panel,
+                          grid=DEFAULT_GRID) -> SeparationWitness:
     """Find Y separating two normalized laminations by their horofunctions.
 
     Scans scaling paths driven by the blended refinements
     (1 - eps) mu + (eps / L) zeta over the epsilon and t grids; a returned
-    witness carries the two log-suprema that certified it.
+    witness carries the two log-suprema that certified it, a gap >= 1e-3.
     """
-    surface = mu.surface
-    if panel is None:
-        panel = enumerate_panel(surface, 3 if surface.is_torus() else 0)
     for name, m in (("mu", mu), ("nu", nu)):
         if abs(geo.lamination_length(X0, m) - 1.0) > 1e-6:
             raise DomainError(f"{name} must be normalized at the base point")
-    same = (len(mu.components) == len(nu.components) and all(
-        cm == cn and abs(wm - wn) <= 1e-12
-        for (cm, wm), (cn, wn) in zip(mu.components, nu.components)))
-    if same:
+    if len(mu.components) == len(nu.components) and all(
+            cm == cn and abs(wm - wn) <= 1e-12
+            for (cm, wm), (cn, wn) in zip(mu.components, nu.components)):
         raise DomainError("laminations must be distinct")
 
-    mu_hat, zeta = lam.refine(mu)
+    zeta = lam.refine(mu)[1]
+    if zeta.is_zero():  # epsilon does not enter without a refinement part
+        blends = [(_EPSILONS[0], mu)]
+    else:
+        L = geo.lamination_length(X0, zeta)
+        blends = ((eps, mu.scaled(1.0 - eps) + zeta.scaled(eps / L))
+                  for eps in _EPSILONS)
     plan = geo.panel_plan(panel)
     i_nu, i_mu = plan.intersections(nu), plan.intersections(mu)
     attempts = []
-    for eps in epsilons:
-        if zeta.is_zero():
-            blend = mu
-        else:
-            L = geo.lamination_length(X0, zeta)
-            blend = mu.scaled(1.0 - eps) + zeta.scaled(eps / L)
+    for eps, blend in blends:
         spec = make_path_spec(blend, X0, grid)
-        for t, lengths in zip(grid, _walk(spec, plan, grid)):
+        for t, lengths in zip(spec.grid, _walk(spec, plan)):
             sup_nu = met._sup_crossed_ratio(i_nu, lengths)
             sup_mu = met._sup_crossed_ratio(i_mu, lengths)
             if sup_nu == 0.0 or sup_mu == 0.0:
                 continue  # the panel misses nu or mu
             # a crushed class makes a supremum inf, and its log inf too
             lhs, rhs = math.log(sup_nu), math.log(sup_mu)
-            if lhs - rhs >= min_gap:
+            if lhs - rhs >= _MIN_GAP:
                 return SeparationWitness(scaling_path(spec, t), lhs, rhs, eps, t)
             attempts.append((eps, t))
-        if zeta.is_zero():
-            break  # epsilon does not enter without a refinement part
     raise NoWitnessError(
         f"no separating point found over {len(attempts)} grid points",
         attempts=attempts)

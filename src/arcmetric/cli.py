@@ -71,19 +71,27 @@ def _point_from_args(args, which: str) -> geo.FNPoint:
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DomainError(
             f"config {path}: invalid JSON at line {exc.lineno} column "
             f"{exc.colno}: {exc.msg}") from exc
     except OSError as exc:
         raise DomainError(f"config {path}: {exc}") from exc
+    return _config_shape(path, config, dict)
 
 
 def _require(config: dict, field: str):
     if field not in config:
         raise DomainError(f"config is missing required field {field!r}")
     return config[field]
+
+
+def _config_shape(what: str, value, kind: type):
+    if not isinstance(value, kind):
+        raise InvalidSpecError(f"config {what} {value!r} is not a JSON "
+                               + ("object" if kind is dict else "array"))
+    return value
 
 
 _MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError)
@@ -186,6 +194,7 @@ def cmd_horofn(args) -> int:
 
 
 def _experiment_common(config):
+    """(surface, the path's spec, panel) of an experiment config."""
     surface = build_surface(*_signature(_require(config, "surface")))
     base = geo.fn_from_dict(surface, _require(config, "base_point"))
     mu = lam.lamination_from_dict(surface, _require(config, "mu"))
@@ -195,31 +204,30 @@ def _experiment_common(config):
     except _MALFORMED as exc:
         raise InvalidSpecError(f"config panel_n: {exc!r}") from None
     panel = enumerate_panel(surface, panel_n)
-    return surface, base, mu, grid, panel
+    return surface, asy.make_path_spec(mu, base, grid), panel
 
 
 def cmd_experiment_inequality(config, csv_path, json_path) -> int:
-    surface, base, mu, grid, panel = _experiment_common(config)
-    spec = asy.make_path_spec(mu, base, grid)
-    names = config.get("targets")
-    targets = [lam.class_from_id(surface, n) for n in names or ()] or panel.entries
+    surface, spec, panel = _experiment_common(config)
+    names = _config_shape("targets", config.get("targets") or [], list)
+    targets = [lam.class_from_id(surface, n) for n in names] or panel.entries
     names = names or panel.labels()
-    columns, reports, skipped = asy.deviation_walk(spec, targets, grid)
+    columns, reports, skipped = asy.deviation_walk(spec, targets)
     _write_csv(csv_path, ["t"] + [f"dev[{names[k]}]" for k in columns]
-               + [f"panel_n={panel.complexity}"], zip(grid, *columns.values()))
+               + [f"panel_n={panel.complexity}"],
+               zip(spec.grid, *columns.values()))
     _emit({"targets": [r._asdict() for r in reports],
            "skipped": skipped, "panel_n": panel.complexity}, json_path)
     return 0
 
 
 def cmd_experiment_boundary_limit(config, csv_path, json_path) -> int:
-    surface, base, mu, grid, panel = _experiment_common(config)
-    spec = asy.make_path_spec(mu, base, grid)
+    _, spec, panel = _experiment_common(config)
     plan = geo.panel_plan(panel)
-    series = asy.boundary_convergence(spec, plan, grid)
+    series = asy.boundary_convergence(spec, plan)
     _write_csv(csv_path, ["t", "sup_norm_distance",
                           f"panel_n={panel.complexity}"], series)
-    ivec = plan.intersections(mu)
+    ivec = plan.intersections(spec.mu)
     top = max(ivec)
     _emit({"final_distance": series[-1][1],
            "limit_vector": {lab: v / top for lab, v in zip(panel.labels(), ivec)},
@@ -229,10 +237,10 @@ def cmd_experiment_boundary_limit(config, csv_path, json_path) -> int:
 
 
 def cmd_experiment_horo_converge(config, csv_path, json_path) -> int:
-    surface, base, mu, grid, panel = _experiment_common(config)
-    spec = asy.make_path_spec(mu, base, grid)
-    probes = [geo.fn_from_dict(surface, p) for p in _require(config, "probes")]
-    series = asy.horo_convergence(spec, base, probes, panel, grid)
+    surface, spec, panel = _experiment_common(config)
+    probes = [geo.fn_from_dict(surface, p)
+              for p in _config_shape("probes", _require(config, "probes"), list)]
+    series = asy.horo_convergence(spec, probes, panel)
     _write_csv(csv_path, ["t", "max_probe_deviation",
                           f"panel_n={panel.complexity}"], series)
     _emit({"final_deviation": series[-1][1], "probes": len(probes),
@@ -241,10 +249,11 @@ def cmd_experiment_horo_converge(config, csv_path, json_path) -> int:
 
 
 def cmd_experiment_separate(config, csv_path, json_path) -> int:
-    surface, base, mu, grid, panel = _experiment_common(config)
+    surface, spec, panel = _experiment_common(config)
+    base = spec.base_point
     nu = lam.lamination_from_dict(surface, _require(config, "nu"))
-    mu, nu = lam.normalize(mu, base), lam.normalize(nu, base)
-    witness = asy.separation_experiment(mu, nu, base, panel, grid=grid)
+    mu, nu = lam.normalize(spec.mu, base), lam.normalize(nu, base)
+    witness = asy.separation_experiment(mu, nu, base, panel, spec.grid)
     _emit({"witness_point": geo.fn_to_dict(witness.point),
            "lhs": witness.lhs, "rhs": witness.rhs,
            "gap": witness.lhs - witness.rhs,
@@ -254,6 +263,8 @@ def cmd_experiment_separate(config, csv_path, json_path) -> int:
 
 
 def cmd_experiment_dt_sphere(args) -> int:
+    if args.samples < 1:
+        build_parser().error("argument --samples: expected an integer >= 1")
     g, n, p = _signature(args.surface.split(","), int)
     surface = build_surface(g, n, p)
     coord_dim, sphere_dim = lam.sphere_dimension(surface)
@@ -359,11 +370,8 @@ def main(argv=None) -> int:
         if args.cmd == "experiment":
             if args.verb_name == "dt-sphere":
                 return cmd_experiment_dt_sphere(args)
-            config = _load_config(args.config)
-            out = config.get("output", {})
-            csv_path = args.csv or out.get("csv")
-            json_path = args.json_out or out.get("json")
-            return _EXPERIMENTS[args.verb_name](config, csv_path, json_path)
+            return _EXPERIMENTS[args.verb_name](_load_config(args.config),
+                                                args.csv, args.json_out)
         return args.func(args)
     except (UnsupportedSurfaceError, UnsupportedClassError,
             UnsupportedCoordinatesError) as exc:

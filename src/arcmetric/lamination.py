@@ -275,41 +275,34 @@ def dt_encode(mu: RationalLamination) -> DTCoordinates:
     return DTCoordinates(surface, tuple(curves), tuple(boundary))
 
 
+def _pants_arc(surface: Surface, j: int, k: int) -> ArcClass:
+    """The pants arc a_jk from B_j to B_k (back to B_j when j == k)."""
+    return surface.arc_alias(f"a{min(j, k)}{max(j, k)}")
+
+
 def _decode_pants(surface: Surface, theta_hats) -> RationalLamination:
     m = {j: max(theta_hats[f"B{j}"], 0.0) for j in (1, 2, 3)}
-    arcs = {a.label: a for a in surface.pants_arcs()}
     weights: dict = {}
-
-    def arc_same(j):
-        others = sorted(f"B{k}" for k in (1, 2, 3) if k != j)
-        return arcs[f"a(B{j};{others[0]},{others[1]})"]
-
-    def arc_distinct(j, k):
-        j, k = min(j, k), max(j, k)
-        g = ({1, 2, 3} - {j, k}).pop()
-        return arcs[f"a(B{j},B{k};B{g})"]
-
     dominant = None
     for j in (1, 2, 3):
         rest = [m[k] for k in (1, 2, 3) if k != j]
         if m[j] > rest[0] + rest[1]:
             dominant = j
     if dominant is None:
-        pairs = [(1, 2), (1, 3), (2, 3)]
-        for j, k in pairs:
+        for j, k in ((1, 2), (1, 3), (2, 3)):
             g = ({1, 2, 3} - {j, k}).pop()
             w = 0.5 * (m[j] + m[k] - m[g])
             if w > 0:
-                weights[arc_distinct(j, k)] = w
+                weights[_pants_arc(surface, j, k)] = w
     else:
         j = dominant
         others = [k for k in (1, 2, 3) if k != j]
         w_same = 0.5 * (m[j] - m[others[0]] - m[others[1]])
         if w_same > 0:
-            weights[arc_same(j)] = w_same
+            weights[_pants_arc(surface, j, j)] = w_same
         for k in others:
             if m[k] > 0:
-                weights[arc_distinct(j, k)] = m[k]
+                weights[_pants_arc(surface, j, k)] = m[k]
     for j in (1, 2, 3):
         th = theta_hats[f"B{j}"]
         if th < 0:
@@ -349,20 +342,12 @@ def _decode_torus(surface: Surface, curve_coords, theta_hats) -> RationalLaminat
     return rational_lamination(surface, weights)
 
 
-def dt_decode(surface: Surface, coords: DTCoordinates | dict) -> RationalLamination:
+def dt_decode(surface: Surface, coords: DTCoordinates) -> RationalLamination:
     """Inverse of dt_encode on the representable subspace; rejects the rest."""
-    if isinstance(coords, DTCoordinates):
-        curve_coords = coords.curve_dict()
-        theta_hats = coords.boundary_dict()
-    else:
-        curve_coords = {k: tuple(v) for k, v in coords.items()
-                        if k in surface.interior_curves}
-        theta_hats = {k: float(v) for k, v in coords.items()
-                      if k in surface.boundaries}
     if surface.is_pants():
-        return _decode_pants(surface, theta_hats)
+        return _decode_pants(surface, coords.boundary_dict())
     if surface.is_torus():
-        return _decode_torus(surface, curve_coords, theta_hats)
+        return _decode_torus(surface, coords.curve_dict(), coords.boundary_dict())
     raise UnsupportedSurfaceError(
         "coordinate decoding is registered for tier-1 surfaces only")
 
@@ -421,7 +406,7 @@ def refinement_complete(mu: RationalLamination, panel: Panel) -> bool:
     return _completion_holds(mu.surface, list(mu.components), panel)
 
 
-def refine(mu: RationalLamination, complexity: int | None = None):
+def refine(mu: RationalLamination):
     """Extend mu to a lamination meeting every boundary and blocking every
     panel arc; returns (mu_hat, zeta) with mu_hat = mu + zeta.
 
@@ -429,14 +414,13 @@ def refine(mu: RationalLamination, complexity: int | None = None):
     panel order (allowing endpoint contact with existing boundary leaves);
     step III adds decomposition curves if arcs cannot finish the job.  Added
     classes carry unit weight.  Deterministic: candidates are scanned in
-    panel order, and nothing is added once the blocking property holds.
+    panel order, and nothing is added once the blocking property holds.  The
+    panel is level 3 on the torus (its word classes), level 0 on the pants.
     """
     surface = mu.surface
     if not surface.tier1:
         raise UnsupportedSurfaceError("refinement is registered on tier-1 only")
-    if complexity is None:
-        complexity = 3 if surface.is_torus() else 0
-    panel = enumerate_panel(surface, complexity)
+    panel = enumerate_panel(surface, 3 if surface.is_torus() else 0)
     comps = list(mu.components)
     added: list = []
 
@@ -480,33 +464,29 @@ def sample_supported_lamination(surface: Surface, rng) -> RationalLamination:
         return rng.uniform(0.2, 3.0)
 
     if surface.is_pants():
-        arcs = {a.label: a for a in surface.pants_arcs()}
         kind = rng.randrange(3)
         weights: dict = {}
         if kind == 0:  # triangle family plus untouched-boundary leaves
-            picks = [a for a in ("a(B1,B2;B3)", "a(B1,B3;B2)", "a(B2,B3;B1)")
+            picks = [surface.arc_alias(a) for a in ("a12", "a13", "a23")
                      if rng.random() < 0.7]
-            for lab in picks:
-                weights[arcs[lab]] = w()
-            touched = {e for lab in picks for e in arcs[lab].endpoints()}
+            for arc in picks:
+                weights[arc] = w()
+            touched = {e for arc in picks for e in arc.endpoints()}
             for b in surface.boundaries:
                 if b not in touched and rng.random() < 0.5:
                     weights[CurveClass("boundary", b)] = w()
         elif kind == 1:  # dominant same-boundary arc family
             j = rng.choice((1, 2, 3))
-            others = sorted(f"B{k}" for k in (1, 2, 3) if k != j)
-            weights[arcs[f"a(B{j};{others[0]},{others[1]})"]] = w()
+            weights[_pants_arc(surface, j, j)] = w()
             for k in (1, 2, 3):
                 if k != j and rng.random() < 0.5:
-                    jj, kk = min(j, k), max(j, k)
-                    gg = ({1, 2, 3} - {jj, kk}).pop()
-                    weights[arcs[f"a(B{jj},B{kk};B{gg})"]] = w()
+                    weights[_pants_arc(surface, j, k)] = w()
         else:  # boundary leaves only
             for b in surface.boundaries:
                 if rng.random() < 0.6:
                     weights[CurveClass("boundary", b)] = w()
         if not weights:
-            weights[arcs["a(B1,B2;B3)"]] = w()
+            weights[surface.arc_alias("a12")] = w()
         return rational_lamination(surface, weights)
 
     if surface.is_torus():

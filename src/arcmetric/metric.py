@@ -54,11 +54,6 @@ def arc_metric(X: geo.FNPoint, Y: geo.FNPoint, panel: Panel) -> MetricValue:
                        panel.complexity)
 
 
-def symmetrized_metric(X, Y, panel) -> float:
-    """max(d(X,Y), d(Y,X)); a genuine metric, provided for convenience."""
-    return max(arc_metric(X, Y, panel).value, arc_metric(Y, X, panel).value)
-
-
 def thurston_vector(X: geo.FNPoint, panel: Panel) -> tuple[float, ...]:
     """Panel length vector normalized to sup-norm 1 (projective class)."""
     if len(panel) == 0:

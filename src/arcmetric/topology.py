@@ -181,10 +181,6 @@ class Surface(namedtuple("Surface", "signature pants interior_curves boundaries 
         return [ArcClass(base.pants_id, base.pattern, twist=k),
                 ArcClass(base.pants_id, base.pattern, twist=-k)]
 
-    def word_arcs(self, max_word_length: int) -> list[ArcClass]:
-        return [a for n in range(1, max_word_length + 1)
-                for a in self.word_arcs_at(n)]
-
     def arc_alias(self, name: str) -> ArcClass:
         """Resolve short pants aliases a11..a33, a12, a13, a23 and full labels."""
         arcs = self._arcs_by_label

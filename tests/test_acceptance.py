@@ -147,15 +147,14 @@ def test_criterion_05_key_inequality():
 def test_criterion_06_thurston_boundary_convergence():
     """Projective distance to the intersection vector <= 1e-3 at t = 8."""
     mu = lam.rational_lamination(S, {S.arc_alias("a33"): 1.0})
-    spec = asy.make_path_spec(mu, geo.pants_point(1, 1, 2))
-    pants_dist = dict(asy.boundary_convergence(spec, PANEL, grid=[8.0]))[8.0]
+    spec = asy.make_path_spec(mu, geo.pants_point(1, 1, 2), [8.0])
+    pants_dist = dict(asy.boundary_convergence(spec, PANEL))[8.0]
     assert pants_dist <= 1e-3
 
     beta = CurveClass("word", "w(0,1)", (0, 1))
     mu_t = lam.rational_lamination(T, {beta: 1.0})
-    spec_t = asy.make_path_spec(mu_t, geo.torus_point(1.0, 0.0, 2.0))
-    torus_dist = dict(asy.boundary_convergence(
-        spec_t, enumerate_panel(T, 0), grid=[8.0]))[8.0]
+    spec_t = asy.make_path_spec(mu_t, geo.torus_point(1.0, 0.0, 2.0), [8.0])
+    torus_dist = dict(asy.boundary_convergence(spec_t, enumerate_panel(T, 0)))[8.0]
     assert torus_dist <= 1e-3
     report(6, f"boundary convergence at t=8: pants {pants_dist:.2e}, "
               f"one-holed torus {torus_dist:.2e} (both <= 1e-3)")
@@ -166,12 +165,11 @@ def test_criterion_07_horofunction_convergence():
     horofunction: <= 1e-2 at t = 10, monotone from t = 4."""
     rng = random.Random(1007)
     mu = lam.rational_lamination(S, {S.arc_alias("a33"): 1.0})
-    base = geo.pants_point(1, 1, 2)
-    spec = asy.make_path_spec(mu, base)
+    spec = asy.make_path_spec(mu, geo.pants_point(1, 1, 2),
+                              [4.0 + 0.5 * k for k in range(13)])
     probes = [geo.pants_point(*[rng.uniform(1.0, 4.0) for _ in range(3)])
               for _ in range(5)]
-    grid = [4.0 + 0.5 * k for k in range(13)]
-    series = asy.horo_convergence(spec, base, probes, PANEL, grid)
+    series = asy.horo_convergence(spec, probes, PANEL)
     devs = [d for _, d in series]
     assert devs[-1] <= 1e-2
     assert all(b <= a + 1e-12 for a, b in zip(devs, devs[1:]))

@@ -29,6 +29,7 @@ MU = lam.rational_lamination(S, {A33: 1.0})
 BASE = geo.pants_point(1, 1, 2)
 SPEC = asy.make_path_spec(MU, BASE)
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden" / "configs"
 
 # l(a12) - e^t tends to -2 log sinh(1/2) along the path (large-argument
 # expansion of the boundary-joining formula; frozen at double precision)
@@ -156,25 +157,11 @@ def test_class_intersection_runs_once_per_pair(monkeypatch, tmp_path):
 
 def test_invalid_spec_rejected():
     with pytest.raises(InvalidSpecError):
-        asy.PathSpec(MU, BASE, (0.0, 1.0),
-                     (("B1", ("grow", 1.0)), ("B2", ("hold", 1.0)),
-                      ("B3", ("grow", 2.0))))
-    with pytest.raises(InvalidSpecError):
         asy.make_path_spec(MU, BASE, grid=[1.0, 0.5])
-    with pytest.raises(DomainError):
-        asy.scaling_path(SPEC, -1.0)
-
-
-def test_path_spec_checks_given_regimes():
-    good = SPEC.regimes
-    assert asy.PathSpec(MU, BASE, (0.0, 1.0), good).regimes == good
-    for bad in (good[:2], good + good[:1],
-                (("B1", ("hold", 1.5)),) + good[1:],
-                (("B1", ("decay", 1.0)),) + good[1:]):
-        with pytest.raises(InvalidSpecError):
-            asy.PathSpec(MU, BASE, (0.0, 1.0), bad)
     with pytest.raises(InvalidSpecError):
         asy.make_path_spec(MU, geo.torus_point(1.0, 0.0, 2.0))
+    with pytest.raises(DomainError):
+        asy.scaling_path(SPEC, -1.0)
 
 
 def test_key_inequality_limit_constant():
@@ -210,7 +197,8 @@ def test_relative_convergence_of_growing_targets():
 
 def test_unsupported_target_skipped_with_notice():
     word = CurveClass("word", "w(1,1)", (1, 1))
-    reports, skipped = asy.verify_key_inequality(SPEC, [word], grid=[0.0, 1.0])
+    spec = asy.make_path_spec(MU, BASE, [0.0, 1.0])
+    reports, skipped = asy.verify_key_inequality(spec, [word])
     assert reports == []
     assert len(skipped) == 1 and skipped[0][0] == "w(1,1)"
 
@@ -303,6 +291,7 @@ def _count_formula_calls(monkeypatch):
 
 
 def test_horo_convergence_builds_each_constant_once(monkeypatch):
+    spec = asy.make_path_spec(MU, BASE, [4.0, 6.0, 8.0, 10.0])
     formula_calls, intersection_calls = _count_formula_calls(monkeypatch), []
     intersection = lam.intersection_number
 
@@ -313,8 +302,7 @@ def test_horo_convergence_builds_each_constant_once(monkeypatch):
     monkeypatch.setattr(lam, "intersection_number", counting_intersection)
     probes = [geo.pants_point(2, 2, 2), geo.pants_point(1.5, 2.5, 3),
               geo.pants_point(3.2, 1.1, 2.4)]
-    grid = [4.0, 6.0, 8.0, 10.0]
-    asy.horo_convergence(SPEC, BASE, probes, PANEL, grid=grid)
+    asy.horo_convergence(spec, probes, PANEL)
     arcs = sum(isinstance(e, ArcClass) for e in PANEL)
     assert len(PANEL) == 9 and arcs == 6
     # one length vector per base point and probe, one per grid point; the
@@ -350,13 +338,37 @@ def test_walk_reevaluates_only_moving_entries(monkeypatch):
 def test_horo_convergence_rejects_points_on_other_surfaces():
     probe = geo.torus_point(1.0, 0.0, 2.0)
     with pytest.raises(DomainError):
-        asy.horo_convergence(SPEC, BASE, [probe], PANEL, grid=[4.0])
-    with pytest.raises(DomainError):
-        asy.horo_convergence(SPEC, probe, [BASE], PANEL, grid=[4.0])
+        asy.horo_convergence(asy.make_path_spec(MU, BASE, [4.0]), [probe], PANEL)
+
+
+def test_horo_convergence_needs_a_probe():
+    with pytest.raises(DomainError, match="at least one probe"):
+        asy.horo_convergence(SPEC, [], PANEL)
+
+
+@pytest.mark.parametrize("config", [CONFIGS / "demo_horo_pants.json",
+                                    GOLDEN_CONFIGS / "S_0_0_4.json",
+                                    GOLDEN_CONFIGS / "S_2_0_1.json"],
+                         ids=lambda path: path.stem)
+def test_horo_convergence_equals_the_horofunction_api(config):
+    # at each t, the series is max over probes Y of |Phi_{X_t}(Y) - Phi_mu(Y)|
+    # from the public horofunctions, bit for bit
+    data = json.loads(config.read_text())
+    surface, spec, panel = cli._experiment_common(data)
+    base = spec.base_point
+    probes = [geo.fn_from_dict(surface, p) for p in data["probes"]]
+    h_mu = met.boundary_horofunction(spec.mu, base, panel)
+    series = asy.horo_convergence(spec, probes, panel)
+    assert [t for t, _ in series] == list(spec.grid)
+    for t, dev in series:
+        h_t = met.interior_horofunction(asy.scaling_path(spec, t), base, panel)
+        assert dev == max(abs(met.horofunction_eval(h_t, Y)
+                              - met.horofunction_eval(h_mu, Y)) for Y in probes)
 
 
 def test_boundary_convergence_pants():
-    series = dict(asy.boundary_convergence(SPEC, PANEL, grid=[4, 6, 8]))
+    spec = asy.make_path_spec(MU, BASE, [4, 6, 8])
+    series = dict(asy.boundary_convergence(spec, PANEL))
     assert series[8] <= 1e-3
     assert series[4] > series[6] > series[8]
 
@@ -364,9 +376,8 @@ def test_boundary_convergence_pants():
 def test_boundary_convergence_torus():
     beta = CurveClass("word", "w(0,1)", (0, 1))
     mu = lam.rational_lamination(T, {beta: 1.0})
-    spec = asy.make_path_spec(mu, geo.torus_point(1.0, 0.0, 2.0))
-    series = dict(asy.boundary_convergence(spec, enumerate_panel(T, 0),
-                                           grid=[4, 6, 8]))
+    spec = asy.make_path_spec(mu, geo.torus_point(1.0, 0.0, 2.0), [4, 6, 8])
+    series = dict(asy.boundary_convergence(spec, enumerate_panel(T, 0)))
     assert series[8] <= 1e-3
 
 
@@ -374,8 +385,8 @@ def test_horo_convergence_monotone_and_small():
     rng = random.Random(11)
     probes = [geo.pants_point(*[rng.uniform(1.0, 4.0) for _ in range(3)])
               for _ in range(5)]
-    series = asy.horo_convergence(SPEC, BASE, probes, PANEL,
-                                  grid=[4, 5, 6, 7, 8, 9, 10])
+    spec = asy.make_path_spec(MU, BASE, [4, 5, 6, 7, 8, 9, 10])
+    series = asy.horo_convergence(spec, probes, PANEL)
     devs = [d for _, d in series]
     assert devs[-1] <= 1e-2
     assert all(b <= a + 1e-12 for a, b in zip(devs, devs[1:]))
@@ -421,8 +432,8 @@ def test_separation_rejects_equal_and_unnormalized():
 
 
 def test_separation_exhaustion_reports_attempts():
-    # same-support pair with max ratio barely above 1 cannot clear an
-    # absurdly large gap threshold: the search must fail loudly, never
+    # a same-support pair with max ratio barely above 1 cannot clear the
+    # 1e-3 gap on a short grid: the search must fail loudly, never
     # fabricate a witness
     X0 = geo.pants_point(2, 2, 2)
     B1 = CurveClass("boundary", "B1")
@@ -430,9 +441,8 @@ def test_separation_exhaustion_reports_attempts():
     mu = lam.normalize(lam.rational_lamination(S, {B1: 1.0, B2: 1.0}), X0)
     nu = lam.normalize(lam.rational_lamination(S, {B1: 1.001, B2: 1.0}), X0)
     with pytest.raises(NoWitnessError) as err:
-        asy.separation_experiment(mu, nu, X0, PANEL, grid=[0.0, 1.0, 2.0],
-                                  min_gap=5.0)
-    assert len(err.value.attempts) > 0
+        asy.separation_experiment(mu, nu, X0, PANEL, grid=[0.0, 1.0, 2.0])
+    assert len(err.value.attempts) == 12  # 4 epsilons x 3 grid points
 
 
 def test_abs_double_chi():

@@ -191,7 +191,8 @@ def test_malformed_ids_and_laminations_are_domain_errors(argv, capsys):
 
 
 EXPERIMENT_CONFIGS = {"boundary-limit": "demo_boundary_pants.json",
-                      "horo-converge": "demo_horo_pants.json"}
+                      "horo-converge": "demo_horo_pants.json",
+                      "inequality": "demo_cprime.json"}
 BAD_POINTS = [5, {"B1": "x", "B2": 1, "B3": 1},
               {"B1": {"twist": 1}, "B2": 1, "B3": 1}]
 
@@ -381,12 +382,32 @@ def test_malformed_config_reports_location(tmp_path):
     ("grid", 5),
     ("grid", {"start": 0, "stop": 1, "step": 1e-320}),
     ("panel_n", "abc"),
+    ("probes", 5),
+    ("targets", 5),
+    (None, [1]),  # the config itself is not an object
 ])
 def test_malformed_config_values_are_spec_errors(field, value, tmp_path,
                                                  capsys):
-    cfg = json.loads((CONFIGS / "demo_boundary_pants.json").read_text())
-    cfg[field] = value
+    verb = {"probes": "horo-converge",
+            "targets": "inequality"}.get(field, "boundary-limit")
+    cfg = json.loads((CONFIGS / EXPERIMENT_CONFIGS[verb]).read_text())
+    if field is None:
+        cfg = value
+    else:
+        cfg[field] = value
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    assert cli.main(["experiment", "boundary-limit", str(path)]) == 3
-    assert capsys.readouterr().err.startswith(f"error: config {field}")
+    assert cli.main(["experiment", verb, str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {path if field is None else field}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_dt_sphere_samples_below_one_is_usage_error(samples, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["experiment", "dt-sphere", "--surface", "0,0,3",
+                  "--samples", samples])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--samples: expected an integer >= 1" in err

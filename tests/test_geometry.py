@@ -250,7 +250,7 @@ def test_dual_curve_twist_conventions():
 def test_twisted_arc_lengths_via_host_curve():
     X = geo.torus_point(2.0, 0.4, 1.5)
     base = X.surface.pants_arcs()[0]
-    arcs = X.surface.word_arcs(3)
+    arcs = X.surface.word_arcs_at(2) + X.surface.word_arcs_at(3)
     for arc in arcs:
         host = geo.curve_length(
             X, CurveClass("word", f"w(1,{arc.twist})", (1, arc.twist)))

@@ -80,9 +80,9 @@ def test_torus_slope_intersections():
     assert lam.class_intersection(T, c11, CurveClass("boundary", "B1")) == 0.0
     arc = T.pants_arcs()[0]
     assert lam.class_intersection(T, c21, arc) == 1.0  # |q| crossings
-    arc2 = T.word_arcs(3)[0]  # twist +1
+    arc2 = T.word_arcs_at(2)[0]  # twist +1
     assert lam.class_intersection(T, arc2, arc) == 0.0
-    arc3 = [a for a in T.word_arcs(4) if a.twist == 2][0]
+    arc3 = T.word_arcs_at(3)[0]  # twist +2
     assert lam.class_intersection(T, arc3, arc) == 1.0
 
 
@@ -214,16 +214,21 @@ def test_dt_roundtrip_50_per_surface():
 
 
 def test_dt_decode_rejects_unrepresentable():
+    def coords(surface, curves, boundary):
+        return lam.DTCoordinates(surface, tuple(curves.items()),
+                                 tuple(boundary.items()))
+
     with pytest.raises(UnsupportedCoordinatesError):
-        lam.dt_decode(T, {"C1": (1.0, 0.0), "B1": 2.0})
+        lam.dt_decode(T, coords(T, {"C1": (1.0, 0.0)}, {"B1": 2.0}))
     with pytest.raises(UnsupportedCoordinatesError):
-        lam.dt_decode(T, {"C1": (1.0, math.sqrt(2)), "B1": 0.0})
+        lam.dt_decode(T, coords(T, {"C1": (1.0, math.sqrt(2))}, {"B1": 0.0}))
+    S12 = build_surface(1, 0, 2)
     with pytest.raises(UnsupportedSurfaceError):
-        lam.dt_decode(build_surface(1, 0, 2), {"C1": (0, 0)})
+        lam.dt_decode(S12, coords(S12, {"C1": (0, 0)}, {}))
 
 
 def test_dt_encode_rejects_twisted_arcs():
-    arc1 = [a for a in T.word_arcs(3) if a.twist == 1][0]
+    arc1 = T.word_arcs_at(2)[0]  # twist +1
     with pytest.raises(UnsupportedCoordinatesError):
         lam.dt_encode(L(T, {arc1: 1.0}))
 

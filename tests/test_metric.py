@@ -65,11 +65,6 @@ def test_monotone_under_panel_refinement():
         assert b >= a - 1e-15
 
 
-def test_symmetrized_metric():
-    d = met.symmetrized_metric(X222, X444, PANEL)
-    assert d == pytest.approx(math.log(RATIO_ARC), abs=1e-12)
-
-
 def test_empty_panel_rejected():
     from arcmetric.topology import Panel
     empty = Panel(S, 0, ())

@@ -64,11 +64,11 @@ def test_torus_word_panels_fall_back_to_class_length(X, complexity):
     assert planned(geo.panel_plan(panel), X) == direct(X, panel.entries)
 
 
-def walked(spec, plan, grid):
+def walked(spec, plan):
     """The walk's vectors along the path, then the type of its error."""
     out = []
     try:
-        out.extend(asy._walk(spec, plan, grid))
+        out.extend(asy._walk(spec, plan))
     except Exception as exc:
         out.append(type(exc))
     return out
@@ -116,7 +116,7 @@ def test_walk_equals_class_length_at_every_point(case):
     # Cuffs span [1e-8, 1e3], and a leaf decays to the 1e-300 floor by t = 8
     spec, panel = case
     plan = geo.panel_plan(panel)
-    vectors = walked(spec, plan, spec.grid)
+    vectors = walked(spec, plan)
     assert vectors == expected(spec, panel.entries, spec.grid)
     assert len({id(vec) for vec in vectors}) == len(vectors)  # a new list each
 
@@ -129,7 +129,7 @@ def test_walk_fallback_entries_equal_class_length(X0, complexity, cls):
     panel = enumerate_panel(TORUS, complexity)
     spec = asy.make_path_spec(lam.rational_lamination(TORUS, {cls: 1.0}), X0,
                               (0.0, 0.5, 1.0, 2.0))
-    assert walked(spec, geo.panel_plan(panel), spec.grid) \
+    assert walked(spec, geo.panel_plan(panel)) \
         == expected(spec, panel.entries, spec.grid)
 
 
@@ -139,11 +139,11 @@ def test_walk_stops_at_the_double_range():
     # at the first point past it
     surface = SURFACES[0]
     mu = lam.rational_lamination(surface, {surface.arc_alias("a33"): 1.0})
-    spec = asy.make_path_spec(mu, geo.pants_point(1.0, 1.0, 2.0))
+    spec = asy.make_path_spec(mu, geo.pants_point(1.0, 1.0, 2.0),
+                              (0.0, 5.0, 700.0, 709.0, 720.0))
     panel = enumerate_panel(surface, 0)
-    grid = (0.0, 5.0, 700.0, 709.0, 720.0)
-    vectors = walked(spec, geo.panel_plan(panel), grid)
-    assert vectors == expected(spec, panel.entries, grid)
+    vectors = walked(spec, geo.panel_plan(panel))
+    assert vectors == expected(spec, panel.entries, spec.grid)
     assert len(vectors) == 5 and vectors[-1] is DomainError
 
 
