@@ -11,14 +11,13 @@ from .errors import (ArcmetricError, DegeneratePanelError, DomainError,
                      UnsupportedCoordinatesError, UnsupportedSurfaceError)
 from .topology import (ArcClass, CurveClass, Panel, Pants, Surface,
                        SurfaceSignature, build_surface, double_topology,
-                       enumerate_panel, mirror_label)
+                       enumerate_panel)
 from .hyptrig import (arc_length_distinct_boundaries, arc_length_same_boundary,
                       intersection_arc_distinct, intersection_arc_same,
                       leaf_decay_bound)
-from .geometry import (FNPoint, arc_length, class_length, curve_length,
-                       double_point, fn_from_dict, fn_point, fn_to_dict,
-                       holonomy_build, lamination_length, pants_point,
-                       pants_surface, torus_point, torus_surface)
+from .geometry import (FNPoint, class_length, double_point, fn_from_dict,
+                       fn_point, fn_to_dict, holonomy_build, lamination_length,
+                       pants_point, pants_surface, torus_point, torus_surface)
 from .lamination import (DTCoordinates, RationalLamination, class_from_id,
                          dt_decode, dt_double_coordinates, dt_encode,
                          intersection_number, lamination_from_dict,

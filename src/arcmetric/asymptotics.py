@@ -120,14 +120,14 @@ class DeviationReport(NamedTuple):
 
 
 def _walk(spec: PathSpec, plan: geo.LengthPlan, skip=()):
-    """The plan's length vectors at X_t, t in spec.grid, one at a time;
-    an FNPoint is built only for the plan's fallback entries."""
+    """The plan's length vectors at X_t, t in spec.grid, one at a time."""
     if plan.surface is not spec.mu.surface and plan.surface != spec.mu.surface:
         raise DomainError("point and length plan live on different surfaces")
     held = {label: geo._checked_length(label, param)
             for label, (kind, param) in spec.regimes if kind == "hold"}
+    twists = {label: twist for label, (_, twist) in spec.base_point.interior}
     return plan.walk(held, (_moving_lengths(spec, t) for t in spec.grid),
-                     spec.base_point.with_lengths, skip)
+                     twists, skip)
 
 
 def deviation_walk(spec: PathSpec, targets):

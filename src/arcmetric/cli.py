@@ -141,7 +141,7 @@ def cmd_arc_length(args) -> int:
     arc = lam.class_from_id(X.surface, args.arc)
     if not isinstance(arc, ArcClass):
         raise DomainError(f"{args.arc!r} names a curve, not an arc")
-    print(_fmt(geo.arc_length(X, arc)))
+    print(_fmt(geo.class_length(X, arc)))
     return 0
 
 

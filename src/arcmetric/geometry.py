@@ -1,17 +1,18 @@
 """Fenchel-Nielsen points, the doubling embedding, and geodesic lengths.
 
-Lengths of decomposition and boundary curves are Fenchel-Nielsen coordinates
-and exact; pants-local arcs go through the closed-form pants formulas;
-slope curves on the one-holed torus (and the hosts of its twisted arcs) go
-through the log-space trace descent of hyptrig.torus_slope_length; word
-classes on doubles go through explicit holonomy matrices (trace-length
-relation l = 2 arccosh(|tr|/2)).
+Every length comes from one route table, _route, compiled into a
+LengthPlan: lengths of decomposition and boundary curves are Fenchel-Nielsen
+coordinates and exact; pants-local arcs go through the closed-form pants
+formulas; slope curves on the one-holed torus (and the hosts of its twisted
+arcs) go through the log-space trace descent of hyptrig.torus_slope_length;
+every other class is refused with a typed error.
 
 Twists are hyperbolic lengths, positive = right twist; the mirror side of a
 double carries negated twists.
 
-The holonomy layer (and with it numpy) is imported on the first holonomy
-build, so the closed-form routes run on the standard library alone.
+holonomy_build, the explicit holonomy matrices that verify the formulas
+(word lengths on doubles among them), imports the holonomy layer and numpy
+on first use; every length here runs on the standard library alone.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import NamedTuple
 
 from . import hyptrig as ht
 from .errors import DomainError, UnsupportedClassError
-from .topology import (ArcClass, CurveClass, Surface, SurfaceSignature,
-                       build_surface, double_topology)
+from .topology import (ArcClass, Surface, SurfaceSignature, build_surface,
+                       double_topology)
 
 _TORUS_SIG = SurfaceSignature(1, 0, 1)
 
@@ -33,7 +34,7 @@ class FNPoint(NamedTuple):
 
     interior maps each decomposition curve to (length, twist); boundary maps
     each boundary label to its length.  Stored as sorted tuples so points
-    are hashable (holonomy realizations are cached per point).
+    are hashable (holonomy_build caches its realizations per point).
     """
 
     surface: Surface
@@ -126,7 +127,8 @@ def double_point(X: FNPoint) -> FNPoint:
 
 @lru_cache(maxsize=256)
 def holonomy_build(X: FNPoint):
-    """holonomy.Holonomy of a pants or a tier-1 double; loads numpy."""
+    """holonomy.Holonomy of a pants or a tier-1 double, the verification
+    route (word lengths on doubles included); loads numpy."""
     from . import holonomy as ho
 
     return ho.point_holonomy(X)
@@ -135,55 +137,67 @@ def holonomy_build(X: FNPoint):
 # -- length evaluation ----------------------------------------------------------
 
 
-def _side_length(X: FNPoint, label: str) -> float:
-    """Length of a pants side: coordinate curve, or 0 for a puncture."""
-    if label in X.surface.punctures:
-        return 0.0
-    return X.length_of(label)
+def _refusal(error, message: str) -> tuple:
+    """The route of a class with no length at the plan's points."""
+    def evaluate(L, C, S, T):
+        raise error(message)
+    return (), evaluate
 
 
-def curve_length(X: FNPoint, curve: CurveClass) -> float:
-    """Geodesic length of a curve class at X."""
-    if curve.kind in ("boundary", "interior"):
-        return X.length_of(curve.label)
-    if curve.kind == "word":
-        if X.surface.signature == _TORUS_SIG and curve.slope is not None:
-            return _torus_slope_length(X, *curve.slope)
-        if X.surface.double_of is not None:
-            return holonomy_build(X).word_length(curve.label)
-        raise UnsupportedClassError(
-            f"word class {curve.label!r} unsupported on {X.surface.signature}")
-    raise UnsupportedClassError(f"unknown curve kind {curve.kind!r}")
+def _route(surface: Surface, cls) -> tuple:
+    """(input labels, evaluate(lengths, log cosh, log sinh, twists)): the
+    one map from a class to the formula for its length at points of surface.
 
-
-def _torus_slope_length(X: FNPoint, p: int, q: int) -> float:
-    (_, (lC, tau)), = X.interior
-    return ht.torus_slope_length(lC, tau, X.length_of("B1"), p, q)
-
-
-def arc_length(X: FNPoint, arc: ArcClass) -> float:
-    """Length of the orthogeodesic arc at X, via the pants formulas.
-
-    The formulas take the host pants' side lengths; on the one-holed torus a
-    twisted arc's host pants is bounded by the slope-(1, k) curve, whose
-    length comes from the torus trace descent.
+    evaluate reads label -> length (punctures 0.0), label -> log cosh and
+    log sinh of half the length, and label -> twist.  A coordinate curve
+    reads its length; an untwisted pants arc calls a hyptrig formula core on
+    the log terms of its sides; a torus slope, and the slope-(1, k) host of
+    a twisted torus arc, go through the trace descent of
+    hyptrig.torus_slope_length.  Any other class is refused with a typed
+    error when evaluated.
     """
-    if X.surface.double_of is not None:
-        raise DomainError("arcs live on bordered surfaces, not doubles")
-    pattern = arc.pattern
-    if arc.twist != 0:
-        if X.surface.signature != _TORUS_SIG:
-            raise UnsupportedClassError("twisted arcs are registered on the "
-                                        "one-holed torus only")
-        host = _torus_slope_length(X, 1, arc.twist)
-        return ht.arc_length_same_boundary(X.length_of("B1"), host, host)
-    if pattern[0] == "same":
-        lb = _side_length(X, pattern[1])
-        return ht.arc_length_same_boundary(lb, _side_length(X, pattern[2]),
-                                           _side_length(X, pattern[3]))
-    lb1 = _side_length(X, pattern[1])
-    lb2 = _side_length(X, pattern[2])
-    return ht.arc_length_distinct_boundaries(lb1, lb2, _side_length(X, pattern[3]))
+    labels, punctures = surface.boundaries + surface.interior_curves, surface.punctures
+    torus, slope = surface.signature == _TORUS_SIG, ht.torus_slope_length
+    if not isinstance(cls, ArcClass):
+        if cls.kind in ("boundary", "interior"):
+            if cls.label not in labels:
+                return _refusal(DomainError, f"no coordinate curve {cls.label!r} "
+                                             f"on {surface.signature}")
+            return (cls.label,), lambda L, C, S, T, a=cls.label: L[a]
+        if cls.kind != "word":
+            return _refusal(UnsupportedClassError, f"unknown curve kind {cls.kind!r}")
+        if not torus or cls.slope is None:
+            return _refusal(UnsupportedClassError, f"word class {cls.label!r} "
+                                                   f"unsupported on {surface.signature}")
+        return ("C1", "B1"), lambda L, C, S, T, p=cls.slope[0], q=cls.slope[1]: \
+            slope(L["C1"], T["C1"], L["B1"], p, q)
+    if surface.double_of is not None:
+        return _refusal(DomainError, "arcs live on bordered surfaces, not doubles")
+    if cls.twist != 0:
+        if not torus:
+            return _refusal(UnsupportedClassError, "twisted arcs are registered "
+                                                   "on the one-holed torus only")
+
+        def twisted(L, C, S, T, k=cls.twist, same=ht.arc_length_same_boundary):
+            # the host pants is bounded by the boundary and two copies of
+            # the slope-(1, k) curve
+            host = slope(L["C1"], T["C1"], L["B1"], 1, k)
+            return same(L["B1"], host, host)
+        return ("C1", "B1"), twisted
+    kind, a, b, c = cls.pattern
+    for label in (a, b, c):
+        if label not in labels and label not in punctures:
+            return _refusal(DomainError, f"no coordinate curve {label!r} "
+                                         f"on {surface.signature}")
+    if kind == "same":  # from a back to a, separating b and c
+        if a in punctures:
+            return _refusal(DomainError, "arc from a cusp is undefined (lb = 0)")
+        return (a, b, c), lambda L, C, S, T, same=ht.arc_same_from_logs: same(
+            L[b], L[c], C[a], S[a], C[b], C[c])
+    if a in punctures or b in punctures:  # from a to b, c the third side
+        return _refusal(DomainError, "arc endpoint on a cusp is undefined (lb = 0)")
+    return (a, b, c), lambda L, C, S, T, distinct=ht.arc_distinct_from_logs: distinct(
+        L[a], L[b], C[c], S[a], S[b])
 
 
 def _pants_arc_alias(arc: ArcClass) -> str:
@@ -195,105 +209,71 @@ def _pants_arc_alias(arc: ArcClass) -> str:
 
 
 def class_length(X: FNPoint, cls) -> float:
-    """Length of a CurveClass or ArcClass (panel-entry dispatch)."""
-    if isinstance(cls, ArcClass):
-        return arc_length(X, cls)
-    return curve_length(X, cls)
+    """Length of a CurveClass or ArcClass at X: the one-entry LengthPlan."""
+    return LengthPlan(X.surface, (cls,)).vector(X)[0]
+
+
+class _HalfLengthLogs(dict):
+    """label -> log_term(length / 2), computed on first read."""
+
+    def __init__(self, log_term, lengths: dict):
+        self.log_term, self.lengths = log_term, lengths
+
+    def __missing__(self, label):
+        value = self[label] = self.log_term(self.lengths[label] / 2)
+        return value
 
 
 class LengthPlan:
     """Length vectors of an ordered list of classes, compiled once.
 
-    Each entry gets a route, evaluated from a {label: length} map of the
-    point (punctures 0.0): a coordinate curve reads its label, an untwisted
-    arc with its endpoints on coordinate curves of a bordered surface calls
-    a hyptrig formula core (looked up when the plan is built) on the log
-    terms of its sides, and everything else (word curves, twisted torus
-    arcs, classes on doubles, labels the surface lacks) falls back to
-    class_length.  Values equal [class_length(X, e) for e in entries] bit
-    for bit, at points of the plan's surface; a point of another surface is
-    a DomainError.  The plan also keeps the intersection vector of each
-    lamination it is asked for.
+    Each entry is compiled to its _route; a point of another surface than
+    the plan's is a DomainError.  The plan also keeps the intersection
+    vector of each lamination it is asked for.
     """
 
     def __init__(self, surface: Surface, entries):
         self.surface = surface
         self.entries = tuple(entries)
-        labels = set(surface.boundaries) | set(surface.interior_curves)
-        sides = labels | set(surface.punctures)
-        same, distinct = ht.arc_same_from_logs, ht.arc_distinct_from_logs
-        routes = []  # (input labels, evaluate(lengths, log cosh, log sinh) or None)
-        arc_sides = set()  # labels whose log terms a formula reads
-        for entry in self.entries:
-            if isinstance(entry, CurveClass) \
-                    and entry.kind in ("boundary", "interior") \
-                    and entry.label in labels:
-                routes.append(((entry.label,), lambda L, C, S, a=entry.label: L[a]))
-            elif isinstance(entry, ArcClass) and entry.twist == 0 \
-                    and surface.double_of is None \
-                    and sides.issuperset(entry.pattern[1:]) \
-                    and labels.issuperset(entry.endpoints()):
-                kind, a, b, c = entry.pattern
-                if kind == "same":  # from a back to a, separating b and c
-                    evaluate = lambda L, C, S, a=a, b=b, c=c: same(
-                        L[b], L[c], C[a], S[a], C[b], C[c])
-                else:  # from a to b, c the third side
-                    evaluate = lambda L, C, S, a=a, b=b, c=c: distinct(
-                        L[a], L[b], C[c], S[a], S[b])
-                routes.append(((a, b, c), evaluate))
-                arc_sides.update((a, b, c))
-            else:
-                routes.append(((), None))
-        self._routes, self._sides = routes, arc_sides
+        self._routes = [_route(surface, entry) for entry in self.entries]
         self._log_terms = ht.log_cosh, ht.log_sinh
         self._punctures = dict.fromkeys(surface.punctures, 0.0)
         self._intersections = []  # (lamination, its intersection vector)
 
     def vector(self, X: FNPoint) -> list[float]:
-        """[class_length(X, e) for e in entries]: the one-point walk."""
+        """The length of each entry at X: the one-point walk."""
         if X.surface is not self.surface and X.surface != self.surface:
             raise DomainError("point and length plan live on different surfaces")
         held = {label: _checked_length(label, length) for label, length in
                 X.boundary + tuple((label, v) for label, (v, _) in X.interior)}
-        return next(self.walk(held, ({},), lambda lengths: X))
+        twists = {label: twist for label, (_, twist) in X.interior}
+        return next(self.walk(held, ({},), twists))
 
-    def walk(self, held: dict, moving, point, skip=()):
+    def walk(self, held: dict, moving, twists: dict, skip=()):
         """Yield the length vector at each point of a path, a new list each.
 
         held maps the labels every point shares to their (checked) lengths;
         moving yields the checked lengths of the other labels, point by
-        point.  A label's log terms are computed once per point, a held
-        label's once.  The first point is evaluated in full, in entry order;
-        later ones re-evaluate the entries with a moving input and fallback
-        entries, which read point(lengths), built once per point.  An entry
-        raising one of `skip` holds that exception from then on."""
-        log_cosh, log_sinh = self._log_terms
+        point; twists maps each interior label to the twist all points
+        share.  A label's log terms are computed when an entry first reads
+        them at a point, a held label's once.  The first point is evaluated
+        in full, in entry order; later ones re-evaluate only the entries
+        with a moving input.  An entry raising one of `skip` holds that
+        exception from then on."""
         lengths = {**self._punctures, **held}
-        lc, ls = {}, {}
-
-        def log_terms(labels):
-            for label in self._sides.intersection(labels):
-                lc[label] = log_cosh(lengths[label] / 2)
-                if label not in self._punctures:
-                    ls[label] = log_sinh(lengths[label] / 2)
-
-        log_terms(lengths)
-        routes, entries = self._routes, self.entries
-        moving_entries = [k for k, (inputs, evaluate) in enumerate(routes)
-                          if evaluate is None or not lengths.keys() >= set(inputs)]
-        vec, indices = [0.0] * len(entries), range(len(entries))
+        lc, ls = (_HalfLengthLogs(f, lengths) for f in self._log_terms)
+        routes = self._routes
+        moving_entries = [k for k, (inputs, _) in enumerate(routes)
+                          if not lengths.keys() >= set(inputs)]
+        vec, indices = [0.0] * len(routes), range(len(routes))
         for row in moving:
             lengths.update(row)
-            log_terms(row)
-            X = None
+            for label in row:
+                lc.pop(label, None)
+                ls.pop(label, None)
             for k in indices:
-                evaluate = routes[k][1]
                 try:
-                    if evaluate is None:
-                        X = point(lengths) if X is None else X
-                        vec[k] = class_length(X, entries[k])
-                    else:
-                        vec[k] = evaluate(lengths, lc, ls)
+                    vec[k] = routes[k][1](lengths, lc, ls, twists)
                 except skip as exc:
                     vec[k] = exc
             if skip:

@@ -202,6 +202,10 @@ def pants_arc_lengths_oracle(l1: float, l2: float, l3: float) -> dict:
     perpendicular distance between the cuff-j axis and its translate under
     an adjacent cuff holonomy.  Distances come from endpoint cross-ratios of
     the axes, never from the pentagon/hexagon formulas.
+
+    Verified against the formulas and mpmath for cuffs in [0.1, 6] only.
+    Outside it the oracle can be wrong outright: at (14, 0.02, 0.02) its
+    a33 is 17.621, where the correct length is 23.214.
     """
     pants = build_pants(l1, l2, l3)
     A = pants.cuff_axes

@@ -99,18 +99,6 @@ def _normalizer(mu, ivals, base_lengths) -> float:
     return _checked_sup(ivals, base_lengths, 1.0, "the base point")
 
 
-def sup_intersection_ratio(mu, Y: geo.FNPoint, panel: Panel,
-                           scale: float = 1.0) -> float:
-    """sup over the panel of i(mu, .) / (scale * l(., Y)).
-
-    0.0 when every panel class misses mu; inf when a crossed class is
-    crushed below double precision at Y.
-    """
-    crossed = _crossed(mu, panel)
-    plan = geo.LengthPlan(panel.surface, [entry for entry, _ in crossed])
-    return _sup_crossed_ratio([ival for _, ival in crossed], plan.vector(Y), scale)
-
-
 class Horofunction(namedtuple("Horofunction",
                               "kind base_point panel point mu constant")):
     """Either an interior point function d(., X) - d(X0, X), or the boundary

@@ -286,17 +286,6 @@ def double_topology(surface: Surface) -> Surface:
                    surface.tier1, double_of=sig)
 
 
-def mirror_label(surface: Surface, label: str) -> str:
-    """The mirror involution on decomposition-curve labels of a double."""
-    if surface.double_of is None:
-        raise DomainError("mirror map is defined on doubles only")
-    if label.endswith("m"):
-        return label[:-1]
-    if label + "m" in surface.interior_curves:
-        return label + "m"
-    return label  # former boundary curves are fixed
-
-
 class Panel:
     """Finite ordered family of curve/arc classes truncating the suprema.
     Its len and iteration run over the entries."""

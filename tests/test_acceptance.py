@@ -63,7 +63,7 @@ def test_criterion_02_doubling_relation():
         hol = geo.holonomy_build(geo.double_point(X))
         for arc in X.surface.pants_arcs():
             alias = geo._pants_arc_alias(arc)
-            diff = abs(2 * geo.arc_length(X, arc)
+            diff = abs(2 * geo.class_length(X, arc)
                        - hol.word_length(f"{alias}^d"))
             worst = max(worst, diff)
     assert worst <= 1e-9
@@ -129,7 +129,7 @@ def test_criterion_05_key_inequality():
     a12 = S.arc_alias("a12")
     worst = 0.0
     for t in [3.0 + 0.5 * k for k in range(15)]:
-        dev = geo.arc_length(asy.scaling_path(spec, t), a12) - math.exp(t)
+        dev = geo.class_length(asy.scaling_path(spec, t), a12) - math.exp(t)
         worst = max(worst, abs(dev - limit))
     assert worst <= 1e-6
     reports, skipped = asy.verify_key_inequality(spec, list(PANEL))

@@ -167,7 +167,7 @@ def test_invalid_spec_rejected():
 def test_key_inequality_limit_constant():
     for t in [3.0, 5.0, 8.0, 10.0]:
         Xt = asy.scaling_path(SPEC, t)
-        dev = geo.arc_length(Xt, A12) - math.exp(t)
+        dev = geo.class_length(Xt, A12) - math.exp(t)
         assert dev == pytest.approx(LIMIT_CONSTANT, abs=1e-6)
 
 

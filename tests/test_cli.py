@@ -13,22 +13,41 @@ from arcmetric import cli
 ARC = [sys.executable, "-m", "arcmetric.cli"]
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
-# runs cli.main on each argv of a JSON list, then reports which of the heavy
-# numeric packages the interpreter has loaded
+# reports which of the heavy numeric packages, and which of the holonomy
+# layers that only verification reaches, the interpreter has loaded
+LOADED_REPORT = """
+loaded = {name.split(".")[0] for name in sys.modules}
+print(json.dumps({"codes": codes, "numpy": "numpy" in loaded,
+                  "scipy": "scipy" in loaded,
+                  "holonomy": "arcmetric.holonomy" in sys.modules,
+                  "halfplane": "arcmetric.halfplane" in sys.modules}))
+"""
+# runs cli.main on each argv of a JSON list
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 from arcmetric import cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-loaded = {name.split(".")[0] for name in sys.modules}
-print(json.dumps({"codes": codes, "numpy": "numpy" in loaded,
-                  "scipy": "scipy" in loaded}))
-"""
+""" + LOADED_REPORT
+# class_length of every entry of each (signature, panel level) of a JSON list
+LIBRARY_PROBE = """
+import json, sys
+from arcmetric import geometry as geo
+from arcmetric.topology import build_surface, enumerate_panel
+codes = []
+for sig, level in json.loads(sys.argv[1]):
+    surface = build_surface(*sig)
+    X = geo.fn_point(surface, {c: (1.5, 0.3) for c in surface.interior_curves},
+                     {b: 1.2 for b in surface.boundaries})
+    codes.append(sum(geo.class_length(X, e) > 0
+                     for e in enumerate_panel(surface, level)))
+""" + LOADED_REPORT
+NOTHING_LOADED = {"numpy": False, "scipy": False, "holonomy": False,
+                  "halfplane": False}
 
 
-def loaded_packages(*argvs):
-    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
-                          json.dumps(argvs)],
+def loaded_packages(*argvs, probe=IMPORT_PROBE):
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)],
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
@@ -73,7 +92,7 @@ def test_closed_form_verbs_load_no_numpy_or_scipy():
         ["double", "--torus", "1.2,0.4,2.2"],
         ["experiment", "boundary-limit",
          str(CONFIGS / "demo_boundary_pants.json")])
-    assert report == {"codes": [0, 0, 0], "numpy": False, "scipy": False}
+    assert report == {"codes": [0, 0, 0], **NOTHING_LOADED}
 
 
 # stdlib modules the package must not pull in: dataclasses brings inspect,
@@ -108,7 +127,41 @@ def test_torus_words_load_no_numpy_or_scipy():
         ["curve-length", "--torus", "2,0.3,1", "--curve", "w(1,1)"],
         ["distance", "--torus", "--x", "1.2,0.4,2.2", "--y", "3,-1,0.5",
          "--panel-n", "3"])
-    assert report == {"codes": [0, 0], "numpy": False, "scipy": False}
+    assert report == {"codes": [0, 0], **NOTHING_LOADED}
+
+
+# one argv per verb, and each demos/configs experiment
+VERB_ARGVS = [
+    ["arc-length", "--pants", "2,2,2", "--arc", "a12"],
+    ["curve-length", "--torus", "2,0.3,1", "--curve", "w(1,2)"],
+    ["double", "--torus", "1.2,0.4,2.2"],
+    ["distance", "--torus", "--x", "1.2,0.4,2.2", "--y", "3,-1,0.5",
+     "--panel-n", "6"],
+    ["horofn", "--torus", "--base", "1.2,0.4,2.2", "--at", "3,-1,0.5",
+     "--mu", '[{"class_id": "w(1,1)", "weight": 1}]', "--panel-n", "3"],
+    ["experiment", "dt-sphere", "--surface", "1,0,1", "--samples", "3"],
+    *[["experiment", verb, str(CONFIGS / config)] for verb, config in [
+        ("boundary-limit", "demo_boundary_pants.json"),
+        ("boundary-limit", "demo_boundary_torus.json"),
+        ("inequality", "demo_cprime.json"),
+        ("horo-converge", "demo_horo_pants.json"),
+        ("separate", "demo_separate.json")]],
+]
+
+
+@pytest.mark.parametrize("argv", VERB_ARGVS, ids=" ".join)
+def test_verbs_never_load_holonomy(argv):
+    # production lengths are closed forms; holonomy is verification only
+    assert loaded_packages(argv) == {"codes": [0], **NOTHING_LOADED}
+
+
+def test_class_length_never_loads_holonomy():
+    cases = [((1, 0, 1), level) for level in range(7)] + [
+        (sig, 0) for sig in [(0, 0, 3), (1, 0, 1), (0, 0, 4), (1, 0, 2),
+                             (2, 0, 1), (0, 0, 6)]]
+    report = loaded_packages(*cases, probe=LIBRARY_PROBE)
+    assert report == {"codes": [3, 4, 8, 14, 20, 30, 36, 9, 3, 11, 7, 6, 17],
+                      **NOTHING_LOADED}
 
 
 def test_unsupported_surface_exit_code():

@@ -94,7 +94,7 @@ def test_long_cuffs_raise_domain_error_not_overflow():
     # the torus trace descent cancels here; unguarded, log1p raised ValueError
     X = geo.torus_point(451.5, 42.2, 27.5)
     with pytest.raises(DomainError):
-        geo.curve_length(X, CurveClass("word", "w(-1,2)", (-1, 2)))
+        geo.class_length(X, CurveClass("word", "w(-1,2)", (-1, 2)))
 
 
 # -- FN points and the doubling embedding ------------------------------------------
@@ -140,26 +140,26 @@ def test_double_point_injective_on_samples():
 
 def test_curve_length_is_fn_coordinate():
     X = geo.pants_point(2, 3, 4)
-    assert geo.curve_length(X, CurveClass("boundary", "B2")) == 3.0
+    assert geo.class_length(X, CurveClass("boundary", "B2")) == 3.0
     T = geo.torus_point(2.5, 0.3, 1.5)
-    assert geo.curve_length(T, CurveClass("interior", "C1")) == 2.5
+    assert geo.class_length(T, CurveClass("interior", "C1")) == 2.5
 
 
 def test_curve_length_monotone_under_scaling():
     X = geo.pants_point(2, 2, 2)
     Y = geo.pants_point(3, 3, 3)
     for b in X.surface.boundary_classes():
-        assert geo.curve_length(Y, b) > geo.curve_length(X, b)
+        assert geo.class_length(Y, b) > geo.class_length(X, b)
 
 
 def test_arc_length_examples():
     X = geo.pants_point(2, 2, 2)
-    assert geo.arc_length(X, X.surface.arc_alias("a12")) == pytest.approx(
+    assert geo.class_length(X, X.surface.arc_alias("a12")) == pytest.approx(
         1.704912832358014, abs=1e-12)
-    assert geo.arc_length(X, X.surface.arc_alias("a33")) == pytest.approx(
+    assert geo.class_length(X, X.surface.arc_alias("a33")) == pytest.approx(
         3.612225999682252, abs=1e-12)
     Y = geo.pants_point(4, 4, 4)
-    assert geo.arc_length(Y, Y.surface.arc_alias("a12")) == pytest.approx(
+    assert geo.class_length(Y, Y.surface.arc_alias("a12")) == pytest.approx(
         0.827136901638557, abs=1e-12)
 
 
@@ -181,7 +181,7 @@ def test_doubling_relation_all_arcs():
         hol = geo.holonomy_build(geo.double_point(X))
         for arc in X.surface.pants_arcs():
             alias = geo._pants_arc_alias(arc)
-            assert 2 * geo.arc_length(X, arc) == pytest.approx(
+            assert 2 * geo.class_length(X, arc) == pytest.approx(
                 hol.word_length(f"{alias}^d"), abs=1e-9)
 
 
@@ -205,7 +205,7 @@ def test_doubling_relation_torus_arc():
                             rng.uniform(0.5, 4))
         arc = X.surface.pants_arcs()[0]
         assert arc_length_doubled_route(X, arc) == pytest.approx(
-            geo.arc_length(X, arc), abs=1e-9)
+            geo.class_length(X, arc), abs=1e-9)
 
 
 def test_symmetric_double_length_pairs():
@@ -237,14 +237,14 @@ def test_dual_curve_twist_conventions():
     X = geo.torus_point(2.0, 0.7, 1.5)
     Xneg = geo.torus_point(2.0, -0.7, 1.5)
     # reflection symmetry: tau -> -tau mirrors slopes (p, q) -> (-p, q)
-    assert geo.curve_length(X, beta) == pytest.approx(
-        geo.curve_length(Xneg, beta), abs=1e-9)
-    assert geo.curve_length(X, c11) == pytest.approx(
-        geo.curve_length(Xneg, c1m1), abs=1e-9)
+    assert geo.class_length(X, beta) == pytest.approx(
+        geo.class_length(Xneg, beta), abs=1e-9)
+    assert geo.class_length(X, c11) == pytest.approx(
+        geo.class_length(Xneg, c1m1), abs=1e-9)
     # a full twist is a Dehn twist: beta at tau + lC matches (1,1) at tau
     Xfull = geo.torus_point(2.0, 0.7 + 2.0, 1.5)
-    assert geo.curve_length(Xfull, beta) == pytest.approx(
-        geo.curve_length(X, c11), abs=1e-9)
+    assert geo.class_length(Xfull, beta) == pytest.approx(
+        geo.class_length(X, c11), abs=1e-9)
 
 
 def test_twisted_arc_lengths_via_host_curve():
@@ -252,20 +252,28 @@ def test_twisted_arc_lengths_via_host_curve():
     base = X.surface.pants_arcs()[0]
     arcs = X.surface.word_arcs_at(2) + X.surface.word_arcs_at(3)
     for arc in arcs:
-        host = geo.curve_length(
+        host = geo.class_length(
             X, CurveClass("word", f"w(1,{arc.twist})", (1, arc.twist)))
         expected = ht.arc_length_same_boundary(1.5, host, host)
-        assert geo.arc_length(X, arc) == pytest.approx(expected, abs=1e-12)
-    assert geo.arc_length(X, base) == pytest.approx(
+        assert geo.class_length(X, arc) == pytest.approx(expected, abs=1e-12)
+    assert geo.class_length(X, base) == pytest.approx(
         ht.arc_length_same_boundary(1.5, 2.0, 2.0), abs=1e-12)
 
 
 def test_unsupported_classes_raise():
     X = geo.pants_point(2, 2, 2)
     with pytest.raises(UnsupportedClassError):
-        geo.curve_length(X, CurveClass("word", "w(1,1)", (1, 1)))
+        geo.class_length(X, CurveClass("word", "w(1,1)", (1, 1)))
     with pytest.raises(DomainError):
-        geo.arc_length(geo.double_point(X), X.surface.arc_alias("a12"))
+        geo.class_length(geo.double_point(X), X.surface.arc_alias("a12"))
+
+
+def test_word_lengths_on_doubles_are_verification_only():
+    # the closed forms have no route for a double's word class; its length
+    # is read from holonomy_build(D).word_length alone
+    D = geo.double_point(geo.pants_point(2, 2, 2))
+    with pytest.raises(UnsupportedClassError):
+        geo.class_length(D, CurveClass("word", "a12^d"))
 
 
 def test_fn_json_roundtrip():

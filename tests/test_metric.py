@@ -135,7 +135,7 @@ def test_boundary_horofunction_example():
     assert math.isfinite(val)
     # direct evaluation: max of i(a33,.)/(l_a33(X0) * l(., Y)) over panel
     # entries the lamination actually meets
-    la33 = geo.arc_length(X222, a33)
+    la33 = geo.class_length(X222, a33)
     raw = lam.rational_lamination(S, {a33: 1.0})
     hits = [e for e in PANEL if lam.intersection_number(raw, e) > 0]
     direct = max(lam.intersection_number(raw, e)
@@ -168,24 +168,13 @@ def test_boundary_horofunction_crushed_class_is_domain_error():
     # at (1500, 1500, 1) the arc a(B1,B2;B3) underflows to length 0.0
     mu = lam.rational_lamination(S, {S.arc_alias("a33"): 1.0})
     Y = geo.pants_point(1500, 1500, 1)
-    assert met.sup_intersection_ratio(mu, Y, PANEL) == math.inf
+    assert geo.class_length(Y, S.arc_alias("a12")) == 0.0
     h = met.boundary_horofunction(mu, geo.pants_point(1, 1, 1), PANEL)
     with pytest.raises(DomainError):
         met.horofunction_eval(h, Y)
     # the same class crushed at the base point makes the normalizer infinite
     with pytest.raises(DomainError):
         met.boundary_horofunction(mu, Y, PANEL)
-
-
-def test_sup_intersection_ratio_scale():
-    mu = lam.rational_lamination(S, {S.arc_alias("a33"): 1.0})
-    sup = met.sup_intersection_ratio(mu, X444, PANEL)
-    assert sup == max(lam.intersection_number(mu, e) / geo.class_length(X444, e)
-                      for e in PANEL if lam.intersection_number(mu, e) > 0)
-    assert met.sup_intersection_ratio(mu, X444, PANEL, scale=2.0) \
-        == pytest.approx(sup / 2, rel=1e-15)
-    assert met.sup_intersection_ratio(lam.rational_lamination(S, {}),
-                                      X444, PANEL) == 0.0
 
 
 def test_log_sup_ratio_kernel():
@@ -207,7 +196,9 @@ def test_boundary_horofunction_crossed_pairs():
                               for e in PANEL
                               if lam.intersection_number(mu, e) > 0)
     assert len(h.crossed) == 4
-    assert h.constant == met.sup_intersection_ratio(mu, X222, PANEL)
+    assert h.constant == max(lam.intersection_number(mu, e)
+                             / geo.class_length(X222, e) for e in PANEL
+                             if lam.intersection_number(mu, e) > 0)
     assert met.interior_horofunction(X444, X222, PANEL).crossed == ()
 
 

@@ -1,7 +1,9 @@
-"""LengthPlan: compiled panel length vectors equal the class_length dispatch.
+"""LengthPlan: compiled panel length vectors equal a per-class reference.
 
-Every value is compared with ==, bit for bit: the plan routes each entry to
-the same formula with the same floats, so nothing may round differently.
+The reference reads coordinate lengths from FNPoint.length_of and calls the
+checked hyptrig wrappers, none of the plan's cached log terms or routes.
+Every value is compared with ==, bit for bit: both evaluate the same formula
+with the same floats, so nothing may round differently.
 """
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from arcmetric import asymptotics as asy
 from arcmetric import geometry as geo
+from arcmetric import hyptrig as ht
 from arcmetric import lamination as lam
 from arcmetric.errors import DomainError, UnsupportedClassError
 from arcmetric.topology import ArcClass, CurveClass, build_surface, enumerate_panel
@@ -32,10 +35,37 @@ def points(draw, surface, cuffs=lengths):
     return geo.fn_point(surface, interior, boundary)
 
 
+def reference_length(X, cls):
+    """Length of cls at X, class by class, from the checked hyptrig wrappers."""
+    surface = X.surface
+    torus = surface.signature == (1, 0, 1)
+    if isinstance(cls, CurveClass):
+        if cls.kind in ("boundary", "interior"):
+            return X.length_of(cls.label)
+        if not (torus and cls.kind == "word" and cls.slope is not None):
+            raise UnsupportedClassError(cls.label)
+        (_, (lC, tau)), = X.interior
+        return ht.torus_slope_length(lC, tau, X.length_of("B1"), *cls.slope)
+    if surface.double_of is not None:
+        raise DomainError("arcs live on bordered surfaces")
+    if cls.twist != 0:
+        if not torus:
+            raise UnsupportedClassError(cls.label)
+        (_, (lC, tau)), = X.interior
+        host = ht.torus_slope_length(lC, tau, X.length_of("B1"), 1, cls.twist)
+        return ht.arc_length_same_boundary(X.length_of("B1"), host, host)
+    kind, *sides = cls.pattern
+    a, b, c = (0.0 if side in surface.punctures else X.length_of(side)
+               for side in sides)
+    if kind == "same":
+        return ht.arc_length_same_boundary(a, b, c)
+    return ht.arc_length_distinct_boundaries(a, b, c)
+
+
 def direct(X, entries):
-    """[class_length(X, e) for e in entries], or the type of its first error."""
+    """The reference length of each entry, or the type of its first error."""
     try:
-        return [geo.class_length(X, e) for e in entries]
+        return [reference_length(X, e) for e in entries]
     except Exception as exc:  # the plan must raise the same type
         return type(exc)
 
@@ -58,8 +88,8 @@ def test_panel_zero_vectors_equal_class_length(case):
 
 @settings(max_examples=25, deadline=None)
 @given(points(TORUS, cuffs=st.floats(0.1, 8.0)), st.sampled_from([3, 6]))
-def test_torus_word_panels_fall_back_to_class_length(X, complexity):
-    # word curves and twisted arcs take the fallback route
+def test_torus_word_panels_equal_the_reference(X, complexity):
+    # word curves and twisted arcs take the torus trace descent
     panel = enumerate_panel(TORUS, complexity)
     assert planned(geo.panel_plan(panel), X) == direct(X, panel.entries)
 
@@ -75,7 +105,7 @@ def walked(spec, plan):
 
 
 def expected(spec, entries, grid):
-    """class_length at each scaling_path point, up to the first error."""
+    """The reference at each scaling_path point, up to the first error."""
     out = []
     for t in grid:
         try:
@@ -124,8 +154,8 @@ def test_walk_equals_class_length_at_every_point(case):
 @settings(max_examples=20, deadline=None)
 @given(points(TORUS, cuffs=st.floats(0.1, 3.0)), st.sampled_from([3, 6]),
        st.sampled_from([TORUS.pants_arcs()[0], CurveClass("word", "w(0,1)", (0, 1))]))
-def test_walk_fallback_entries_equal_class_length(X0, complexity, cls):
-    # word curves and twisted arcs are evaluated at a point built per t
+def test_walk_torus_word_entries_equal_the_reference(X0, complexity, cls):
+    # word curves and twisted arcs read the base point's twist at every t
     panel = enumerate_panel(TORUS, complexity)
     spec = asy.make_path_spec(lam.rational_lamination(TORUS, {cls: 1.0}), X0,
                               (0.0, 0.5, 1.0, 2.0))
@@ -202,9 +232,8 @@ def test_walk_skips_entries_raising_a_skip_type():
     b1 = CurveClass("boundary", "B1")
     plan = geo.LengthPlan(X.surface, [b1, word])
     held = {label: X.length_of(label) for label in X.surface.boundaries}
-    first, second = plan.walk(held, ({}, {}), lambda lengths: X,
-                              skip=UnsupportedClassError)
+    first, second = plan.walk(held, ({}, {}), {}, skip=UnsupportedClassError)
     assert first[0] == second[0] == 1.0
     assert isinstance(first[1], UnsupportedClassError) and second[1] is first[1]
     with pytest.raises(UnsupportedClassError):
-        list(plan.walk(held, ({},), lambda lengths: X))
+        list(plan.walk(held, ({},), {}))

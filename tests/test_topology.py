@@ -133,18 +133,6 @@ def test_double_pants_count():
         assert len(d.pants) == 4 * g - 4 + 2 * n + 2 * p
 
 
-def test_mirror_involution():
-    s = top.build_surface(1, 0, 2)
-    d = top.double_topology(s)
-    fixed = []
-    for label in d.interior_curves:
-        image = top.mirror_label(d, label)
-        assert top.mirror_label(d, image) == label
-        if image == label:
-            fixed.append(label)
-    assert sorted(fixed) == sorted(s.boundaries)
-
-
 # -- panels -------------------------------------------------------------------
 
 
