@@ -24,13 +24,12 @@ from . import geometry as geo
 from . import lamination as lam
 from . import metric as met
 from .errors import (ArcmetricError, DomainError, InvalidSpecError,
-                     NoWitnessError, UnsupportedClassError,
-                     UnsupportedCoordinatesError, UnsupportedSurfaceError)
+                     UnsupportedClassError, UnsupportedCoordinatesError,
+                     UnsupportedSurfaceError)
 from .topology import ArcClass, build_surface, enumerate_panel, panel_to_dict
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
+_fmt = "{:.9g}".format
 
 
 def _parse_triple(text: str):
@@ -121,7 +120,7 @@ def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for row in rows:
-            fh.write(",".join(map("{:.9g}".format, row)) + "\r\n")
+            fh.write(",".join(map(_fmt, row)) + "\r\n")
 
 
 def _emit(data, path=None):
@@ -136,18 +135,12 @@ def _emit(data, path=None):
 # -- verbs ------------------------------------------------------------------------
 
 
-def cmd_arc_length(args) -> int:
+def cmd_class_length(args) -> int:
+    """arc-length and curve-length; arc-length refuses a curve id."""
     X = _point_from_args(args, "point")
-    arc = lam.class_from_id(X.surface, args.arc)
-    if not isinstance(arc, ArcClass):
-        raise DomainError(f"{args.arc!r} names a curve, not an arc")
-    print(_fmt(geo.class_length(X, arc)))
-    return 0
-
-
-def cmd_curve_length(args) -> int:
-    X = _point_from_args(args, "point")
-    cls = lam.class_from_id(X.surface, args.curve)
+    cls = lam.class_from_id(X.surface, args.class_id)
+    if args.arcs_only and not isinstance(cls, ArcClass):
+        raise DomainError(f"{args.class_id!r} names a curve, not an arc")
     print(_fmt(geo.class_length(X, cls)))
     return 0
 
@@ -207,48 +200,51 @@ def _experiment_common(config):
     return surface, asy.make_path_spec(mu, base, grid), panel
 
 
-def cmd_experiment_inequality(config, csv_path, json_path) -> int:
+def cmd_experiment_inequality(args) -> int:
+    config = _load_config(args.config)
     surface, spec, panel = _experiment_common(config)
     names = _config_shape("targets", config.get("targets") or [], list)
     targets = [lam.class_from_id(surface, n) for n in names] or panel.entries
     names = names or panel.labels()
     columns, reports, skipped = asy.deviation_walk(spec, targets)
-    _write_csv(csv_path, ["t"] + [f"dev[{names[k]}]" for k in columns]
+    _write_csv(args.csv, ["t"] + [f"dev[{names[k]}]" for k in columns]
                + [f"panel_n={panel.complexity}"],
                zip(spec.grid, *columns.values()))
     _emit({"targets": [r._asdict() for r in reports],
-           "skipped": skipped, "panel_n": panel.complexity}, json_path)
+           "skipped": skipped, "panel_n": panel.complexity}, args.json_out)
     return 0
 
 
-def cmd_experiment_boundary_limit(config, csv_path, json_path) -> int:
-    _, spec, panel = _experiment_common(config)
+def cmd_experiment_boundary_limit(args) -> int:
+    _, spec, panel = _experiment_common(_load_config(args.config))
     plan = geo.panel_plan(panel)
     series = asy.boundary_convergence(spec, plan)
-    _write_csv(csv_path, ["t", "sup_norm_distance",
+    _write_csv(args.csv, ["t", "sup_norm_distance",
                           f"panel_n={panel.complexity}"], series)
     ivec = plan.intersections(spec.mu)
     top = max(ivec)
     _emit({"final_distance": series[-1][1],
            "limit_vector": {lab: v / top for lab, v in zip(panel.labels(), ivec)},
            "panel": panel_to_dict(panel),
-           "panel_n": panel.complexity}, json_path)
+           "panel_n": panel.complexity}, args.json_out)
     return 0
 
 
-def cmd_experiment_horo_converge(config, csv_path, json_path) -> int:
+def cmd_experiment_horo_converge(args) -> int:
+    config = _load_config(args.config)
     surface, spec, panel = _experiment_common(config)
     probes = [geo.fn_from_dict(surface, p)
               for p in _config_shape("probes", _require(config, "probes"), list)]
     series = asy.horo_convergence(spec, probes, panel)
-    _write_csv(csv_path, ["t", "max_probe_deviation",
+    _write_csv(args.csv, ["t", "max_probe_deviation",
                           f"panel_n={panel.complexity}"], series)
     _emit({"final_deviation": series[-1][1], "probes": len(probes),
-           "panel_n": panel.complexity}, json_path)
+           "panel_n": panel.complexity}, args.json_out)
     return 0
 
 
-def cmd_experiment_separate(config, csv_path, json_path) -> int:
+def cmd_experiment_separate(args) -> int:
+    config = _load_config(args.config)
     surface, spec, panel = _experiment_common(config)
     base = spec.base_point
     nu = lam.lamination_from_dict(surface, _require(config, "nu"))
@@ -258,7 +254,7 @@ def cmd_experiment_separate(config, csv_path, json_path) -> int:
            "lhs": witness.lhs, "rhs": witness.rhs,
            "gap": witness.lhs - witness.rhs,
            "epsilon": witness.epsilon, "t": witness.t,
-           "panel_n": panel.complexity}, json_path)
+           "panel_n": panel.complexity}, args.json_out)
     return 0
 
 
@@ -308,14 +304,16 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("arc-length", help="orthogeodesic arc length")
     _add_surface_flags(s)
     s.add_argument("--point", default=None, help="FN coordinates")
-    s.add_argument("--arc", required=True, help="arc id (a12, a33, ...)")
-    s.set_defaults(func=cmd_arc_length)
+    s.add_argument("--arc", dest="class_id", metavar="ARC", required=True,
+                   help="arc id (a12, a33, ...)")
+    s.set_defaults(func=cmd_class_length, arcs_only=True)
 
     s = subs.add_parser("curve-length", help="closed geodesic length")
     _add_surface_flags(s)
     s.add_argument("--point", default=None)
-    s.add_argument("--curve", required=True, help="curve id (B1, C1, w(1,1))")
-    s.set_defaults(func=cmd_curve_length)
+    s.add_argument("--curve", dest="class_id", metavar="CURVE", required=True,
+                   help="curve id (B1, C1, w(1,1))")
+    s.set_defaults(func=cmd_class_length, arcs_only=False)
 
     s = subs.add_parser("double", help="Fenchel-Nielsen data of the double")
     _add_surface_flags(s)
@@ -340,45 +338,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("experiment", help="run a configured experiment")
     exp = s.add_subparsers(dest="verb", required=True)
-    for verb in ("inequality", "boundary-limit", "horo-converge", "separate"):
+    for verb, func in (("inequality", cmd_experiment_inequality),
+                       ("boundary-limit", cmd_experiment_boundary_limit),
+                       ("horo-converge", cmd_experiment_horo_converge),
+                       ("separate", cmd_experiment_separate)):
         e = exp.add_parser(verb)
         e.add_argument("config", help="JSON experiment config")
         e.add_argument("--csv", default=None, help="CSV sweep output path")
         e.add_argument("--json", dest="json_out", default=None,
                        help="JSON summary path (default: stdout)")
-        e.set_defaults(verb_name=verb)
+        e.set_defaults(func=func)
     e = exp.add_parser("dt-sphere")
     e.add_argument("--surface", required=True, help="g,n,p")
     e.add_argument("--samples", type=int, default=50)
     e.add_argument("--seed", type=int, default=0)
-    e.set_defaults(verb_name="dt-sphere")
+    e.set_defaults(func=cmd_experiment_dt_sphere)
     return parser
 
 
-_EXPERIMENTS = {
-    "inequality": cmd_experiment_inequality,
-    "boundary-limit": cmd_experiment_boundary_limit,
-    "horo-converge": cmd_experiment_horo_converge,
-    "separate": cmd_experiment_separate,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.cmd == "experiment":
-            if args.verb_name == "dt-sphere":
-                return cmd_experiment_dt_sphere(args)
-            return _EXPERIMENTS[args.verb_name](_load_config(args.config),
-                                                args.csv, args.json_out)
         return args.func(args)
     except (UnsupportedSurfaceError, UnsupportedClassError,
             UnsupportedCoordinatesError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 4
-    except (DomainError, InvalidSpecError, NoWitnessError,
-            ArcmetricError) as exc:
+    except ArcmetricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -11,8 +11,8 @@ Twists are hyperbolic lengths, positive = right twist; the mirror side of a
 double carries negated twists.
 
 holonomy_build, the explicit holonomy matrices that verify the formulas
-(word lengths on doubles among them), imports the holonomy layer and numpy
-on first use; every length here runs on the standard library alone.
+(word lengths on doubles among them), loads the holonomy layer and numpy (a
+`test` extra) on first use; every length here runs on the standard library.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def double_point(X: FNPoint) -> FNPoint:
 @lru_cache(maxsize=256)
 def holonomy_build(X: FNPoint):
     """holonomy.Holonomy of a pants or a tier-1 double, the verification
-    route (word lengths on doubles included); loads numpy."""
+    route (word lengths on doubles included); needs numpy, a `test` extra."""
     from . import holonomy as ho
 
     return ho.point_holonomy(X)
@@ -198,14 +198,6 @@ def _route(surface: Surface, cls) -> tuple:
         return _refusal(DomainError, "arc endpoint on a cusp is undefined (lb = 0)")
     return (a, b, c), lambda L, C, S, T, distinct=ht.arc_distinct_from_logs: distinct(
         L[a], L[b], C[c], S[a], S[b])
-
-
-def _pants_arc_alias(arc: ArcClass) -> str:
-    pat = arc.pattern
-    if pat[0] == "same":
-        j = pat[1][1]
-        return f"a{j}{j}"
-    return f"a{pat[1][1]}{pat[2][1]}"
 
 
 def class_length(X: FNPoint, cls) -> float:

@@ -299,7 +299,7 @@ def pants_double_holonomy(lengths, twists) -> GeneratorSet:
                         mirror_axis, mirror_foot, twists[j])
         # h is the orientation part; the full gluing acts on the mirrored
         # pants, so mirrored generators are h * mirror(X) * h^-1
-        gens[f"h{j + 1}"] = h @ _MIRROR  # odd part; see _DoubleWords below
+        gens[f"h{j + 1}"] = h @ _MIRROR  # odd part; see the Holonomy docstring
     return GeneratorSet(gens)
 
 

@@ -177,7 +177,7 @@ class LimitReport(NamedTuple):
 
 def detect_limit(points, panel: Panel, tolerance: float = 1e-6,
                  base_point: geo.FNPoint | None = None) -> LimitReport:
-    """Classify the limit of a sequence from its normalized length vectors.
+    """Classify the limit of a sequence from its last two normalized vectors.
 
     Interior limits are recognized by the Fenchel-Nielsen coordinates
     settling; boundary limits by the normalized vectors settling while the
@@ -189,8 +189,8 @@ def detect_limit(points, panel: Panel, tolerance: float = 1e-6,
     if len(pts) < 2:
         raise DomainError("need at least two points to detect a limit")
     base = base_point or pts[0]
-    vecs = [normalized_length_vector(X, base, panel) for X in pts]
-    vec_step = max(abs(a - b) for a, b in zip(vecs[-1], vecs[-2]))
+    prev, last = (normalized_length_vector(X, base, panel) for X in pts[-2:])
+    vec_step = max(abs(a - b) for a, b in zip(last, prev))
     if vec_step > tolerance:
         return LimitReport("none", panel.complexity)
 
@@ -200,6 +200,6 @@ def detect_limit(points, panel: Panel, tolerance: float = 1e-6,
     coord_step = max(abs(a - b) for a, b in zip(coords(pts[-1]), coords(pts[-2])))
     if coord_step <= tolerance * max(1.0, max(map(abs, coords(pts[-1])))):
         return LimitReport("interior", panel.complexity, point=pts[-1])
-    top = max(vecs[-1])
+    top = max(last)
     return LimitReport("boundary", panel.complexity,
-                       projective_vector=tuple(v / top for v in vecs[-1]))
+                       projective_vector=tuple(v / top for v in last))

@@ -1,5 +1,7 @@
 """Command-line behavior: values, exit codes, determinism of outputs."""
 
+import argparse
+import importlib.util
 import json
 import math
 import subprocess
@@ -11,7 +13,8 @@ import pytest
 from arcmetric import cli
 
 ARC = [sys.executable, "-m", "arcmetric.cli"]
-CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "demos" / "configs"
 
 # reports which of the heavy numeric packages, and which of the holonomy
 # layers that only verification reaches, the interpreter has loaded
@@ -162,6 +165,64 @@ def test_class_length_never_loads_holonomy():
     report = loaded_packages(*cases, probe=LIBRARY_PROBE)
     assert report == {"codes": [3, 4, 8, 14, 20, 30, 36, 9, 3, 11, 7, 6, 17],
                       **NOTHING_LOADED}
+
+
+# numpy serves verification only: with every import of it failing, the
+# package still imports and runs each argv of a JSON list and each demo
+# script of another, and holonomy_build names numpy as missing
+NO_NUMPY_PROBE = """
+import contextlib, io, json, runpy, sys
+
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+
+sys.meta_path.insert(0, NoNumpy())
+import arcmetric
+from arcmetric import cli, geometry as geo
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+    for demo in json.loads(sys.argv[2]):
+        runpy.run_path(demo, run_name="__main__")
+try:
+    geo.holonomy_build(geo.pants_point(2, 2, 2))
+    missing = None
+except ModuleNotFoundError as exc:
+    missing = exc.name
+print(json.dumps({"codes": codes, "missing": missing}))
+"""
+GOLDEN = ROOT / "tests" / "golden"
+_spec = importlib.util.spec_from_file_location("golden_record",
+                                               GOLDEN / "record.py")
+record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record)
+
+
+def test_package_runs_without_numpy(tmp_path):
+    golden_argvs = [["experiment", verb, str(record.config_path(config)),
+                     "--csv", str(tmp_path / f"{config}.{verb}.csv"),
+                     "--json", str(tmp_path / f"{config}.{verb}.json")]
+                    for config, verb in record.CASES]
+    demos = sorted(str(d) for d in (ROOT / "demos").glob("0[2-6]_*.py"))
+    assert len(demos) == 5
+    out = subprocess.run([sys.executable, "-c", NO_NUMPY_PROBE,
+                          json.dumps(VERB_ARGVS + golden_argvs),
+                          json.dumps(demos)], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {
+        "codes": [0] * (len(VERB_ARGVS) + len(golden_argvs)),
+        "missing": "numpy"}
+    for config, verb in record.CASES:
+        for suffix in (".csv", ".json"):
+            name = f"{config}.{verb}{suffix}"
+            if (GOLDEN / name).exists():
+                assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+            else:  # separate writes no sweep
+                assert not (tmp_path / name).exists()
 
 
 def test_unsupported_surface_exit_code():
@@ -464,3 +525,26 @@ def test_dt_sphere_samples_below_one_is_usage_error(samples, capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and "--samples: expected an integer >= 1" in err
+
+
+def test_arc_length_refuses_a_curve_and_curve_length_takes_an_arc(capsys):
+    assert cli.main(["arc-length", "--pants", "2,2,2", "--arc", "B1"]) == 3
+    assert "names a curve, not an arc" in capsys.readouterr().err
+    assert cli.main(["arc-length", "--pants", "2,2,2", "--arc", "a12"]) == 0
+    arc = capsys.readouterr().out
+    assert cli.main(["curve-length", "--pants", "2,2,2", "--curve", "a12"]) == 0
+    assert capsys.readouterr().out == arc == "1.70491283\n"
+
+
+def test_every_leaf_verb_has_a_handler():
+    def leaves(parser):
+        subs = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            return [parser]
+        return [leaf for a in subs for p in a.choices.values()
+                for leaf in leaves(p)]
+
+    found = leaves(cli.build_parser())
+    assert len(found) == 10
+    assert all(callable(p.get_default("func")) for p in found)

@@ -229,6 +229,18 @@ def test_detect_limit_boundary_on_scaling_path():
         assert got == pytest.approx(want / top, abs=1e-3)
 
 
+def test_detect_limit_normalizes_only_the_last_two_points(monkeypatch):
+    mu = lam.rational_lamination(S, {S.arc_alias("a33"): 1.0})
+    spec = asy.make_path_spec(mu, geo.pants_point(1, 1, 2))
+    seq = [asy.scaling_path(spec, t) for t in (4, 5, 6, 7, 8)]
+    calls, vector = [], geo.LengthPlan.vector
+    monkeypatch.setattr(geo.LengthPlan, "vector",
+                        lambda plan, X: calls.append(X) or vector(plan, X))
+    assert met.detect_limit(seq, PANEL, 1e-3, base_point=X222).kind == "boundary"
+    # each of the last two points and the base point, once per normalization
+    assert calls == [seq[-2], X222, seq[-1], X222]
+
+
 def test_detect_limit_needs_two_points():
     with pytest.raises(DomainError):
         met.detect_limit([X222], PANEL)
