@@ -119,46 +119,46 @@ class DeviationReport(NamedTuple):
     flagged: bool
 
 
-def _walk(spec: PathSpec, plan: geo.LengthPlan, skip=()):
+def _walk(spec: PathSpec, plan: geo.LengthPlan):
     """The plan's length vectors at X_t, t in spec.grid, one at a time."""
     if plan.surface is not spec.mu.surface and plan.surface != spec.mu.surface:
         raise DomainError("point and length plan live on different surfaces")
     held = {label: geo._checked_length(label, param)
             for label, (kind, param) in spec.regimes if kind == "hold"}
     twists = {label: twist for label, (_, twist) in spec.base_point.interior}
-    return plan.walk(held, (_moving_lengths(spec, t) for t in spec.grid),
-                     twists, skip)
+    return plan.walk(held, (_moving_lengths(spec, t) for t in spec.grid), twists)
 
 
 def deviation_walk(spec: PathSpec, targets):
     """Walk the path once: l_a(X_t) - e^t i(mu, a) for every target a.
 
-    Returns (columns, reports, skipped).  columns maps the index of each
-    supported target to its deviations over the grid, and reports holds its
-    DeviationReport, both in target order; skipped lists (target, reason)
-    for the targets some point does not support.
+    Returns (columns, reports, skipped), each in target order.  columns
+    maps the index of each target the surface supports to its deviations
+    over the grid, reports holds its DeviationReport, and skipped lists
+    (target, reason) for the others, which the walk never sees.
     """
-    plan = geo.LengthPlan(spec.mu.surface, targets)
+    surface, columns, skipped = spec.mu.surface, {}, []
+    for k, target in enumerate(targets):
+        try:
+            geo._route(surface, target)
+            columns[k] = []
+        except UnsupportedClassError as exc:
+            skipped.append((str(target), str(exc)))
+    plan = geo.LengthPlan(surface, [targets[k] for k in columns])
     ivals = plan.intersections(spec.mu)
-    columns = {k: [] for k in range(len(targets))}
-    reasons = {}
-    for t, lengths in zip(spec.grid, _walk(spec, plan, UnsupportedClassError)):
-        if t > ht._LOG_MAX and any(ivals[k] for k in columns):
+    for t, lengths in zip(spec.grid, _walk(spec, plan)):
+        if t > ht._LOG_MAX and any(ivals):
             raise DomainError(f"e^t i(mu, target) overflows at t = {t}")
         et = math.exp(min(t, ht._LOG_MAX))  # past it, every i(mu, target) is 0
-        for k in list(columns):
-            if isinstance(lengths[k], UnsupportedClassError):
-                reasons[k] = str(lengths[k])
-                del columns[k]
-                continue
-            columns[k].append(lengths[k] - et * ivals[k])
+        for devs, length, ival in zip(columns.values(), lengths, ivals):
+            devs.append(length - et * ival)
     reports = []
-    for k, devs in columns.items():
+    for (k, devs), ival in zip(columns.items(), ivals):
         # 0.0 - dev, not -dev: a zero deviation stays +0.0
         lower, upper = max(0.0 - dev for dev in devs), max(devs)
-        reports.append(DeviationReport(str(targets[k]), ivals[k], lower, upper,
+        reports.append(DeviationReport(str(targets[k]), ival, lower, upper,
                                        flagged=max(lower, upper) > _CAP))
-    return columns, reports, [(str(targets[k]), reasons[k]) for k in sorted(reasons)]
+    return columns, reports, skipped
 
 
 def verify_key_inequality(spec: PathSpec, targets):

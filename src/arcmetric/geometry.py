@@ -23,10 +23,7 @@ from typing import NamedTuple
 
 from . import hyptrig as ht
 from .errors import DomainError, UnsupportedClassError
-from .topology import (ArcClass, Surface, SurfaceSignature, build_surface,
-                       double_topology)
-
-_TORUS_SIG = SurfaceSignature(1, 0, 1)
+from .topology import ArcClass, Surface, build_surface, double_topology
 
 
 class FNPoint(NamedTuple):
@@ -137,13 +134,6 @@ def holonomy_build(X: FNPoint):
 # -- length evaluation ----------------------------------------------------------
 
 
-def _refusal(error, message: str) -> tuple:
-    """The route of a class with no length at the plan's points."""
-    def evaluate(L, C, S, T):
-        raise error(message)
-    return (), evaluate
-
-
 def _route(surface: Surface, cls) -> tuple:
     """(input labels, evaluate(lengths, log cosh, log sinh, twists)): the
     one map from a class to the formula for its length at points of surface.
@@ -154,29 +144,29 @@ def _route(surface: Surface, cls) -> tuple:
     the log terms of its sides; a torus slope, and the slope-(1, k) host of
     a twisted torus arc, go through the trace descent of
     hyptrig.torus_slope_length.  Any other class is refused with a typed
-    error when evaluated.
+    error when its plan is built.
     """
     labels, punctures = surface.boundaries + surface.interior_curves, surface.punctures
-    torus, slope = surface.signature == _TORUS_SIG, ht.torus_slope_length
+    torus, slope = surface.signature == (1, 0, 1), ht.torus_slope_length
     if not isinstance(cls, ArcClass):
         if cls.kind in ("boundary", "interior"):
             if cls.label not in labels:
-                return _refusal(DomainError, f"no coordinate curve {cls.label!r} "
-                                             f"on {surface.signature}")
+                raise DomainError(f"no coordinate curve {cls.label!r} "
+                                  f"on {surface.signature}")
             return (cls.label,), lambda L, C, S, T, a=cls.label: L[a]
         if cls.kind != "word":
-            return _refusal(UnsupportedClassError, f"unknown curve kind {cls.kind!r}")
+            raise UnsupportedClassError(f"unknown curve kind {cls.kind!r}")
         if not torus or cls.slope is None:
-            return _refusal(UnsupportedClassError, f"word class {cls.label!r} "
-                                                   f"unsupported on {surface.signature}")
+            raise UnsupportedClassError(f"word class {cls.label!r} "
+                                        f"unsupported on {surface.signature}")
         return ("C1", "B1"), lambda L, C, S, T, p=cls.slope[0], q=cls.slope[1]: \
             slope(L["C1"], T["C1"], L["B1"], p, q)
     if surface.double_of is not None:
-        return _refusal(DomainError, "arcs live on bordered surfaces, not doubles")
+        raise DomainError("arcs live on bordered surfaces, not doubles")
     if cls.twist != 0:
         if not torus:
-            return _refusal(UnsupportedClassError, "twisted arcs are registered "
-                                                   "on the one-holed torus only")
+            raise UnsupportedClassError("twisted arcs are registered "
+                                        "on the one-holed torus only")
 
         def twisted(L, C, S, T, k=cls.twist, same=ht.arc_length_same_boundary):
             # the host pants is bounded by the boundary and two copies of
@@ -187,15 +177,14 @@ def _route(surface: Surface, cls) -> tuple:
     kind, a, b, c = cls.pattern
     for label in (a, b, c):
         if label not in labels and label not in punctures:
-            return _refusal(DomainError, f"no coordinate curve {label!r} "
-                                         f"on {surface.signature}")
+            raise DomainError(f"no coordinate curve {label!r} on {surface.signature}")
     if kind == "same":  # from a back to a, separating b and c
         if a in punctures:
-            return _refusal(DomainError, "arc from a cusp is undefined (lb = 0)")
+            raise DomainError("arc from a cusp is undefined (lb = 0)")
         return (a, b, c), lambda L, C, S, T, same=ht.arc_same_from_logs: same(
             L[b], L[c], C[a], S[a], C[b], C[c])
     if a in punctures or b in punctures:  # from a to b, c the third side
-        return _refusal(DomainError, "arc endpoint on a cusp is undefined (lb = 0)")
+        raise DomainError("arc endpoint on a cusp is undefined (lb = 0)")
     return (a, b, c), lambda L, C, S, T, distinct=ht.arc_distinct_from_logs: distinct(
         L[a], L[b], C[c], S[a], S[b])
 
@@ -219,9 +208,9 @@ class _HalfLengthLogs(dict):
 class LengthPlan:
     """Length vectors of an ordered list of classes, compiled once.
 
-    Each entry is compiled to its _route; a point of another surface than
-    the plan's is a DomainError.  The plan also keeps the intersection
-    vector of each lamination it is asked for.
+    Each entry is compiled to its _route, which refuses it if it has no
+    length on the surface; a point of another surface is a DomainError.
+    The plan keeps the intersection vector of each lamination it is asked for.
     """
 
     def __init__(self, surface: Surface, entries):
@@ -241,17 +230,16 @@ class LengthPlan:
         twists = {label: twist for label, (_, twist) in X.interior}
         return next(self.walk(held, ({},), twists))
 
-    def walk(self, held: dict, moving, twists: dict, skip=()):
+    def walk(self, held: dict, moving, twists: dict):
         """Yield the length vector at each point of a path, a new list each.
 
         held maps the labels every point shares to their (checked) lengths;
         moving yields the checked lengths of the other labels, point by
         point; twists maps each interior label to the twist all points
-        share.  A label's log terms are computed when an entry first reads
-        them at a point, a held label's once.  The first point is evaluated
-        in full, in entry order; later ones re-evaluate only the entries
-        with a moving input.  An entry raising one of `skip` holds that
-        exception from then on."""
+        share; each vector holds only floats.  A label's log terms are
+        computed when an entry first reads them at a point, a held label's
+        once.  The first point is evaluated in full, in entry order; later
+        ones re-evaluate only the entries with a moving input."""
         lengths = {**self._punctures, **held}
         lc, ls = (_HalfLengthLogs(f, lengths) for f in self._log_terms)
         routes = self._routes
@@ -264,13 +252,7 @@ class LengthPlan:
                 lc.pop(label, None)
                 ls.pop(label, None)
             for k in indices:
-                try:
-                    vec[k] = routes[k][1](lengths, lc, ls, twists)
-                except skip as exc:
-                    vec[k] = exc
-            if skip:
-                moving_entries = [k for k in moving_entries
-                                  if not isinstance(vec[k], skip)]
+                vec[k] = routes[k][1](lengths, lc, ls, twists)
             yield vec
             vec, indices = vec.copy(), moving_entries
 

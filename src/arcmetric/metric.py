@@ -163,7 +163,11 @@ def normalized_length_vector(X: geo.FNPoint, base_point: geo.FNPoint,
     intersection-number vector.
     """
     plan = geo.panel_plan(panel)
-    lengths, base = plan.vector(X), plan.vector(base_point)
+    return _normalized(plan.vector(X), plan.vector(base_point))
+
+
+def _normalized(lengths, base) -> tuple[float, ...]:
+    """lengths divided by their maximal ratio against base."""
     sup = max(l / b for l, b in zip(lengths, base))
     return tuple(l / sup for l in lengths)
 
@@ -188,8 +192,9 @@ def detect_limit(points, panel: Panel, tolerance: float = 1e-6,
     pts = list(points)
     if len(pts) < 2:
         raise DomainError("need at least two points to detect a limit")
-    base = base_point or pts[0]
-    prev, last = (normalized_length_vector(X, base, panel) for X in pts[-2:])
+    plan = geo.panel_plan(panel)
+    base = plan.vector(base_point or pts[0])
+    prev, last = (_normalized(plan.vector(X), base) for X in pts[-2:])
     vec_step = max(abs(a - b) for a, b in zip(last, prev))
     if vec_step > tolerance:
         return LimitReport("none", panel.complexity)

@@ -14,8 +14,9 @@ from arcmetric import geometry as geo
 from arcmetric import hyptrig as ht
 from arcmetric import lamination as lam
 from arcmetric import metric as met
-from arcmetric.errors import DomainError, InvalidSpecError, NoWitnessError
-from arcmetric.topology import (ArcClass, CurveClass, build_surface,
+from arcmetric.errors import (DegeneratePanelError, DomainError, InvalidSpecError,
+                              NoWitnessError)
+from arcmetric.topology import (ArcClass, CurveClass, Panel, build_surface,
                                 enumerate_panel)
 
 S = geo.pants_surface()
@@ -201,6 +202,19 @@ def test_unsupported_target_skipped_with_notice():
     reports, skipped = asy.verify_key_inequality(spec, [word])
     assert reports == []
     assert len(skipped) == 1 and skipped[0][0] == "w(1,1)"
+
+
+def test_deviation_walk_leaves_skipped_targets_out_of_the_plan(monkeypatch):
+    # support is decided once per target, before the walk: a skipped target
+    # gets no intersection number and no column, and keeps its place in order
+    word = CurveClass("word", "w(1,1)", (1, 1))
+    seen, intersection = [], lam.intersection_number
+    monkeypatch.setattr(lam, "intersection_number",
+                        lambda m, e: seen.append(e) or intersection(m, e))
+    columns, reports, skipped = asy.deviation_walk(SPEC, [word, A12, word])
+    assert list(columns) == [1] and [r.target for r in reports] == [str(A12)]
+    assert skipped == [("w(1,1)", "word class 'w(1,1)' unsupported on S_0,0,3")] * 2
+    assert seen == [A12]
 
 
 def test_deviation_walk_matches_key_inequality():
@@ -448,3 +462,10 @@ def test_separation_exhaustion_reports_attempts():
 def test_abs_double_chi():
     assert asy.abs_double_chi(S) == 2
     assert asy.abs_double_chi(T) == 2
+
+
+def test_boundary_convergence_on_a_panel_mu_misses():
+    # a33 crosses no panel entry: the normalized intersection vector is 0/0
+    panel = Panel(S, 0, (CurveClass("boundary", "B1"),))
+    with pytest.raises(DegeneratePanelError, match="misses the driving lamination"):
+        asy.boundary_convergence(SPEC, panel)

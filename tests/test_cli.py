@@ -342,6 +342,39 @@ def test_malformed_numbers_are_typed_errors(argv, edit, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+# argv, exit code, the start of stderr; MISSING is a config path that does
+# not exist, and HUGE_GRID a config whose grid has 2 * 10**6 + 1 points
+ERROR_CONTRACT = [
+    (["arc-length", "--pants", "--arc", "a12"], 3,
+     "error: missing Fenchel-Nielsen coordinates\n"),
+    (["arc-length", "--point", "2,2,2", "--arc", "a12"], 3,
+     "error: select a surface with --pants or --torus\n"),
+    (["horofn", "--pants", "--base", "2,2,2", "--at", "3,3,3"], 3,
+     "error: give --point (interior) or --mu (boundary)\n"),
+    (["experiment", "boundary-limit", "MISSING"], 3,
+     "error: config MISSING: [Errno 2]"),
+    (["experiment", "boundary-limit", "HUGE_GRID"], 3,
+     "error: config grid {'start': 0, 'stop': 2000000.0, 'step': 1} "
+     "has over 10**6 points\n"),
+    (["curve-length", "--pants", "2,2,2", "--curve", "w(1,1)"], 4,
+     "unsupported: word class 'w(1,1)' unsupported on S_0,0,3\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", ERROR_CONTRACT,
+                         ids=[" ".join(argv) for argv, _, _ in ERROR_CONTRACT])
+def test_error_contract_in_process(argv, code, err, tmp_path, capsys):
+    paths = {"MISSING": tmp_path / "missing.json", "HUGE_GRID": tmp_path / "huge.json"}
+    cfg = json.loads((CONFIGS / "demo_boundary_pants.json").read_text())
+    cfg["grid"] = {"start": 0, "stop": 2e6, "step": 1}
+    paths["HUGE_GRID"].write_text(json.dumps(cfg))
+    argv = [str(paths.get(arg, arg)) for arg in argv]
+    assert cli.main(argv) == code
+    out, stderr = capsys.readouterr()
+    assert out == "" and stderr.startswith(err.replace("MISSING", argv[-1]))
+    assert stderr.count("\n") == 1
+
+
 def test_parser_is_built_once_and_reused(capsys):
     mu = json.dumps([{"class_id": "a33", "weight": 1.0}])
     argvs = [["distance", "--pants", "--x", "2,2,2"],  # usage error: no --y

@@ -10,7 +10,7 @@ from arcmetric import geometry as geo
 from arcmetric import lamination as lam
 from arcmetric import metric as met
 from arcmetric.errors import DegeneratePanelError, DomainError
-from arcmetric.topology import CurveClass, enumerate_panel
+from arcmetric.topology import CurveClass, Panel, enumerate_panel
 
 S = geo.pants_surface()
 PANEL = enumerate_panel(S, 0)
@@ -233,14 +233,27 @@ def test_detect_limit_normalizes_only_the_last_two_points(monkeypatch):
     mu = lam.rational_lamination(S, {S.arc_alias("a33"): 1.0})
     spec = asy.make_path_spec(mu, geo.pants_point(1, 1, 2))
     seq = [asy.scaling_path(spec, t) for t in (4, 5, 6, 7, 8)]
-    calls, vector = [], geo.LengthPlan.vector
+    calls, vector, plans, panel_plan = [], geo.LengthPlan.vector, [], geo.panel_plan
     monkeypatch.setattr(geo.LengthPlan, "vector",
                         lambda plan, X: calls.append(X) or vector(plan, X))
+    monkeypatch.setattr(geo, "panel_plan",
+                        lambda panel: plans.append(panel) or panel_plan(panel))
     assert met.detect_limit(seq, PANEL, 1e-3, base_point=X222).kind == "boundary"
-    # each of the last two points and the base point, once per normalization
-    assert calls == [seq[-2], X222, seq[-1], X222]
+    # one plan; the base point once, then each of the last two points
+    assert calls == [X222, seq[-2], seq[-1]]
+    assert plans == [PANEL]
 
 
 def test_detect_limit_needs_two_points():
     with pytest.raises(DomainError):
         met.detect_limit([X222], PANEL)
+
+
+def test_metric_inputs_without_a_value_are_typed_errors():
+    with pytest.raises(DomainError, match="points live on different surfaces"):
+        met.arc_metric(X222, geo.torus_point(1.0, 0.0, 2.0), PANEL)
+    with pytest.raises(DomainError, match="panel is empty"):
+        met.thurston_vector(X222, Panel(S, 0, ()))
+    zero = lam.rational_lamination(S, {})
+    with pytest.raises(DomainError, match="needs a nonzero lamination"):
+        met.boundary_horofunction(zero, X222, PANEL)

@@ -226,14 +226,40 @@ def test_errors_match_class_length():
         geo.panel_plan(enumerate_panel(TORUS, 0)).vector(X)
 
 
-def test_walk_skips_entries_raising_a_skip_type():
-    X = geo.pants_point(1.0, 2.0, 3.0)
-    word = CurveClass("word", "w(1,1)", (1, 1))
-    b1 = CurveClass("boundary", "B1")
-    plan = geo.LengthPlan(X.surface, [b1, word])
-    held = {label: X.length_of(label) for label in X.surface.boundaries}
-    first, second = plan.walk(held, ({}, {}), {}, skip=UnsupportedClassError)
-    assert first[0] == second[0] == 1.0
-    assert isinstance(first[1], UnsupportedClassError) and second[1] is first[1]
-    with pytest.raises(UnsupportedClassError):
-        list(plan.walk(held, ({},), {}))
+PANTS_POINT = geo.pants_point(1.0, 2.0, 3.0)
+A12 = PANTS_POINT.surface.arc_alias("a12")
+# S_0,1,2 is one pants with sides B1, B2 and the cusp U1
+CUSPED_POINT = geo.fn_point(build_surface(0, 1, 2), {}, {"B1": 1.0, "B2": 2.0})
+REFUSALS = [
+    ("missing coordinate label", PANTS_POINT, CurveClass("boundary", "B9"),
+     DomainError, "no coordinate curve 'B9' on S_0,0,3"),
+    ("unknown curve kind", PANTS_POINT, CurveClass("loop", "l1"),
+     UnsupportedClassError, "unknown curve kind 'loop'"),
+    ("word class off the torus", PANTS_POINT, CurveClass("word", "w(1,1)", (1, 1)),
+     UnsupportedClassError, "word class 'w(1,1)' unsupported on S_0,0,3"),
+    ("arc on a double", geo.double_point(PANTS_POINT), A12,
+     DomainError, "arcs live on bordered surfaces, not doubles"),
+    ("twisted arc off the torus", PANTS_POINT, ArcClass("P1", A12.pattern, twist=2),
+     UnsupportedClassError, "twisted arcs are registered on the one-holed torus only"),
+    ("missing arc side", PANTS_POINT, ArcClass("P1", ("distinct", "B1", "B9", "B3")),
+     DomainError, "no coordinate curve 'B9' on S_0,0,3"),
+    ("same-boundary arc from a cusp", CUSPED_POINT,
+     ArcClass("P1", ("same", "U1", "B1", "B2")),
+     DomainError, "arc from a cusp is undefined (lb = 0)"),
+    ("distinct arc ending on a cusp", CUSPED_POINT,
+     ArcClass("P1", ("distinct", "B1", "U1", "B2")),
+     DomainError, "arc endpoint on a cusp is undefined (lb = 0)"),
+]
+
+
+@pytest.mark.parametrize("X, cls, error, message", [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_plan_build_refuses_a_class_without_length(X, cls, error, message):
+    # a class's support depends on the surface alone, so the plan refuses it
+    # when it is built, with the type and message class_length raises
+    with pytest.raises(error) as built:
+        geo.LengthPlan(X.surface, [CurveClass("boundary", "B1"), cls])
+    assert str(built.value) == message
+    with pytest.raises(error) as evaluated:
+        geo.class_length(X, cls)
+    assert str(evaluated.value) == message

@@ -115,3 +115,10 @@ def test_boundary_limit_on_word_panels_reaches_t10(n):
     series = asy.boundary_convergence(spec, PANELS[n])
     assert [t for t, _ in series] == list(asy.DEFAULT_GRID)
     assert series[-1][1] <= 1e-4
+
+
+def test_slope_edge_cases():
+    # the slope (1, 0) is C1 itself, read exactly; a slope is primitive
+    assert ht.torus_slope_length(1, 0.3, 2, 1, 0) == 1.0
+    with pytest.raises(DomainError, match=r"slope \(2,2\) is not primitive"):
+        ht.torus_slope_length(1, 0.3, 2, 2, 2)
