@@ -11,8 +11,8 @@ Twists are hyperbolic lengths, positive = right twist; the mirror side of a
 double carries negated twists.
 
 holonomy_build, the explicit holonomy matrices that verify the formulas
-(word lengths on doubles among them), loads the holonomy layer and numpy (a
-`test` extra) on first use; every length here runs on the standard library.
+(word lengths on doubles among them), loads the holonomy layer on first use;
+like every length here, it runs on the standard library.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def double_point(X: FNPoint) -> FNPoint:
 @lru_cache(maxsize=256)
 def holonomy_build(X: FNPoint):
     """holonomy.Holonomy of a pants or a tier-1 double, the verification
-    route (word lengths on doubles included); needs numpy, a `test` extra."""
+    route (word lengths on doubles included)."""
     from . import holonomy as ho
 
     return ho.point_holonomy(X)

@@ -5,7 +5,8 @@ real line, with (1, 0) = infinity.  Geodesics are oriented pairs of distinct
 boundary points.  Isometries are real 2x2 matrices of determinant +1 acting
 by Mobius transformations; matrices of determinant -1 represent reflections
 z -> M(conj(z)), and the product of two reflection matrices is the matrix of
-the composed (orientation-preserving) isometry.
+the composed (orientation-preserving) isometry.  A matrix is the row-major
+4-tuple (a, b, c, d) of floats; mul and inv are its only algebra.
 """
 
 from __future__ import annotations
@@ -13,11 +14,26 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DomainError
 
 INF = (1.0, 0.0)
+
+
+def mul(*Ms) -> tuple[float, float, float, float]:
+    """Product of 2x2 matrices (a, b, c, d), taken left to right."""
+    a, b, c, d = Ms[0]
+    for e, f, g, h in Ms[1:]:
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return (a, b, c, d)
+
+
+def inv(M) -> tuple[float, float, float, float]:
+    """Inverse of a 2x2 matrix; DomainError when it is singular or not finite."""
+    a, b, c, d = M
+    det = a * d - b * c
+    if not (math.isfinite(det) and det != 0.0):
+        raise DomainError("singular or non-finite matrix")
+    return (d / det, -b / det, -c / det, a / det)
 
 
 def bpoint(x) -> tuple[float, float]:
@@ -59,13 +75,13 @@ def geodesic_from_circle(center: float, radius: float, toward_right=True) -> Geo
 
 def mobius_boundary(M, p) -> tuple[float, float]:
     """Image of a projective boundary point under the Mobius action of M."""
-    return (M[0, 0] * p[0] + M[0, 1] * p[1], M[1, 0] * p[0] + M[1, 1] * p[1])
+    a, b, c, d = M
+    return (a * p[0] + b * p[1], c * p[0] + d * p[1])
 
 
 def mobius_interior(M, z: complex) -> complex:
-    num = M[0, 0] * z + M[0, 1]
-    den = M[1, 0] * z + M[1, 1]
-    return num / den
+    a, b, c, d = M
+    return (a * z + b) / (c * z + d)
 
 
 def apply_to_geodesic(M, g: Geodesic) -> Geodesic:
@@ -106,14 +122,14 @@ def reflection_matrix(g: Geodesic):
         # vertical line x = x0: z -> 2*x0 - conj(z)
         p = g.start if abs(g.start[1]) >= 1e-300 else g.end
         x0 = p[0] / p[1]
-        return np.array([[-1.0, 2.0 * x0], [0.0, 1.0]])
+        return (-1.0, 2.0 * x0, 0.0, 1.0)
     m, r = g.center_radius()
-    return np.array([[m, r * r - m * m], [1.0, -m]]) / r
+    return (m / r, (r * r - m * m) / r, 1.0 / r, -m / r)
 
 
 def fixed_points(M) -> tuple[tuple[float, float], tuple[float, float]]:
     """(repelling, attracting) boundary fixed points of a hyperbolic matrix."""
-    a, b, c, d = M[0, 0], M[0, 1], M[1, 0], M[1, 1]
+    a, b, c, d = M
     tr = a + d
     disc = tr * tr - 4.0
     if disc <= 0:
@@ -138,7 +154,7 @@ def axis(M) -> Geodesic:
 
 def translation_length(M) -> float:
     """Translation length 2*arccosh(|tr|/2) of a hyperbolic matrix."""
-    t = abs(float(np.trace(M))) / 2.0
+    t = abs(M[0] + M[3]) / 2.0
     if t < 1.0:
         if t > 1.0 - 1e-12:
             return 0.0
@@ -148,17 +164,17 @@ def translation_length(M) -> float:
 
 def frame_matrix(g: Geodesic, foot: complex):
     """Unique M in PSL(2,R) sending (imaginary axis 0->oo, i) to (g, foot)."""
-    C = np.array([[g.end[0], g.start[0]], [g.end[1], g.start[1]]], dtype=float)
-    det = np.linalg.det(C)
-    if det < 0:
-        C = C @ np.diag([1.0, -1.0])
-        det = -det
-    C = C / math.sqrt(det)
-    w = mobius_interior(np.linalg.inv(C), foot)
+    (a, c), (b, d) = g.end, g.start  # columns end, start (negated if det < 0)
+    det = a * d - b * c
+    if not (math.isfinite(det) and det != 0.0):
+        raise DomainError("degenerate geodesic (coincident endpoints)")
+    n, sign = math.sqrt(abs(det)), math.copysign(1.0, det)
+    C = (a / n, sign * b / n, c / n, sign * d / n)
+    w = mobius_interior(inv(C), foot)
     if w.imag <= 0 or abs(w.real) > 1e-6 * w.imag:
         raise DomainError("foot does not lie on the geodesic")
-    y = w.imag
-    return C @ np.diag([math.sqrt(y), 1.0 / math.sqrt(y)])
+    y = math.sqrt(w.imag)
+    return (C[0] * y, C[1] / y, C[2] * y, C[3] / y)
 
 
 def point_along(g: Geodesic, foot: complex, s: float) -> complex:

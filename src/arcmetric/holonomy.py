@@ -20,24 +20,18 @@ import math
 import sys
 from typing import NamedTuple
 
-import numpy as np
-
 from . import halfplane as hp
 from .errors import DomainError, UnsupportedClassError, UnsupportedSurfaceError
 from .topology import Surface, SurfaceSignature
 
 _PANTS_SIG = SurfaceSignature(0, 0, 3)
 _TORUS_SIG = SurfaceSignature(1, 0, 1)
-_MIRROR = np.array([[-1.0, 0.0], [0.0, 1.0]])  # reflection in the imaginary axis
 
 
 def _mirror_matrix(M):
     """Conjugate a holonomy matrix by the mirror z -> -conj(z)."""
-    return _MIRROR @ M @ _MIRROR
-
-
-def _mirror_geodesic(g: hp.Geodesic) -> hp.Geodesic:
-    return hp.Geodesic((-g.start[0], g.start[1]), (-g.end[0], g.end[1]))
+    a, b, c, d = M
+    return (a, -b, -c, d)
 
 
 class PantsRealization(NamedTuple):
@@ -51,7 +45,7 @@ class PantsRealization(NamedTuple):
     lengths: tuple[float, float, float]
     cuff_axes: tuple[hp.Geodesic, hp.Geodesic, hp.Geodesic]
     cuff_feet: tuple[complex, complex, complex]
-    cuff_matrices: tuple[np.ndarray, np.ndarray, np.ndarray]
+    cuff_matrices: tuple[tuple, tuple, tuple]
     seam_lengths: dict  # frozenset({i, j}) -> perpendicular distance
 
 
@@ -170,9 +164,9 @@ def build_pants(l1: float, l2: float, l3: float) -> PantsRealization:
     r12 = hp.reflection_matrix(seam12)
     r13 = hp.reflection_matrix(seam13)
     r23 = hp.reflection_matrix(seam23)
-    X1 = r13 @ r12
-    X2 = r12 @ r23
-    X3 = r23 @ r13
+    X1 = hp.mul(r13, r12)
+    X2 = hp.mul(r12, r23)
+    X3 = hp.mul(r23, r13)
     # orient each cuff axis along its own holonomy, body on the left
     axis1 = hp.axis(X1)
     axis2 = hp.axis(X2)
@@ -232,7 +226,7 @@ def pants_arc_lengths_oracle(l1: float, l2: float, l3: float) -> dict:
 
 def glue_matrix(target_axis: hp.Geodesic, target_foot: complex,
                 source_axis: hp.Geodesic, source_foot: complex,
-                twist: float) -> np.ndarray:
+                twist: float) -> tuple:
     """Matrix g mapping source cuff onto target cuff with opposite orientation.
 
     g sends source_axis to target_axis reversed and source_foot to the point
@@ -243,11 +237,21 @@ def glue_matrix(target_axis: hp.Geodesic, target_foot: complex,
     shifted = hp.point_along(target_axis, target_foot, twist)
     F_target = hp.frame_matrix(target_axis.reversed(), shifted)
     F_source = hp.frame_matrix(source_axis, source_foot)
-    return F_target @ np.linalg.inv(F_source)
+    return hp.mul(F_target, hp.inv(F_source))
+
+
+def _mirror_gluing(pants: PantsRealization, j: int, twist: float) -> tuple:
+    """Odd (det -1) gluing of cuff j to its mirror image (axis mirrored and
+    reversed, foot conjugated), right-multiplied by the mirror z -> -conj(z)."""
+    axis, foot = pants.cuff_axes[j], pants.cuff_feet[j]
+    mirror_axis = hp.Geodesic((-axis.end[0], axis.end[1]),
+                              (-axis.start[0], axis.start[1]))
+    a, b, c, d = glue_matrix(axis, foot, mirror_axis, -foot.conjugate(), twist)
+    return (-a, b, -c, d)
 
 
 def _normalize_sign(M):
-    return M if M[0, 0] + M[1, 1] >= 0 else -M
+    return M if M[0] + M[3] >= 0 else tuple(-x for x in M)
 
 
 class GeneratorSet:
@@ -256,22 +260,20 @@ class GeneratorSet:
     def __init__(self, generators: dict):
         self.generators = dict(generators)
 
-    def matrix(self, word) -> np.ndarray:
+    def matrix(self, word) -> tuple:
         """Evaluate a word: sequence of (name, exponent) pairs."""
-        M = np.eye(2)
+        M = (1.0, 0.0, 0.0, 1.0)
         for name, exp in word:
             G = self.generators[name]
             if exp < 0:
-                G = np.linalg.inv(G)
-                exp = -exp
-            for _ in range(exp):
-                M = M @ G
+                G = hp.inv(G)
+            M = hp.mul(M, *[G] * abs(exp))
         return _normalize_sign(M)
 
     def word_length(self, word) -> float:
         """Geodesic length of the free homotopy class of a word."""
         M = self.matrix(word)
-        if not np.all(np.isfinite(M)):
+        if not all(map(math.isfinite, M)):
             raise DomainError("holonomy overflow: word length exceeds double range")
         return hp.translation_length(M)
 
@@ -293,13 +295,8 @@ def pants_double_holonomy(lengths, twists) -> GeneratorSet:
             "x2": pants.cuff_matrices[1],
             "x3": pants.cuff_matrices[2]}
     for j in range(3):
-        mirror_axis = _mirror_geodesic(pants.cuff_axes[j]).reversed()
-        mirror_foot = -pants.cuff_feet[j].conjugate()
-        h = glue_matrix(pants.cuff_axes[j], pants.cuff_feet[j],
-                        mirror_axis, mirror_foot, twists[j])
-        # h is the orientation part; the full gluing acts on the mirrored
-        # pants, so mirrored generators are h * mirror(X) * h^-1
-        gens[f"h{j + 1}"] = h @ _MIRROR  # odd part; see the Holonomy docstring
+        # h acts on the mirrored pants: mirrored generators are h mirror(X) h^-1
+        gens[f"h{j + 1}"] = _mirror_gluing(pants, j, twists[j])
     return GeneratorSet(gens)
 
 
@@ -318,27 +315,23 @@ def torus_double_holonomy(l_curve, tw_curve, l_boundary, tw_boundary,
     pants = build_pants(l_curve, l_curve, l_boundary)
     t_u = glue_matrix(pants.cuff_axes[0], pants.cuff_feet[0],
                       pants.cuff_axes[1], pants.cuff_feet[1], tw_curve)
-
-    mirror_axis3 = _mirror_geodesic(pants.cuff_axes[2]).reversed()
-    mirror_foot3 = -pants.cuff_feet[2].conjugate()
-    h3 = glue_matrix(pants.cuff_axes[2], pants.cuff_feet[2],
-                     mirror_axis3, mirror_foot3, tw_boundary) @ _MIRROR
+    h3 = _mirror_gluing(pants, 2, tw_boundary)
 
     # lower handle letter: the mirrored pants' own gluing with twist tw_curve_m,
     # expressed in the mirror-normalized coordinates and conjugated across B
     t_l_norm = _mirror_matrix(
         glue_matrix(pants.cuff_axes[0], pants.cuff_feet[0],
                     pants.cuff_axes[1], pants.cuff_feet[1], -tw_curve_m))
-    H3 = h3  # det -1 block: conjugation h3 * M * h3^-1 is orientation-correct
-    bm = H3 @ t_l_norm @ np.linalg.inv(H3)
+    # h3 is odd, so conjugation h3 * M * h3^-1 is orientation-correct
+    h3_inv = hp.inv(h3)
     return GeneratorSet({
         "a": pants.cuff_matrices[0],
         "b": t_u,
         "x3": pants.cuff_matrices[2],
         "h3": h3,
-        "bm": _normalize_sign(bm),
-        "am": _normalize_sign(H3 @ _mirror_matrix(pants.cuff_matrices[0])
-                              @ np.linalg.inv(H3)),
+        "bm": _normalize_sign(hp.mul(h3, t_l_norm, h3_inv)),
+        "am": _normalize_sign(hp.mul(
+            h3, _mirror_matrix(pants.cuff_matrices[0]), h3_inv)),
     })
 
 
@@ -365,14 +358,15 @@ class Holonomy:
 
     def generator_trace_errors(self) -> dict:
         """|trace| vs 2cosh(l/2) for every coordinate curve with a word."""
-        return {label: abs(abs(float(np.trace(self.gens.matrix(self.words[label]))))
-                           - 2.0 * math.cosh(length / 2.0))
+        return {label: abs(abs(a + d) - 2.0 * math.cosh(length / 2.0))
                 for label, length in self._boundary_lengths.items()
-                if label in self.words}
+                if label in self.words
+                for a, _, _, d in [self.gens.matrix(self.words[label])]}
 
     def relator_residuals(self) -> list[float]:
         """Deviation of the defining relators from +-identity."""
-        return [min(float(np.abs(M - s * np.eye(2)).max()) for s in (1, -1))
+        return [min(max(abs(x - s * e) for x, e in zip(M, (1, 0, 0, 1)))
+                    for s in (1, -1))
                 for M in map(self.gens.matrix, self.words.get("_relators", []))]
 
 

@@ -42,7 +42,7 @@ def log_sinh(x: float) -> float:
         raise DomainError("log_sinh needs a positive argument")
     if x < 1e-8:
         return math.log(x)  # sinh(x) = x (1 + x^2/6 + ...), correction < 1e-17
-    return x + math.log1p(-math.exp(-2.0 * x)) - _LN2
+    return x + math.log(-math.expm1(-2.0 * x)) - _LN2
 
 
 def _asinh_of_exp(lx: float) -> float:

@@ -319,15 +319,24 @@ class Panel:
         return iter(self.entries)
 
 
+# the level comes from outside input; the torus panel grows quadratically in
+# it (610,384 entries at level 1000), and off the torus levels above 0 add
+# nothing but loop iterations
+_MAX_PANEL_LEVEL = 1000
+
+
 def enumerate_panel(surface: Surface, complexity: int = 0) -> Panel:
     """Deterministic panel, monotone in complexity; built once per level.
 
     Level 0 holds the boundary classes, the decomposition curves, and all
     pants-local arcs; higher levels append registered word classes (tier-1
-    surfaces only).
+    surfaces only).  Levels outside [0, 1000] are a DomainError.
     """
     if complexity < 0:
         raise DomainError("panel complexity must be >= 0")
+    if complexity > _MAX_PANEL_LEVEL:
+        raise DomainError(f"panel complexity must be <= {_MAX_PANEL_LEVEL}, "
+                          f"got {complexity}")
     if complexity in surface._panels:
         return surface._panels[complexity]
     entries: list = []

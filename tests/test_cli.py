@@ -4,6 +4,7 @@ import argparse
 import importlib.util
 import json
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -167,9 +168,9 @@ def test_class_length_never_loads_holonomy():
                       **NOTHING_LOADED}
 
 
-# numpy serves verification only: with every import of it failing, the
-# package still imports and runs each argv of a JSON list and each demo
-# script of another, and holonomy_build names numpy as missing
+# the package runs on the standard library: with every import of numpy
+# failing, it still imports and runs each argv of a JSON list and each demo
+# script of another, and holonomy_build still builds a holonomy
 NO_NUMPY_PROBE = """
 import contextlib, io, json, runpy, sys
 
@@ -188,12 +189,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
     for demo in json.loads(sys.argv[2]):
         runpy.run_path(demo, run_name="__main__")
-try:
-    geo.holonomy_build(geo.pants_point(2, 2, 2))
-    missing = None
-except ModuleNotFoundError as exc:
-    missing = exc.name
-print(json.dumps({"codes": codes, "missing": missing}))
+b1 = geo.holonomy_build(geo.pants_point(2, 2, 2)).word_length("B1")
+print(json.dumps({"codes": codes, "B1": b1}))
 """
 GOLDEN = ROOT / "tests" / "golden"
 _spec = importlib.util.spec_from_file_location("golden_record",
@@ -207,15 +204,15 @@ def test_package_runs_without_numpy(tmp_path):
                      "--csv", str(tmp_path / f"{config}.{verb}.csv"),
                      "--json", str(tmp_path / f"{config}.{verb}.json")]
                     for config, verb in record.CASES]
-    demos = sorted(str(d) for d in (ROOT / "demos").glob("0[2-6]_*.py"))
-    assert len(demos) == 5
+    demos = sorted(str(d) for d in (ROOT / "demos").glob("0[1-6]_*.py"))
+    assert len(demos) == 6
     out = subprocess.run([sys.executable, "-c", NO_NUMPY_PROBE,
                           json.dumps(VERB_ARGVS + golden_argvs),
                           json.dumps(demos)], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == {
-        "codes": [0] * (len(VERB_ARGVS) + len(golden_argvs)),
-        "missing": "numpy"}
+    report = json.loads(out.stdout)
+    assert report["codes"] == [0] * (len(VERB_ARGVS) + len(golden_argvs))
+    assert report["B1"] == pytest.approx(2.0, abs=1e-12)
     for config, verb in record.CASES:
         for suffix in (".csv", ".json"):
             name = f"{config}.{verb}{suffix}"
@@ -318,6 +315,7 @@ MALFORMED_NUMBERS = [
       for value in BAD_POINTS],
     *[(["experiment", "horo-converge"], {"probes": [value]})
       for value in BAD_POINTS],
+    (["experiment", "inequality"], {"panel_n": 10**12}),
     (["arc-length", "--pants", "a,b,c", "--arc", "a12"], None),
     (["distance", "--pants", "--x", "1,1,x", "--y", "2,2,2"], None),
     (["horofn", "--pants", "--base", "1,1,1", "--at", "3,q,3",
@@ -358,6 +356,8 @@ ERROR_CONTRACT = [
      "has over 10**6 points\n"),
     (["curve-length", "--pants", "2,2,2", "--curve", "w(1,1)"], 4,
      "unsupported: word class 'w(1,1)' unsupported on S_0,0,3\n"),
+    (["distance", "--pants", "--x", "2,2,2", "--y", "4,4,4", "--panel-n", "1001"],
+     3, "error: panel complexity must be <= 1000, got 1001\n"),
 ]
 
 
@@ -581,3 +581,73 @@ def test_every_leaf_verb_has_a_handler():
     found = leaves(cli.build_parser())
     assert len(found) == 10
     assert all(callable(p.get_default("func")) for p in found)
+
+
+# values the argv fuzz draws from besides plain lengths: edge and bad
+# numbers, ids, lamination JSON and panel levels (small, negative, just past
+# the cap and huge)
+FUZZ_NUMBERS = ["-0.7", "0", "-1", "1e-9", "40", "1e308", "inf", "nan", "x", ""]
+FUZZ_VALUES = {
+    "--arc": ["a12", "a33", "B1", "C1", "a(B1;C1,C1)", "a(B1;C1,C1)~1",
+              "w(1,1)", "w(a,b)", "w(1)", "zz", ""],
+    "--mu": ['[{"class_id": "a33", "weight": 1}]', '[{"class_id": "a33"}]',
+             '[{"class_id": "C1", "weight": 2}]', '[{"class_id": "B1", "weight": 1}]',
+             '[{"class_id": "w(1,1)", "weight": 1}]', '[{"class_id": "a33", '
+             '"weight": -1}]', '[{"class_id": "a33", "weight": "x"}]', "[]",
+             "{}", "[5]", "a33", ""],
+    "--panel-n": ["0", "1", "3", "-1", "1001", str(10 ** 12), "x"],
+    "--surface": ["0,0,3", "1,0,1", "0,0,4", "1,0,2", "0,0,2", "0,0", "a,b,c"],
+    "--samples": ["1", "3", "0", "x"],
+    "--seed": ["0", "7", "x"],
+}
+FUZZ_VALUES["--curve"] = FUZZ_VALUES["--arc"]
+FUZZ_FLAGS = {"arc-length": ["--point", "--arc"],
+              "curve-length": ["--point", "--curve"],
+              "double": ["--point"],
+              "distance": ["--x", "--y", "--panel-n"],
+              "horofn": ["--base", "--at", "--point", "--mu", "--panel-n"]}
+
+
+def fuzz_argv(rng):
+    """One random argv over every verb and flag; a flag is left out one time
+    in five, so required ones go missing too.  Nothing is written to disk."""
+    def value(flag):
+        if flag in FUZZ_VALUES:
+            return rng.choice(FUZZ_VALUES[flag])
+        return ",".join(rng.choice(FUZZ_NUMBERS) if rng.random() < 0.2
+                        else f"{rng.uniform(0.05, 4):.3g}"
+                        for _ in range(rng.choice((2, 3, 3, 3, 4))))
+
+    verb = rng.choice([*FUZZ_FLAGS, "experiment"])
+    if verb == "experiment":
+        sub = rng.choice(["inequality", "boundary-limit", "horo-converge",
+                          "separate", "dt-sphere"])
+        if sub != "dt-sphere":
+            configs = sorted(CONFIGS.glob("*.json")) + [CONFIGS / "missing.json"]
+            return ["experiment", sub, str(rng.choice(configs))]
+        flags = ["--surface", "--samples", "--seed"]
+        argv = ["experiment", sub]
+    else:
+        flags = FUZZ_FLAGS[verb]
+        argv = [verb, *rng.choice([["--pants"], ["--torus"], [],
+                                   ["--pants", "--torus"]])]
+        if argv[1:] and rng.random() < 0.5:
+            argv.append(value("--point"))
+    for flag in flags:
+        if rng.random() < 0.8:
+            argv += [flag, value(flag)]
+    return argv
+
+
+def test_argv_fuzz_exits_only_with_documented_codes(capsys):
+    rng = random.Random(1411)
+    codes = {}
+    for _ in range(1000):
+        argv = fuzz_argv(rng)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        codes.setdefault(code, argv)
+        capsys.readouterr()
+    assert set(codes) == {0, 2, 3, 4}, codes

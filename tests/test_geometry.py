@@ -3,10 +3,10 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from arcmetric import geometry as geo
+from arcmetric import halfplane as hp
 from arcmetric import holonomy as ho
 from arcmetric import hyptrig as ht
 from arcmetric.errors import DomainError, UnsupportedClassError
@@ -49,16 +49,24 @@ def test_oracle_agreement_thin_and_fat():
 
 def test_pants_relator_and_traces():
     pants = ho.build_pants(2.0, 3.0, 4.0)
-    X1, X2, X3 = pants.cuff_matrices
-    assert np.abs(X1 @ X2 @ X3 - np.eye(2)).max() < 1e-12
-    for M, length in zip(pants.cuff_matrices, pants.lengths):
-        assert abs(np.trace(M)) == pytest.approx(2 * math.cosh(length / 2),
-                                                 abs=1e-9)
+    product = hp.mul(*pants.cuff_matrices)
+    assert max(abs(x - e) for x, e in zip(product, (1, 0, 0, 1))) < 1e-12
+    for (a, _, _, d), length in zip(pants.cuff_matrices, pants.lengths):
+        assert abs(a + d) == pytest.approx(2 * math.cosh(length / 2), abs=1e-9)
+
+
+def test_singular_matrices_are_domain_errors():
+    # a typed error, never a ZeroDivisionError or a matrix of NaNs
+    for M in [(1.0, 2.0, 2.0, 4.0), (0.0, 0.0, 0.0, 0.0), (math.nan, 0.0, 0.0, 1.0),
+              (math.inf, 1.0, 1.0, 1.0)]:
+        with pytest.raises(DomainError):
+            hp.inv(M)
+    with pytest.raises(DomainError):  # coincident endpoints
+        hp.frame_matrix(hp.Geodesic((1.0, 1.0), (2.0, 2.0)), 1j)
 
 
 def test_axis_distance_formulas_agree():
     # the inversive-distance form equals 2 artanh of the root cross-ratio
-    from arcmetric import halfplane as hp
     g1 = hp.geodesic_from_circle(0.0, 1.0)
     g2 = hp.geodesic_from_circle(0.0, math.e)
     assert hp.geodesic_distance(g1, g2) == pytest.approx(1.0, abs=1e-12)

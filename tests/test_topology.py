@@ -175,6 +175,13 @@ def test_panel_negative_complexity():
         top.enumerate_panel(s, -1)
 
 
+def test_panel_level_is_capped_before_any_loop():
+    # a level from outside input never starts the per-level loop above the cap
+    with pytest.raises(DomainError, match="<= 1000"):
+        top.enumerate_panel(top.build_surface(0, 0, 3), 10**12)
+    assert top.enumerate_panel(top.build_surface(0, 0, 3), 1000).complexity == 1000
+
+
 def test_json_schema_roundtrip():
     s = top.build_surface(1, 0, 2)
     data = json.loads(json.dumps(top.surface_to_dict(s)))
