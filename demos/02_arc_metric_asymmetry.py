@@ -9,18 +9,20 @@ and one of them wins with a ratio bigger than 2.
 
 import math
 
-from arcmetric import arc_metric, enumerate_panel, pants_point, class_length
+from arcmetric import arc_metric, enumerate_panel, pants_point
+from arcmetric.geometry import panel_plan
 
 X = pants_point(2, 2, 2)
 Y = pants_point(4, 4, 4)
 panel = enumerate_panel(X.surface, 0)
+plan = panel_plan(panel)  # compiled once, evaluated at each point
+lengths_x, lengths_y = plan.vector(X), plan.vector(Y)
 print("panel (complete for the pair of pants):")
 print(" ", ", ".join(panel.labels()))
 print()
 
 print(f"{'class':>12} {'l at X':>12} {'l at Y':>12} {'Y/X':>8} {'X/Y':>8}")
-for entry in panel:
-    lx, ly = class_length(X, entry), class_length(Y, entry)
+for entry, lx, ly in zip(panel, lengths_x, lengths_y):
     print(f"{str(entry):>12} {lx:>12.6f} {ly:>12.6f} "
           f"{ly / lx:>8.4f} {lx / ly:>8.4f}")
 
@@ -41,8 +43,8 @@ assert lhs <= rhs + 1e-12
 
 # using closed curves alone would fail: on a pants they are the boundaries,
 # and from Y to X every boundary ratio is below 1
-boundary_only = max(class_length(X, e) / class_length(Y, e)
-                    for e in panel if str(e).startswith("B"))
+boundary_only = max(lx / ly for e, lx, ly in zip(panel, lengths_x, lengths_y)
+                    if str(e).startswith("B"))
 print()
 print(f"best boundary-curve ratio from Y to X: {boundary_only:.4f} < 1 "
       f"(log would be negative: arcs are what make this a metric)")

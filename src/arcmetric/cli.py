@@ -12,14 +12,11 @@ JSON with shortest round-trip floats.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import operator
-import random
 import sys
 
-from . import asymptotics as asy
 from . import geometry as geo
 from . import lamination as lam
 from . import metric as met
@@ -30,6 +27,7 @@ from .topology import ArcClass, build_surface, enumerate_panel, panel_to_dict
 
 
 _fmt = "{:.9g}".format
+_MAX_SAMPLES = 10 ** 5  # dt-sphere round trips: about 5 s at 50 us a sample
 
 
 def _parse_triple(text: str):
@@ -100,6 +98,7 @@ def _config_grid(config) -> tuple:
     """The config's t grid: a list, or {start, stop, step} of <= 10**6 points."""
     grid = config.get("grid")
     if grid is None:
+        from . import asymptotics as asy
         return asy.DEFAULT_GRID
     try:
         if isinstance(grid, list):
@@ -117,6 +116,7 @@ def _write_csv(path, header, rows):
     """The header through csv (labels may hold commas), then rows of floats."""
     if not path:
         return
+    import csv
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for row in rows:
@@ -184,10 +184,13 @@ def cmd_horofn(args) -> int:
 
 
 # -- experiments --------------------------------------------------------------------
+# asymptotics, csv and random load inside the experiment handlers, so the
+# closed-form verbs above never import them
 
 
 def _experiment_common(config):
     """(surface, the path's spec, panel) of an experiment config."""
+    from . import asymptotics as asy
     surface = build_surface(*_signature(_require(config, "surface")))
     base = geo.fn_from_dict(surface, _require(config, "base_point"))
     mu = lam.lamination_from_dict(surface, _require(config, "mu"))
@@ -201,6 +204,7 @@ def _experiment_common(config):
 
 
 def cmd_experiment_inequality(args) -> int:
+    from . import asymptotics as asy
     config = _load_config(args.config)
     surface, spec, panel = _experiment_common(config)
     names = _config_shape("targets", config.get("targets") or [], list)
@@ -216,6 +220,7 @@ def cmd_experiment_inequality(args) -> int:
 
 
 def cmd_experiment_boundary_limit(args) -> int:
+    from . import asymptotics as asy
     _, spec, panel = _experiment_common(_load_config(args.config))
     plan = geo.panel_plan(panel)
     series = asy.boundary_convergence(spec, plan)
@@ -231,6 +236,7 @@ def cmd_experiment_boundary_limit(args) -> int:
 
 
 def cmd_experiment_horo_converge(args) -> int:
+    from . import asymptotics as asy
     config = _load_config(args.config)
     surface, spec, panel = _experiment_common(config)
     probes = [geo.fn_from_dict(surface, p)
@@ -244,6 +250,7 @@ def cmd_experiment_horo_converge(args) -> int:
 
 
 def cmd_experiment_separate(args) -> int:
+    from . import asymptotics as asy
     config = _load_config(args.config)
     surface, spec, panel = _experiment_common(config)
     base = spec.base_point
@@ -261,6 +268,10 @@ def cmd_experiment_separate(args) -> int:
 def cmd_experiment_dt_sphere(args) -> int:
     if args.samples < 1:
         build_parser().error("argument --samples: expected an integer >= 1")
+    if args.samples > _MAX_SAMPLES:
+        build_parser().error(
+            f"argument --samples: expected an integer <= {_MAX_SAMPLES}")
+    import random
     g, n, p = _signature(args.surface.split(","), int)
     surface = build_surface(g, n, p)
     coord_dim, sphere_dim = lam.sphere_dimension(surface)

@@ -159,6 +159,30 @@ def test_verbs_never_load_holonomy(argv):
     assert loaded_packages(argv) == {"codes": [0], **NOTHING_LOADED}
 
 
+ASYMPTOTICS_PROBE = IMPORT_PROBE.replace(LOADED_REPORT, """
+print(json.dumps({"codes": codes,
+                  "asymptotics": "arcmetric.asymptotics" in sys.modules}))
+""")
+# the experiments that walk a scaling path; every other verb is closed-form
+PATH_EXPERIMENTS = [argv for argv in VERB_ARGVS if argv[0] == "experiment"
+                    and argv[1] != "dt-sphere"]
+
+
+def test_closed_form_verbs_never_load_asymptotics():
+    closed_form = [argv for argv in VERB_ARGVS if argv not in PATH_EXPERIMENTS]
+    assert [argv[0] for argv in closed_form] == [
+        "arc-length", "curve-length", "double", "distance", "horofn",
+        "experiment"]
+    assert loaded_packages(*closed_form, probe=ASYMPTOTICS_PROBE) == {
+        "codes": [0] * 6, "asymptotics": False}
+
+
+@pytest.mark.parametrize("argv", PATH_EXPERIMENTS, ids=" ".join)
+def test_path_experiments_load_asymptotics(argv):
+    assert loaded_packages(argv, probe=ASYMPTOTICS_PROBE) == {
+        "codes": [0], "asymptotics": True}
+
+
 def test_class_length_never_loads_holonomy():
     cases = [((1, 0, 1), level) for level in range(7)] + [
         (sig, 0) for sig in [(0, 0, 3), (1, 0, 1), (0, 0, 4), (1, 0, 2),
@@ -560,6 +584,16 @@ def test_dt_sphere_samples_below_one_is_usage_error(samples, capsys):
     assert out == "" and "--samples: expected an integer >= 1" in err
 
 
+@pytest.mark.parametrize("samples", ["100001", str(10 ** 12)])
+def test_dt_sphere_samples_above_the_cap_is_usage_error(samples, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["experiment", "dt-sphere", "--surface", "0,0,3",
+                  "--samples", samples])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--samples: expected an integer <= 100000" in err
+
+
 def test_arc_length_refuses_a_curve_and_curve_length_takes_an_arc(capsys):
     assert cli.main(["arc-length", "--pants", "2,2,2", "--arc", "B1"]) == 3
     assert "names a curve, not an arc" in capsys.readouterr().err
@@ -584,8 +618,8 @@ def test_every_leaf_verb_has_a_handler():
 
 
 # values the argv fuzz draws from besides plain lengths: edge and bad
-# numbers, ids, lamination JSON and panel levels (small, negative, just past
-# the cap and huge)
+# numbers, ids, lamination JSON, and panel levels and sample counts (small,
+# negative, just past the cap and huge)
 FUZZ_NUMBERS = ["-0.7", "0", "-1", "1e-9", "40", "1e308", "inf", "nan", "x", ""]
 FUZZ_VALUES = {
     "--arc": ["a12", "a33", "B1", "C1", "a(B1;C1,C1)", "a(B1;C1,C1)~1",
@@ -597,7 +631,7 @@ FUZZ_VALUES = {
              "{}", "[5]", "a33", ""],
     "--panel-n": ["0", "1", "3", "-1", "1001", str(10 ** 12), "x"],
     "--surface": ["0,0,3", "1,0,1", "0,0,4", "1,0,2", "0,0,2", "0,0", "a,b,c"],
-    "--samples": ["1", "3", "0", "x"],
+    "--samples": ["1", "3", "0", "100001", "1000000000000", "x"],
     "--seed": ["0", "7", "x"],
 }
 FUZZ_VALUES["--curve"] = FUZZ_VALUES["--arc"]
