@@ -16,7 +16,8 @@ X = pants_point(2, 2, 2)
 Y = pants_point(4, 4, 4)
 panel = enumerate_panel(X.surface, 0)
 plan = panel_plan(panel)  # compiled once, evaluated at each point
-lengths_x, lengths_y = plan.vector(X), plan.vector(Y)
+# a plan vector holds log lengths
+lengths_x, lengths_y = ([math.exp(v) for v in plan.vector(P)] for P in (X, Y))
 print("panel (complete for the pair of pants):")
 print(" ", ", ".join(panel.labels()))
 print()

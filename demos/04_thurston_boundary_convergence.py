@@ -35,7 +35,7 @@ header = f"{'t':>4} " + " ".join(f"{lab:>12}" for lab in panel.labels()[:4])
 print(header, f"{'l(a12)-e^t':>14}")
 for t in (0.0, 2.0, 4.0, 6.0, 8.0):
     X = scaling_path(spec, t)
-    vec = plan.vector(X)
+    vec = [math.exp(v) for v in plan.vector(X)]  # from log lengths
     vals = vec[:4]
     dev = vec[a12_index] - math.exp(t)
     print(f"{t:>4.1f} " + " ".join(f"{v:>12.4f}" for v in vals)

@@ -1,12 +1,17 @@
 """Scaling paths and the asymptotic experiments they drive.
 
-A path is prescribed coordinate-wise from a driving lamination mu: curves
-crossed by mu grow exponentially (length e^t * i(mu, C), exact by
-construction), leaves of mu decay super-exponentially along the standard
-envelope 3|chi| / sinh(e^t w / 2), and curves with neither interaction hold
-their initial length.  Twists are held constant.  This reproduces exactly
-the boundary-length asymptotics the pants-local case analysis consumes;
-targets crossing several pants would be exploratory and are not registered.
+A path is prescribed coordinate-wise from a driving lamination mu, in log
+lengths: curves crossed by mu grow (t + log i(mu, C), exact by
+construction), leaves of mu decay along the standard envelope
+(log(3|chi|) - log sinh(e^t w / 2)), and curves with neither interaction
+hold their initial length.  Twists are held constant.  This reproduces
+exactly the boundary-length asymptotics the pants-local case analysis
+consumes; targets crossing several pants are not registered.
+
+Domain: every moving log length and every e^t i(mu, target) at the last
+grid point is a finite double, checked once when a PathSpec (and a deviation
+walk's targets) is built, else InvalidSpecError.  A point with a coordinate
+off the doubles exists only inside a walk; scaling_path refuses it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ DEFAULT_GRID = tuple(0.5 * k for k in range(21))  # 0.0, 0.5, ..., 10.0
 _CAP = 50.0  # a target whose deviation envelope exceeds it is flagged
 _EPSILONS = (0.5, 0.25, 0.125, 0.0625)  # separation's refinement blends
 _MIN_GAP = 1e-3  # the log gap that certifies a separation witness
-_LENGTH_FLOOR = 1e-300  # decay regime under double precision
 
 
 def abs_double_chi(surface) -> int:
@@ -52,7 +56,7 @@ class PathSpec(namedtuple("PathSpec", "mu base_point grid regimes")):
 
     regimes maps every coordinate curve label to ("grow", rate),
     ("decay", leaf_weight) or ("hold", initial_length), classified from the
-    lamination; a PathSpec that exists is valid.
+    lamination; a PathSpec that exists is valid, its grid in the domain.
     """
 
     __slots__ = ()
@@ -68,6 +72,10 @@ class PathSpec(namedtuple("PathSpec", "mu base_point grid regimes")):
             raise InvalidSpecError("grid must be strictly increasing with t >= 0")
         regimes = tuple((label, _regime(mu, base_point, label))
                         for label in surface.boundaries + surface.interior_curves)
+        t = grid[-1]  # a growing e^t rate and a decaying e^t w / 2 are doubles
+        _check_range("the moving length of", t, (
+            (label, t + math.log(param / 2 if kind == "decay" else param))
+            for label, (kind, param) in regimes if kind != "hold"))
         return super().__new__(cls, mu, base_point, grid, regimes)
 
     def regime_dict(self) -> dict:
@@ -80,29 +88,32 @@ def make_path_spec(mu: lam.RationalLamination, base_point: geo.FNPoint,
     return PathSpec(mu, base_point, grid)
 
 
+def _check_range(what: str, t: float, log_sizes) -> None:
+    """InvalidSpecError unless e^x is a finite double for each (name, x)."""
+    for name, x in log_sizes:
+        try:
+            math.exp(x)
+        except OverflowError:
+            raise InvalidSpecError(f"{what} {name} leaves the double range at "
+                                   f"t = {t}: e^{x!r}") from None
+
+
 def _moving_lengths(spec: PathSpec, t: float) -> dict:
-    """Checked lengths at X_t of the growing and decaying curves: one e^t,
-    and e^t * rate is tested in log space, so past the doubles it is inf."""
+    """Log lengths at X_t of the growing and decaying curves."""
     if not (math.isfinite(t) and t >= 0):
         raise DomainError("path parameter must be >= 0")
-    et = math.exp(t) if t <= ht._LOG_MAX else math.inf
-    chi, lengths = abs_double_chi(spec.mu.surface), {}
-    for label, (kind, param) in spec.regimes:
-        if kind == "decay":
-            length = max(ht.leaf_decay_bound(param, t, chi), _LENGTH_FLOOR)
-        elif kind == "grow":  # where e^t alone overflows, e^t * rate may not
-            lx = t + math.log(param)
-            length = et * param if et < math.inf or lx > ht._LOG_MAX else math.exp(lx)
-        else:
-            continue
-        lengths[label] = geo._checked_length(label, length)
-    return lengths
+    chi = abs_double_chi(spec.mu.surface)
+    return {label: t + math.log(param) if kind == "grow"
+            else ht.leaf_decay_bound(param, t, chi)
+            for label, (kind, param) in spec.regimes if kind != "hold"}
 
 
 def scaling_path(spec: PathSpec, t: float) -> geo.FNPoint:
-    """The point at parameter t; deterministic, twists from the base point."""
+    """The point at parameter t (twists from the base point), or a
+    DomainError naming a coordinate that is not a double there."""
     lengths = {label: param for label, (kind, param) in spec.regimes if kind == "hold"}
-    lengths.update(_moving_lengths(spec, t))
+    lengths.update((label, geo._length_from_log(label, log_length))
+                   for label, log_length in _moving_lengths(spec, t).items())
     return spec.base_point.with_lengths(lengths)
 
 
@@ -120,7 +131,7 @@ class DeviationReport(NamedTuple):
 
 
 def _walk(spec: PathSpec, plan: geo.LengthPlan):
-    """The plan's length vectors at X_t, t in spec.grid, one at a time."""
+    """The plan's log length vectors at X_t, t in spec.grid, one at a time."""
     if plan.surface is not spec.mu.surface and plan.surface != spec.mu.surface:
         raise DomainError("point and length plan live on different surfaces")
     held = {label: geo._checked_length(label, param)
@@ -146,12 +157,13 @@ def deviation_walk(spec: PathSpec, targets):
             skipped.append((str(target), str(exc)))
     plan = geo.LengthPlan(surface, [targets[k] for k in columns])
     ivals = plan.intersections(spec.mu)
-    for t, lengths in zip(spec.grid, _walk(spec, plan)):
-        if t > ht._LOG_MAX and any(ivals):
-            raise DomainError(f"e^t i(mu, target) overflows at t = {t}")
-        et = math.exp(min(t, ht._LOG_MAX))  # past it, every i(mu, target) is 0
-        for devs, length, ival in zip(columns.values(), lengths, ivals):
-            devs.append(length - et * ival)
+    log_ivals, t_last = met._logs(ivals), spec.grid[-1]
+    _check_range("e^t i(mu, target) of", t_last,
+                 ((e, t_last + v) for e, v in zip(plan.entries, log_ivals)))
+    for t, logs in zip(spec.grid, _walk(spec, plan)):
+        # e^t i as a growing coordinate's own length, so its deviation is 0
+        for devs, log_length, log_ival in zip(columns.values(), logs, log_ivals):
+            devs.append(math.exp(log_length) - math.exp(t + log_ival))
     reports = []
     for (k, devs), ival in zip(columns.items(), ivals):
         # 0.0 - dev, not -dev: a zero deviation stays +0.0
@@ -182,9 +194,9 @@ def boundary_convergence(spec: PathSpec, panel):
         raise DegeneratePanelError("panel misses the driving lamination")
     target = [v / top for v in ivec]
     out = []
-    for t, lengths in zip(spec.grid, _walk(spec, plan)):
-        top = max(lengths)
-        out.append((t, max(abs(v / top - b) for v, b in zip(lengths, target))))
+    for t, logs in zip(spec.grid, _walk(spec, plan)):
+        top = max(logs)
+        out.append((t, max(abs(math.exp(v - top) - b) for v, b in zip(logs, target))))
     return out
 
 
@@ -200,10 +212,10 @@ def horo_convergence(spec: PathSpec, probes, panel: Panel):
     if any(P.surface != spec.mu.surface for P in probes):
         raise DomainError("points live on different surfaces")
     plan = geo.panel_plan(panel)
-    ivals = plan.intersections(spec.mu)
+    log_ivals = met._logs(plan.intersections(spec.mu))
     base_lengths, *probe_lengths = [plan.vector(P) for P in (spec.base_point, *probes)]
-    constant = met._normalizer(spec.mu, ivals, base_lengths)
-    mu_values = [math.log(met._checked_sup(ivals, ly, constant, "Y"))
+    constant = met._normalizer(spec.mu, log_ivals, base_lengths)
+    mu_values = [met._log_sup_ratio(ly, log_ivals)[0] - constant
                  for ly in probe_lengths]
     out = []
     for t, lengths in zip(spec.grid, _walk(spec, plan)):
@@ -252,17 +264,15 @@ def separation_experiment(mu: lam.RationalLamination,
         blends = ((eps, mu.scaled(1.0 - eps) + zeta.scaled(eps / L))
                   for eps in _EPSILONS)
     plan = geo.panel_plan(panel)
-    i_nu, i_mu = plan.intersections(nu), plan.intersections(mu)
+    i_nu, i_mu = (met._logs(plan.intersections(m)) for m in (nu, mu))
     attempts = []
     for eps, blend in blends:
         spec = make_path_spec(blend, X0, grid)
-        for t, lengths in zip(spec.grid, _walk(spec, plan)):
-            sup_nu = met._sup_crossed_ratio(i_nu, lengths)
-            sup_mu = met._sup_crossed_ratio(i_mu, lengths)
-            if sup_nu == 0.0 or sup_mu == 0.0:
+        for t, logs in zip(spec.grid, _walk(spec, plan)):
+            lhs = met._log_sup_ratio(logs, i_nu)[0]
+            rhs = met._log_sup_ratio(logs, i_mu)[0]
+            if -math.inf in (lhs, rhs):
                 continue  # the panel misses nu or mu
-            # a crushed class makes a supremum inf, and its log inf too
-            lhs, rhs = math.log(sup_nu), math.log(sup_mu)
             if lhs - rhs >= _MIN_GAP:
                 return SeparationWitness(scaling_path(spec, t), lhs, rhs, eps, t)
             attempts.append((eps, t))

@@ -1,11 +1,12 @@
 """Fenchel-Nielsen points, the doubling embedding, and geodesic lengths.
 
 Every length comes from one route table, _route, compiled into a
-LengthPlan: lengths of decomposition and boundary curves are Fenchel-Nielsen
-coordinates and exact; pants-local arcs go through the closed-form pants
-formulas; slope curves on the one-holed torus (and the hosts of its twisted
-arcs) go through the log-space trace descent of hyptrig.torus_slope_length;
-every other class is refused with a typed error.
+LengthPlan, as a log length: decomposition and boundary curves are
+Fenchel-Nielsen coordinates and exact; pants-local arcs go through the
+closed-form pants formulas; torus slope curves (and the hosts of twisted
+torus arcs) through hyptrig.torus_slope_length; every other class is
+refused with a typed error.  class_length is e^ of the log, or a
+DomainError where that is not a double.
 
 Twists are hyperbolic lengths, positive = right twist; the mirror side of a
 double carries negated twists.
@@ -18,12 +19,16 @@ like every length here, it runs on the standard library.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import NamedTuple
 
 from . import hyptrig as ht
 from .errors import DomainError, UnsupportedClassError
-from .topology import ArcClass, Surface, build_surface, double_topology
+from .topology import ArcClass, CurveClass, Surface, build_surface, double_topology
+
+# e^x is a normal double for x in this range
+_LOG_MIN, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
 class FNPoint(NamedTuple):
@@ -135,16 +140,13 @@ def holonomy_build(X: FNPoint):
 
 
 def _route(surface: Surface, cls) -> tuple:
-    """(input labels, evaluate(lengths, log cosh, log sinh, twists)): the
-    one map from a class to the formula for its length at points of surface.
-
-    evaluate reads label -> length (punctures 0.0), label -> log cosh and
-    log sinh of half the length, and label -> twist.  A coordinate curve
-    reads its length; an untwisted pants arc calls a hyptrig formula core on
-    the log terms of its sides; a torus slope, and the slope-(1, k) host of
-    a twisted torus arc, go through the trace descent of
-    hyptrig.torus_slope_length.  Any other class is refused with a typed
-    error when its plan is built.
+    """(input labels, evaluate(lengths, logs, log cosh, log sinh, twists)):
+    the one map from a class to its log length at points of surface, read
+    from each label's length (0.0 for a puncture or an underflow), its log,
+    log cosh and log sinh of half of it, and its twist.  A coordinate curve
+    reads its log length, an untwisted pants arc calls a hyptrig core, and a
+    torus slope or twisted torus arc goes through torus_slope_length; any
+    other class is refused with a typed error when its plan is built.
     """
     labels, punctures = surface.boundaries + surface.interior_curves, surface.punctures
     torus, slope = surface.signature == (1, 0, 1), ht.torus_slope_length
@@ -153,13 +155,13 @@ def _route(surface: Surface, cls) -> tuple:
             if cls.label not in labels:
                 raise DomainError(f"no coordinate curve {cls.label!r} "
                                   f"on {surface.signature}")
-            return (cls.label,), lambda L, C, S, T, a=cls.label: L[a]
+            return (cls.label,), lambda P, L, C, S, T, a=cls.label: L[a]
         if cls.kind != "word":
             raise UnsupportedClassError(f"unknown curve kind {cls.kind!r}")
         if not torus or cls.slope is None:
             raise UnsupportedClassError(f"word class {cls.label!r} "
                                         f"unsupported on {surface.signature}")
-        return ("C1", "B1"), lambda L, C, S, T, p=cls.slope[0], q=cls.slope[1]: \
+        return ("C1", "B1"), lambda P, L, C, S, T, p=cls.slope[0], q=cls.slope[1]: \
             slope(L["C1"], T["C1"], L["B1"], p, q)
     if surface.double_of is not None:
         raise DomainError("arcs live on bordered surfaces, not doubles")
@@ -168,11 +170,11 @@ def _route(surface: Surface, cls) -> tuple:
             raise UnsupportedClassError("twisted arcs are registered "
                                         "on the one-holed torus only")
 
-        def twisted(L, C, S, T, k=cls.twist, same=ht.arc_length_same_boundary):
+        def twisted(P, L, C, S, T, k=cls.twist, same=ht.arc_same_from_logs):
             # the host pants is bounded by the boundary and two copies of
             # the slope-(1, k) curve
-            host = slope(L["C1"], T["C1"], L["B1"], 1, k)
-            return same(L["B1"], host, host)
+            host = ht.log_cosh(math.exp(slope(L["C1"], T["C1"], L["B1"], 1, k)) / 2)
+            return same(C["B1"], S["B1"], host, host)
         return ("C1", "B1"), twisted
     kind, a, b, c = cls.pattern
     for label in (a, b, c):
@@ -181,32 +183,33 @@ def _route(surface: Surface, cls) -> tuple:
     if kind == "same":  # from a back to a, separating b and c
         if a in punctures:
             raise DomainError("arc from a cusp is undefined (lb = 0)")
-        return (a, b, c), lambda L, C, S, T, same=ht.arc_same_from_logs: same(
-            L[b], L[c], C[a], S[a], C[b], C[c])
+        return (a, b, c), lambda P, L, C, S, T, same=ht.arc_same_from_logs: same(
+            C[a], S[a], C[b], C[c])
     if a in punctures or b in punctures:  # from a to b, c the third side
         raise DomainError("arc endpoint on a cusp is undefined (lb = 0)")
-    return (a, b, c), lambda L, C, S, T, distinct=ht.arc_distinct_from_logs: distinct(
-        L[a], L[b], C[c], S[a], S[b])
+    return (a, b, c), lambda P, L, C, S, T, distinct=ht.arc_distinct_from_logs: \
+        distinct(P[a], P[b], C[c], S[a], S[b])
+
+
+def _length_from_log(what, log_length: float) -> float:
+    """e^log_length, or a DomainError naming what: never 0.0 or inf."""
+    if not _LOG_MIN <= log_length <= _LOG_MAX:
+        raise DomainError(f"length of {what} must be positive and finite in "
+                          f"double precision, got e^{log_length!r}")
+    return math.exp(log_length)
 
 
 def class_length(X: FNPoint, cls) -> float:
-    """Length of a CurveClass or ArcClass at X: the one-entry LengthPlan."""
-    return LengthPlan(X.surface, (cls,)).vector(X)[0]
-
-
-class _HalfLengthLogs(dict):
-    """label -> log_term(length / 2), computed on first read."""
-
-    def __init__(self, log_term, lengths: dict):
-        self.log_term, self.lengths = log_term, lengths
-
-    def __missing__(self, label):
-        value = self[label] = self.log_term(self.lengths[label] / 2)
-        return value
+    """Length of a CurveClass or ArcClass at X: e^ of its one-entry plan's
+    log length, and a coordinate exactly as X holds it."""
+    log_length = LengthPlan(X.surface, (cls,)).vector(X)[0]
+    if isinstance(cls, CurveClass) and cls.kind in ("boundary", "interior"):
+        return X.length_of(cls.label)
+    return _length_from_log(cls, log_length)
 
 
 class LengthPlan:
-    """Length vectors of an ordered list of classes, compiled once.
+    """Log length vectors of an ordered list of classes, compiled once.
 
     Each entry is compiled to its _route, which refuses it if it has no
     length on the surface; a point of another surface is a DomainError.
@@ -217,12 +220,11 @@ class LengthPlan:
         self.surface = surface
         self.entries = tuple(entries)
         self._routes = [_route(surface, entry) for entry in self.entries]
-        self._log_terms = ht.log_cosh, ht.log_sinh
         self._punctures = dict.fromkeys(surface.punctures, 0.0)
         self._intersections = []  # (lamination, its intersection vector)
 
     def vector(self, X: FNPoint) -> list[float]:
-        """The length of each entry at X: the one-point walk."""
+        """The log length of each entry at X: the one-point walk."""
         if X.surface is not self.surface and X.surface != self.surface:
             raise DomainError("point and length plan live on different surfaces")
         held = {label: _checked_length(label, length) for label, length in
@@ -231,28 +233,29 @@ class LengthPlan:
         return next(self.walk(held, ({},), twists))
 
     def walk(self, held: dict, moving, twists: dict):
-        """Yield the length vector at each point of a path, a new list each.
+        """Yield the log length vector at each point of a path, a new list each.
 
         held maps the labels every point shares to their (checked) lengths;
-        moving yields the checked lengths of the other labels, point by
-        point; twists maps each interior label to the twist all points
-        share; each vector holds only floats.  A label's log terms are
-        computed when an entry first reads them at a point, a held label's
-        once.  The first point is evaluated in full, in entry order; later
-        ones re-evaluate only the entries with a moving input."""
+        moving yields the log lengths of the other labels (each at most
+        log(DBL_MAX)), point by point; twists maps each interior label to
+        its twist.  A label's log terms are computed once per point, a held
+        label's once.  The first point is evaluated in full, in entry order;
+        later ones re-evaluate only the entries with a moving input."""
         lengths = {**self._punctures, **held}
-        lc, ls = (_HalfLengthLogs(f, lengths) for f in self._log_terms)
+        logs = {a: math.log(v) if v else -math.inf for a, v in lengths.items()}
+        lc = {a: ht.log_cosh(v / 2) for a, v in lengths.items()}
+        ls = {a: ht.log_sinh_half(v, logs[a]) for a, v in lengths.items()}
         routes = self._routes
         moving_entries = [k for k, (inputs, _) in enumerate(routes)
                           if not lengths.keys() >= set(inputs)]
         vec, indices = [0.0] * len(routes), range(len(routes))
         for row in moving:
-            lengths.update(row)
-            for label in row:
-                lc.pop(label, None)
-                ls.pop(label, None)
+            for label, log_length in row.items():
+                length = lengths[label] = math.exp(log_length)
+                logs[label], lc[label] = log_length, ht.log_cosh(length / 2)
+                ls[label] = ht.log_sinh_half(length, log_length)
             for k in indices:
-                vec[k] = routes[k][1](lengths, lc, ls, twists)
+                vec[k] = routes[k][1](lengths, logs, lc, ls, twists)
             yield vec
             vec, indices = vec.copy(), moving_entries
 
@@ -277,9 +280,7 @@ def panel_plan(panel) -> LengthPlan:
 
 def lamination_length(X: FNPoint, lamination) -> float:
     """Total weighted length; linear in the weights."""
-    plan = LengthPlan(X.surface, [c for c, _ in lamination.components])
-    return sum(w * length for (_, w), length
-               in zip(lamination.components, plan.vector(X)))
+    return sum(w * class_length(X, c) for c, w in lamination.components)
 
 
 def fn_to_dict(X: FNPoint) -> dict:

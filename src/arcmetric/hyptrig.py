@@ -6,10 +6,10 @@ one-holed torus glued from one, the piecewise-linear intersection numbers of
 a measured lamination with those arcs, and the decay envelope for a boundary
 leaf along exponential scaling paths.
 
-Lengths are evaluated in log space throughout, so boundary lengths of order
-10^5 (cosh far beyond double range) are handled without overflow.  A cusp is
-encoded as a boundary of length zero; the formulas degrade continuously to
-that case via cosh(0) = 1.
+The formula cores and torus_slope_length return log lengths and read log
+sinh terms from log lengths: a length off the doubles (an arc of e^(-25000)
+at a cuff of 10^5) is a finite log.  A cusp is a boundary of length zero;
+the formulas degrade continuously to it via cosh(0) = 1.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import sys
 from .errors import DomainError
 
 _LN2 = math.log(2.0)
-_LOG_MAX = math.log(sys.float_info.max)  # exp overflows beyond it
 _EPS = sys.float_info.epsilon
 _SLOPE_RTOL = 1e-10  # a torus slope length with a larger error bound raises
 
@@ -40,34 +39,34 @@ def log_sinh(x: float) -> float:
     """log(sinh(x)) for x > 0, safe for large and for denormal-small x."""
     if x <= 0:
         raise DomainError("log_sinh needs a positive argument")
-    if x < 1e-8:
-        return math.log(x)  # sinh(x) = x (1 + x^2/6 + ...), correction < 1e-17
     return x + math.log(-math.expm1(-2.0 * x)) - _LN2
 
 
-def _asinh_of_exp(lx: float) -> float:
-    """arcsinh(exp(lx)), stable for lx anywhere in the double range."""
-    if lx > 33.0:
-        # asinh(x) = log(2x) + 1/(4x^2) - ...; the correction is < 1e-29 here
-        return lx + _LN2
-    return math.asinh(math.exp(lx))  # underflow of exp gives a true 0 length
+def log_sinh_half(length: float, log_length: float) -> float:
+    """log(sinh(l/2)) from l > 0 and log l, which it reads below 2e-8."""
+    return log_length - _LN2 if length < 2e-8 else log_sinh(length / 2)
+
+
+def _log_2asinh_of_exp(x: float) -> float:
+    """log(2 asinh(e^x)), for x anywhere in the double range."""
+    if x < -20.0:  # asinh(y) = y (1 - y^2/6 + ...): off by < 1e-18
+        return _LN2 + x
+    if x > 33.0:  # asinh(y) = log(2y) + 1/(4y^2) - ...: below 1e-29
+        return _LN2 + math.log(x + _LN2)
+    return _LN2 + math.log(math.asinh(math.exp(x)))
 
 
 def arc_length_same_boundary(lb: float, lg1: float, lg2: float) -> float:
-    """Length of the arc from a boundary of length lb back to itself.
-
-    The arc separates the other two boundaries (lengths lg1, lg2; either may
-    be 0 for a cusp) and satisfies
-
-        cosh^2(l/2) = (-1 + cosh^2(lb/2) + cosh^2(lg1/2) + cosh^2(lg2/2)
-                       + 2 cosh(lb/2) cosh(lg1/2) cosh(lg2/2)) / sinh^2(lb/2),
-
-    evaluated through the cancellation-free equivalent
+    """Length of the arc from a boundary of length lb back to itself,
+    separating the other two (lengths lg1, lg2; either may be 0 for a cusp).
+    Its relation cosh^2(l/2) = (-1 + cosh^2(lb/2) + cosh^2(lg1/2) +
+    cosh^2(lg2/2) + 2 cosh(lb/2) cosh(lg1/2) cosh(lg2/2)) / sinh^2(lb/2) is
+    evaluated in log space through the cancellation-free
 
         sinh^2(l/2) = (cosh^2(lg1/2) + cosh^2(lg2/2)
-                       + 2 cosh(lb/2) cosh(lg1/2) cosh(lg2/2)) / sinh^2(lb/2)
+                       + 2 cosh(lb/2) cosh(lg1/2) cosh(lg2/2)) / sinh^2(lb/2),
 
-    in log space, so near-degenerate and overflow-scale inputs stay exact.
+    so near-degenerate and overflow-scale inputs stay exact.
     """
     for name, v in (("lb", lb), ("lg1", lg1), ("lg2", lg2)):
         _check_finite(name, v)
@@ -75,35 +74,30 @@ def arc_length_same_boundary(lb: float, lg1: float, lg2: float) -> float:
             raise DomainError(f"{name} must be nonnegative, got {v}")
     if lb == 0:
         raise DomainError("arc from a cusp is undefined (lb = 0)")
-    return arc_same_from_logs(lg1, lg2, log_cosh(lb / 2), log_sinh(lb / 2),
-                              log_cosh(lg1 / 2), log_cosh(lg2 / 2))
+    return math.exp(arc_same_from_logs(log_cosh(lb / 2), log_sinh(lb / 2),
+                                       log_cosh(lg1 / 2), log_cosh(lg2 / 2)))
 
 
-def arc_same_from_logs(lg1, lg2, cb, sb, c1, c2) -> float:
-    """arc_length_same_boundary from unchecked log terms: cb, sb are log cosh
-    and log sinh of lb/2, and c1, c2 log cosh of lg1/2 and lg2/2."""
-    if lg1 < lg2:
+def arc_same_from_logs(cb, sb, c1, c2) -> float:
+    """Log length of arc_length_same_boundary from unchecked log terms: cb,
+    sb of lb/2 (log cosh, log sinh), and c1, c2 log cosh of lg1/2, lg2/2."""
+    if c1 < c2:
         c1, c2 = c2, c1  # bit-stable symmetry in the gamma sides
-    x, y, z = 2 * c1, 2 * c2, _LN2 + cb + c1 + c2
+    # terms over sinh^2(lb/2) stay doubles; c1, the larger, cancels cb - 2 sb
+    x, y, z = 2 * c1 - 2 * sb, 2 * c2 - 2 * sb, (cb - 2 * sb) + c1 + c2 + _LN2
     m = max(x, y, z)  # log-sum-exp, summed left to right
-    le = m + math.log(math.exp(x - m) + math.exp(y - m) + math.exp(z - m)) - 2 * sb
-    return 2.0 * _asinh_of_exp(le / 2.0)
+    le = m + math.log(math.exp(x - m) + math.exp(y - m) + math.exp(z - m))
+    return _log_2asinh_of_exp(le / 2.0)
 
 
 def arc_length_distinct_boundaries(lb1: float, lb2: float, lg: float) -> float:
-    """Length of the arc joining boundaries of lengths lb1 and lb2.
-
-    The third boundary has length lg (0 for a cusp) and
-
-        cosh(l) = (cosh(lg/2) + cosh(lb1/2) cosh(lb2/2))
-                  / (sinh(lb1/2) sinh(lb2/2)),
-
-    evaluated through the cancellation-free equivalent
+    """Length of the arc joining boundaries of lengths lb1 and lb2, the
+    third of length lg (0 for a cusp).  Its relation cosh(l) = (cosh(lg/2) +
+    cosh(lb1/2) cosh(lb2/2)) / (sinh(lb1/2) sinh(lb2/2)) is evaluated in log
+    space through the cancellation-free
 
         sinh^2(l/2) = (cosh(lg/2) + cosh((lb1 - lb2)/2))
-                      / (2 sinh(lb1/2) sinh(lb2/2))
-
-    in log space.
+                      / (2 sinh(lb1/2) sinh(lb2/2)).
     """
     for name, v in (("lb1", lb1), ("lb2", lb2), ("lg", lg)):
         _check_finite(name, v)
@@ -111,17 +105,25 @@ def arc_length_distinct_boundaries(lb1: float, lb2: float, lg: float) -> float:
             raise DomainError(f"{name} must be nonnegative, got {v}")
     if lb1 == 0 or lb2 == 0:
         raise DomainError("arc endpoint on a cusp is undefined (lb = 0)")
-    return arc_distinct_from_logs(lb1, lb2, log_cosh(lg / 2), log_sinh(lb1 / 2),
-                                  log_sinh(lb2 / 2))
+    return math.exp(arc_distinct_from_logs(
+        lb1, lb2, log_cosh(lg / 2), log_sinh(lb1 / 2), log_sinh(lb2 / 2)))
 
 
 def arc_distinct_from_logs(lb1, lb2, cg, s1, s2) -> float:
-    """arc_length_distinct_boundaries from unchecked log terms: cg is log cosh
-    of lg/2, and s1, s2 log sinh of lb1/2 and lb2/2."""
-    cd = log_cosh((lb1 - lb2) / 2)
-    m = max(cg, cd)
-    le = m + math.log(math.exp(cg - m) + math.exp(cd - m)) - _LN2 - s1 - s2
-    return 2.0 * _asinh_of_exp(le / 2.0)
+    """Log length of arc_length_distinct_boundaries from unchecked terms: the
+    lengths lb1, lb2 (an underflowed one may be 0.0), cg log cosh of lg/2,
+    and s1, s2 log sinh of lb1/2 and lb2/2."""
+    if lb1 < lb2:
+        lb1, lb2, s1, s2 = lb2, lb1, s2, s1  # lb1 the longer side
+    d = (lb1 - lb2) / 2
+    # log cosh(d) - s1 = -lb2/2 + log1p(e^-2d) - log(1 - e^-lb1) does not
+    # cancel lb1/2 against itself: at lb1 = 1e22, lb2 = 1 it keeps the -1/2
+    cd = (math.log1p(math.exp(-2 * d)) - lb2 / 2 - math.log(-math.expm1(-lb1))
+          if lb1 >= 2e-8 else log_cosh(d) - s1)
+    x = cg - s1
+    m = max(x, cd)
+    le = m + math.log(math.exp(x - m) + math.exp(cd - m)) - _LN2 - s2
+    return _log_2asinh_of_exp(le / 2.0)
 
 
 def _log_cosh_rel(x: float) -> float:
@@ -129,27 +131,33 @@ def _log_cosh_rel(x: float) -> float:
     return math.log1p(2.0 * math.sinh(x / 2) ** 2) if abs(x) < 1 else log_cosh(x)
 
 
-def torus_slope_length(lC: float, tau: float, lB: float, p: int, q: int) -> float:
-    """Length of the slope-(p, q) curve on the one-holed torus whose curve
-    C1 = (1, 0) has length lC and twist tau, and whose boundary has length lB.
+def torus_slope_length(log_lC: float, tau: float, log_lB: float, p: int,
+                       q: int) -> float:
+    """Log length of the slope-(p, q) curve on the one-holed torus whose curve
+    C1 = (1, 0) has log length log_lC and twist tau, and whose boundary has
+    log length log_lB.
 
     Works on c = log cosh(l/2) = log(trace/2).  With d the perpendicular
-    arc_length_distinct_boundaries(lC, lC, lB), a slope (k, 1) has
+    between the copies of C1, a slope (k, 1) has
     c = log cosh(d/2) + log cosh((tau + k lC)/2); a slope in (n, n+1) follows
     by Stern-Brocot descent from (n, 1) and (n+1, 1) on tr(u+v) =
     tr(u) tr(v) - tr(u-v), in logs c(u+v) = c(u) + c(v) + log 2 +
     log1p(-e^delta), delta = c(u-v) - c(u) - c(v) - log 2.  Each c carries a
     bound on its absolute error, divided by 1 - e^delta in each step (the
     descent cancels at large twists); a length whose relative error bound
-    exceeds 1e-10 is a DomainError.  A length below the double range is
-    0.0, as d is."""
-    _check_finite("tau", tau)
+    exceeds 1e-10 is a DomainError.  d reads log sinh(lC/2) from log_lC and a
+    short slope (k, 1) is summed in logs, so an underflowed length is kept."""
+    for name, v in (("log_lC", log_lC), ("tau", tau), ("log_lB", log_lB)):
+        _check_finite(name, v)
     if math.gcd(p, q) != 1:
         raise DomainError(f"slope ({p},{q}) is not primitive")
-    d = arc_length_distinct_boundaries(lC, lC, lB)  # checks lC and lB
     p, q = (-p, -q) if q < 0 or (q == 0 and p < 0) else (p, q)
     if q == 0:
-        return lC
+        return log_lC
+    lC, lB = math.exp(log_lC), math.exp(log_lB)
+    sC = log_sinh_half(lC, log_lC)
+    log_d = arc_distinct_from_logs(lC, lC, log_cosh(lB / 2), sC, sC)
+    d = math.exp(log_d)
     cd = _log_cosh_rel(d / 2)
     # d = 2 asinh(e^(x/2)) holds the rounding of x, at most
     # eps (3 lC + 2 lB + 8), damped by d(cd)/dx = tanh^2(d/2)/2 <= min(cd, 1/2)
@@ -181,18 +189,23 @@ def torus_slope_length(lC: float, tau: float, lB: float, p: int, q: int) -> floa
             b, cb, eb, cw, ew = m, c, e, cb, eb
         else:  # into (m, b)
             a, ca, ea, cw, ew = m, c, e, ca, ea
-    if q == 1 and c < 1.0:  # short, c may underflow: cosh(l/2) - 1 by parts,
+    if q == 1 and c < 1.0:  # c may underflow: cosh(l/2) - 1 by parts, in logs,
         s = tau + p * lC  # sinh^2(l/4) = sinh^2(d/4) cosh(s/2) + sinh^2(s/4)
-        length = 4 * math.asinh(math.hypot(
-            math.sinh(d / 4) * math.sqrt(math.cosh(s / 2)), math.sinh(s / 4)))
+        x = 2 * log_sinh_half(d / 2, log_d - _LN2) + _log_cosh_rel(s / 2)
+        y = 2 * log_sinh(abs(s) / 4) if s else -math.inf
+        top = max(x, y)
+        log_length = _LN2 + _log_2asinh_of_exp(
+            (top + math.log(math.exp(x - top) + math.exp(y - top))) / 2)
+        length = math.exp(log_length)
         r = math.tanh(length / 2)
     else:
         r = math.sqrt(-math.expm1(-2 * c)) if c > 0 else 0.0  # else refused
         length = 2 * (c + math.log1p(r))
+        log_length = math.log(length) if r else -math.inf
     if not 2 * e <= _SLOPE_RTOL * r * length:  # r = tanh(l/2), dl/dc = 2/r
         raise DomainError(f"slope ({p},{q}) at ({lC!r}, {tau!r}, {lB!r}): length "
                           f"not resolved to {_SLOPE_RTOL:g} in double precision")
-    return length
+    return log_length
 
 
 # -- intersection of a measured lamination with a pants-local arc -----------
@@ -241,22 +254,17 @@ def intersection_arc_distinct(i_beta1, i_beta2, i_gamma,
 
 
 def leaf_decay_bound(omega: float, t: float, abs_chi: int) -> float:
-    """Decay envelope 3*|chi| / sinh(e^t * omega / 2) for a boundary leaf.
-
-    Strictly decreasing in both t and omega; used as the exact length
-    prescription for decaying curves on scaling paths.
-    """
+    """log of the decay envelope 3*|chi| / sinh(e^t * omega / 2) of a boundary
+    leaf, the log length of a decaying curve on a scaling path; strictly
+    decreasing in t and omega, a DomainError where e^t * omega overflows."""
     _check_finite("omega", omega)
     _check_finite("t", t)
     if omega <= 0:
         raise DomainError("leaf weight omega must be positive")
     if abs_chi < 1:
         raise DomainError("|chi| must be at least 1")
-    lx = t + math.log(omega) - _LN2  # log x, tested before e^t can overflow
-    if lx > _LOG_MAX:
-        return 0.0  # the envelope underflowed long before x leaves the doubles
-    x = math.exp(t) * omega / 2.0 if t <= _LOG_MAX else math.exp(lx)
-    if x <= 700.0:
-        return 3.0 * abs_chi / math.sinh(x)
-    ly = math.log(3.0 * abs_chi) - log_sinh(x)
-    return math.exp(ly)  # may underflow to 0.0 for astronomical arguments
+    try:
+        x = math.exp(t + math.log(omega / 2.0))
+    except OverflowError:
+        raise DomainError(f"e^t * omega / 2 overflows at t = {t!r}") from None
+    return math.log(3.0 * abs_chi) - log_sinh(x)

@@ -3,7 +3,9 @@
 All suprema over curves and arcs are truncated to a finite panel; on the
 pair of pants the nine-entry panel is the complete family, so there the
 values are exact.  Every result reports the panel complexity it used, and
-values are monotone nondecreasing under panel refinement.
+values are monotone nondecreasing under panel refinement.  Lengths arrive
+as logs: a supremum of ratios is a maximum of differences, and a normalized
+vector is exp(log l - max log l), finite however far off the doubles.
 """
 
 from __future__ import annotations
@@ -27,16 +29,18 @@ class MetricValue(NamedTuple):
 
 
 def _log_sup_ratio(lx, ly) -> tuple:
-    """(log sup ly/lx, index of the first entry attaining it).
-
-    A ratio is inf where lx <= 0, and log(inf) is reported as inf.
-    """
+    """(max of ly - lx, index of the first entry attaining it): log sup of
+    the ratios of two vectors held as logs; (-inf, None) if ly is all -inf."""
     best, best_index = -math.inf, None
     for k, (a, b) in enumerate(zip(lx, ly)):
-        ratio = math.inf if a <= 0.0 else b / a
-        if ratio > best:
-            best, best_index = ratio, k
-    return math.log(best) if math.isfinite(best) else math.inf, best_index
+        if b - a > best:
+            best, best_index = b - a, k
+    return best, best_index
+
+
+def _logs(values) -> list:
+    """log of each nonnegative value, -inf for 0."""
+    return [math.log(v) if v > 0 else -math.inf for v in values]
 
 
 def arc_metric(X: geo.FNPoint, Y: geo.FNPoint, panel: Panel) -> MetricValue:
@@ -50,53 +54,29 @@ def arc_metric(X: geo.FNPoint, Y: geo.FNPoint, panel: Panel) -> MetricValue:
         raise DomainError("points live on different surfaces")
     plan = geo.panel_plan(panel)
     value, k = _log_sup_ratio(plan.vector(X), plan.vector(Y))
-    return MetricValue(value, str(None if k is None else panel.entries[k]),
-                       panel.complexity)
+    return MetricValue(value, str(panel.entries[k]), panel.complexity)
 
 
 def thurston_vector(X: geo.FNPoint, panel: Panel) -> tuple[float, ...]:
     """Panel length vector normalized to sup-norm 1 (projective class)."""
     if len(panel) == 0:
         raise DomainError("panel is empty")
-    lengths = geo.panel_plan(panel).vector(X)
-    top = max(lengths)
-    return tuple(v / top for v in lengths)
+    logs = geo.panel_plan(panel).vector(X)
+    top = max(logs)
+    return tuple(math.exp(v - top) for v in logs)
 
 
 # -- horofunctions -----------------------------------------------------------------
 
 
-def _crossed(mu, panel: Panel) -> tuple:
-    """(entry, i(mu, entry)) for every panel entry that mu crosses."""
-    pairs = ((entry, lam.intersection_number(mu, entry)) for entry in panel)
-    return tuple(pair for pair in pairs if pair[1] > 0)
-
-
-def _sup_crossed_ratio(ivals, lengths, scale: float = 1.0) -> float:
-    """sup of ival / (scale * length) over the entries with ival > 0."""
-    best = 0.0
-    for ival, length in zip(ivals, lengths):
-        if ival > 0:
-            denom = scale * length
-            best = math.inf if denom <= 0.0 else max(best, ival / denom)
-    return best
-
-
-def _checked_sup(ivals, lengths, scale: float, where: str) -> float:
-    """_sup_crossed_ratio, which a boundary horofunction needs finite and > 0."""
-    best = _sup_crossed_ratio(ivals, lengths, scale)
-    if best == 0.0:
-        raise DegeneratePanelError(f"the panel misses the lamination at {where}")
-    if best == math.inf:
-        raise DomainError(f"a crossed panel class has length 0 at {where}")
-    return best
-
-
-def _normalizer(mu, ivals, base_lengths) -> float:
-    """sup i(mu, .)/l(., X0), the constant of a boundary horofunction."""
+def _normalizer(mu, log_ivals, base_lengths) -> float:
+    """log sup i(mu, .)/l(., X0), the constant of a boundary horofunction."""
     if mu.is_zero():
         raise DomainError("boundary horofunction needs a nonzero lamination")
-    return _checked_sup(ivals, base_lengths, 1.0, "the base point")
+    best = _log_sup_ratio(base_lengths, log_ivals)[0]
+    if best == -math.inf:
+        raise DegeneratePanelError("the panel misses the lamination at the base point")
+    return best
 
 
 class Horofunction(namedtuple("Horofunction",
@@ -106,26 +86,26 @@ class Horofunction(namedtuple("Horofunction",
     intersection form.
 
     constant is computed once, here: d(X0, X) for an interior point, and
-    the normalizer sup i(mu, .)/l(., X0) for a lamination, which must be
-    finite and positive.  crossed holds the (entry, i(mu, entry)) pairs of
-    the panel entries mu crosses (empty for an interior point), and _plan
-    the length plan of those entries; both are built once and live in the
-    instance __dict__, outside equality and hash.
+    log sup i(mu, .)/l(., X0) for a lamination.  crossed holds the (entry,
+    i(mu, entry)) pairs of the panel entries mu crosses (empty for an
+    interior point), _log_ivals their log i and _plan their length plan,
+    built once in the instance __dict__, outside equality and hash.
     """
 
     def __new__(cls, kind: str, base_point: geo.FNPoint, panel: Panel,
                 point: geo.FNPoint | None = None,
                 mu: lam.RationalLamination | None = None):
-        crossed, plan = (), None
+        crossed, log_ivals, plan = (), [], None
         if kind == "interior":
             constant = arc_metric(base_point, point, panel).value
         else:
-            crossed = _crossed(mu, panel)
+            crossed = tuple((e, i) for e in panel
+                            if (i := lam.intersection_number(mu, e)) > 0)
+            log_ivals = _logs(ival for _, ival in crossed)
             plan = geo.LengthPlan(panel.surface, [e for e, _ in crossed])
-            constant = _normalizer(mu, [ival for _, ival in crossed],
-                                   plan.vector(base_point))
+            constant = _normalizer(mu, log_ivals, plan.vector(base_point))
         self = super().__new__(cls, kind, base_point, panel, point, mu, constant)
-        self.__dict__.update(crossed=crossed, _plan=plan)
+        self.__dict__.update(crossed=crossed, _log_ivals=log_ivals, _plan=plan)
         return self
 
     __setattr__ = __delattr__ = _immutable
@@ -146,8 +126,7 @@ def horofunction_eval(h: Horofunction, Y: geo.FNPoint) -> float:
     give log sup of the normalized intersection form against lengths at Y."""
     if h.kind == "interior":
         return arc_metric(Y, h.point, h.panel).value - h.constant
-    return math.log(_checked_sup([ival for _, ival in h.crossed],
-                                 h._plan.vector(Y), h.constant, "Y"))
+    return _log_sup_ratio(h._plan.vector(Y), h._log_ivals)[0] - h.constant
 
 
 # -- convergence detection ------------------------------------------------------------
@@ -166,10 +145,10 @@ def normalized_length_vector(X: geo.FNPoint, base_point: geo.FNPoint,
     return _normalized(plan.vector(X), plan.vector(base_point))
 
 
-def _normalized(lengths, base) -> tuple[float, ...]:
-    """lengths divided by their maximal ratio against base."""
-    sup = max(l / b for l, b in zip(lengths, base))
-    return tuple(l / sup for l in lengths)
+def _normalized(logs, base) -> tuple[float, ...]:
+    """The lengths of logs divided by their maximal ratio against base."""
+    sup = _log_sup_ratio(base, logs)[0]
+    return tuple(math.exp(v - sup) for v in logs)
 
 
 class LimitReport(NamedTuple):
@@ -194,7 +173,8 @@ def detect_limit(points, panel: Panel, tolerance: float = 1e-6,
         raise DomainError("need at least two points to detect a limit")
     plan = geo.panel_plan(panel)
     base = plan.vector(base_point or pts[0])
-    prev, last = (_normalized(plan.vector(X), base) for X in pts[-2:])
+    logs = [plan.vector(X) for X in pts[-2:]]
+    prev, last = (_normalized(v, base) for v in logs)
     vec_step = max(abs(a - b) for a, b in zip(last, prev))
     if vec_step > tolerance:
         return LimitReport("none", panel.complexity)
@@ -205,6 +185,6 @@ def detect_limit(points, panel: Panel, tolerance: float = 1e-6,
     coord_step = max(abs(a - b) for a, b in zip(coords(pts[-1]), coords(pts[-2])))
     if coord_step <= tolerance * max(1.0, max(map(abs, coords(pts[-1])))):
         return LimitReport("interior", panel.complexity, point=pts[-1])
-    top = max(last)
+    top = max(logs[1])
     return LimitReport("boundary", panel.complexity,
-                       projective_vector=tuple(v / top for v in last))
+                       projective_vector=tuple(math.exp(v - top) for v in logs[1]))

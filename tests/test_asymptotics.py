@@ -63,17 +63,18 @@ def test_scaling_path_decay_regime():
     # successive log drops accelerate
     vals = [asy.scaling_path(spec, t).boundary_dict()["B1"]
             for t in (0, 1, 2, 3)]
-    assert vals == [ht.leaf_decay_bound(1.0, t, 2) for t in (0, 1, 2, 3)]
+    assert vals == [math.exp(ht.leaf_decay_bound(1.0, t, 2)) for t in (0, 1, 2, 3)]
     drops = [math.log(a / b) for a, b in zip(vals, vals[1:])]
     assert drops[0] > 0 and drops[1] > drops[0] and drops[2] > 2 * drops[1]
 
 
 def test_scaling_path_checks_lengths_as_fn_point_does():
-    # 2 e^t is inf at t = 709.5, before math.exp(t) itself overflows
+    # 2 e^t is inf at t = 709.5, before math.exp(t) itself overflows; a
+    # growing length is e^(t + log rate)
     with pytest.raises(DomainError, match="length of B3 must be positive"):
         asy.scaling_path(SPEC, 709.5)
-    assert asy.scaling_path(SPEC, 3.0) == geo.pants_point(1.0, 1.0,
-                                                         math.exp(3.0) * 2.0)
+    assert asy.scaling_path(SPEC, 3.0) == geo.pants_point(
+        1.0, 1.0, math.exp(3.0 + math.log(2.0)))
     # twists come from the base point
     surface = build_surface(0, 0, 4)
     base = geo.fn_point(surface, {"C1": (1.2, 0.3)},
@@ -81,8 +82,8 @@ def test_scaling_path_checks_lengths_as_fn_point_does():
     mu = lam.rational_lamination(surface, {surface.arc_alias("a(B1;B2,C1)"): 1.0})
     X = asy.scaling_path(asy.make_path_spec(mu, base), 2.0)
     assert X.interior == (("C1", (1.2, 0.3)),)
-    assert X.boundary_dict() == {"B1": 2 * math.exp(2.0), "B2": 1.5, "B3": 0.8,
-                                 "B4": 2.0}
+    assert X.boundary_dict() == {"B1": math.exp(2.0 + math.log(2.0)), "B2": 1.5,
+                                 "B3": 0.8, "B4": 2.0}
 
 
 def test_scaling_path_past_the_double_range():
@@ -92,13 +93,22 @@ def test_scaling_path_past_the_double_range():
     for t in (709.5, 710.0, 720.0):
         with pytest.raises(DomainError, match="length of B3 must be positive"):
             asy.scaling_path(SPEC, t)
-    assert asy.scaling_path(SPEC, 709.0).length_of("B3") == math.exp(709.0) * 2
-    # a decaying leaf is floored at 1e-300 there; the other sides hold
+    assert asy.scaling_path(SPEC, 709.0).length_of("B3") \
+        == math.exp(709.0 + math.log(2.0))
+    # a decaying leaf leaves it below: 6 / sinh(e^t / 2) is under the least
+    # normal double from t = 7.27 on, where the point exists only as logs
+    # inside a walk; scaling_path names the coordinate, it floors nothing
     mu = lam.rational_lamination(S, {CurveClass("boundary", "B1"): 1.0})
     spec = asy.make_path_spec(mu, BASE)
-    for t in (709.5, 710.0, 720.0):
-        assert ht.leaf_decay_bound(1.0, t, 2) == 0.0
-        assert asy.scaling_path(spec, t) == geo.pants_point(1e-300, 1.0, 2.0)
+    assert asy.scaling_path(spec, 7.0) == geo.pants_point(
+        math.exp(ht.leaf_decay_bound(1.0, 7.0, 2)), 1.0, 2.0)
+    for t in (7.5, 10.0, 709.5):
+        assert math.isfinite(ht.leaf_decay_bound(1.0, t, 2))
+        with pytest.raises(DomainError, match="length of B1 must be positive"):
+            asy.scaling_path(spec, t)
+    # past e^t itself the envelope has no log either
+    with pytest.raises(DomainError, match="overflows at t = 720.0"):
+        asy.scaling_path(spec, 720.0)
 
 
 def test_boundary_limit_past_the_double_range_exits_3(tmp_path, capsys):
@@ -111,18 +121,28 @@ def test_boundary_limit_past_the_double_range_exits_3(tmp_path, capsys):
                      "--json", str(tmp_path / "out.json")])
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith("error: length of") and "Traceback" not in err
+    # the spec refuses the grid when it is built, before any walk
+    assert err.startswith("error: the moving length of B3 leaves the double "
+                          "range at t = 720.0") and "Traceback" not in err
 
 
 def test_deviation_walk_past_the_double_range():
-    # a leaf-only lamination moves no length off the double range, but
-    # e^t i(mu, a) of a crossed target does
+    # the walk's one domain check is made when the spec and the targets are
+    # built: at t = 720 the envelope of a leaf has no log, and at t = 710
+    # the leaf's e^t / 2 is a double, but e^t i(mu, a) of a target crossing
+    # it with i = 1 is not
     mu = lam.rational_lamination(S, {CurveClass("boundary", "B1"): 1.0})
-    spec = asy.make_path_spec(mu, BASE, (0.0, 720.0))
-    with pytest.raises(DomainError, match="overflows at t = 720.0"):
-        asy.deviation_walk(spec, [A12])
-    b2 = asy.deviation_walk(spec, [CurveClass("boundary", "B2")])[0][0]
-    assert b2 == [1.0, 1.0]  # B2 holds its length 1 and i(mu, B2) = 0
+    with pytest.raises(InvalidSpecError, match="moving length of B1"):
+        asy.make_path_spec(mu, BASE, (0.0, 720.0))
+    spec = asy.make_path_spec(mu, BASE, (0.0, 710.0))
+    a11 = S.arc_alias("a11")
+    assert lam.intersection_number(mu, a11) == 1.0
+    with pytest.raises(InvalidSpecError, match=r"i\(mu, target\) of a\(B1;B2,B3\)"):
+        asy.deviation_walk(spec, [a11])
+    columns, reports, _ = asy.deviation_walk(spec, [A12, CurveClass("boundary", "B2")])
+    # B2 holds its length 1 and i(mu, B2) = 0; a12 ends on the decayed B1
+    assert columns[1] == [1.0, 1.0]
+    assert all(math.isfinite(r.max_upper_deviation) for r in reports)
 
 
 def test_separation_keeps_a_witness_found_before_the_double_range():
@@ -130,10 +150,12 @@ def test_separation_keeps_a_witness_found_before_the_double_range():
     mu = lam.normalize(lam.rational_lamination(S, {A33: 1.0}), X0)
     nu = lam.normalize(
         lam.rational_lamination(S, {CurveClass("boundary", "B3"): 1.0}), X0)
+    # a grid may run to the edge of the double range; past it, the spec
+    # of a blend is refused when it is built
     assert asy.separation_experiment(mu, nu, X0, PANEL,
-                                     grid=(0.0, 3.0, 720.0)).t == 3.0
-    with pytest.raises(DomainError):
-        asy.separation_experiment(mu, nu, X0, PANEL, grid=(0.0, 720.0))
+                                     grid=(0.0, 3.0, 709.0)).t == 3.0
+    with pytest.raises(InvalidSpecError):
+        asy.separation_experiment(mu, nu, X0, PANEL, grid=(0.0, 3.0, 720.0))
 
 
 def test_class_intersection_runs_once_per_pair(monkeypatch, tmp_path):
@@ -375,7 +397,12 @@ def test_horo_convergence_equals_the_horofunction_api(config):
     series = asy.horo_convergence(spec, probes, panel)
     assert [t for t, _ in series] == list(spec.grid)
     for t, dev in series:
-        h_t = met.interior_horofunction(asy.scaling_path(spec, t), base, panel)
+        assert math.isfinite(dev)
+        try:
+            X_t = asy.scaling_path(spec, t)
+        except DomainError:  # a leaf decayed below the doubles: X_t has
+            continue  # only log lengths, inside the walk
+        h_t = met.interior_horofunction(X_t, base, panel)
         assert dev == max(abs(met.horofunction_eval(h_t, Y)
                               - met.horofunction_eval(h_mu, Y)) for Y in probes)
 

@@ -5,13 +5,16 @@ import importlib.util
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from arcmetric import cli
+from mp_reference import mp_pants_lengths
 
 ARC = [sys.executable, "-m", "arcmetric.cli"]
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,6 +70,56 @@ def test_arc_length_values():
     assert float(out.stdout) == pytest.approx(1.704912832358014, abs=1e-8)
     out = run("arc-length", "--pants", "2,2,2", "--arc", "a33")
     assert float(out.stdout) == pytest.approx(3.612225999682252, abs=1e-8)
+
+
+def test_arc_length_reports_only_double_lengths(capsys):
+    # a(B3;B1,B2) is about 6.22e-163 at (1, 1, 1500) and 8.58e-326 at
+    # (1, 1, 3000), below the doubles: that one is refused with its log
+    # length, never printed as 0
+    assert cli.main(["arc-length", "--pants", "1,1,1500", "--arc", "a33"]) == 0
+    assert capsys.readouterr().out == "6.22005672e-163\n"
+    assert cli.main(["arc-length", "--pants", "1,1,3000", "--arc", "a33"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: length of a(B3;B1,B2) must be "
+                                        "positive and finite in double precision")
+    with mp.workdps(50):
+        log_length = mp.log(mp_pants_lengths(1, 1, 3000)["a(B3;B1,B2)"])
+    assert abs(log_length - mp.log(mp.mpf("8.5775574e-326"))) < 1e-7
+    assert abs(float(err.rsplit("e^", 1)[1]) - log_length) <= 1e-12 * abs(log_length)
+
+
+def cli_json(capsys, argv):
+    """The JSON cli.main prints for argv, which must parse without a
+    non-finite constant."""
+    assert cli.main(argv) == 0
+    return json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+
+
+def test_distance_across_a_crushed_class_is_finite(capsys):
+    # a(B3;B1,B2) is about e^-749.98 at (1, 1, 3000): d((1,1,3000), (1,1,1))
+    # is set by it, about 749.98, where a ratio of plain lengths was inf
+    data = cli_json(capsys, ["distance", "--pants", "--x", "1,1,3000",
+                             "--y", "1,1,1"])
+    with mp.workdps(50):
+        lx, ly = mp_pants_lengths(1, 1, 3000), mp_pants_lengths(1, 1, 1)
+        d_xy = max(mp.log(ly[k] / lx[k]) for k in lx)
+        d_yx = max(mp.log(lx[k] / ly[k]) for k in lx)
+    assert data["d_xy"] == pytest.approx(float(d_xy), rel=1e-9)
+    assert data["d_yx"] == pytest.approx(float(d_yx), rel=1e-9)
+    assert data["maximizer_xy"] == "a(B3;B1,B2)"
+
+
+def test_horofn_at_a_crushed_point_is_finite(capsys):
+    # Phi(Z) = d(Z, P) - d(X0, P) at Z = (1, 1, 3000), X0 = (1, 1, 1),
+    # P = (2, 2, 2): d(Z, P) is set by a(B3;B1,B2), about e^-749.98 at Z
+    assert cli.main(["horofn", "--pants", "--base", "1,1,1", "--at", "1,1,3000",
+                     "--point", "2,2,2"]) == 0
+    value = float(capsys.readouterr().out)
+    with mp.workdps(50):
+        z, x0, p = (mp_pants_lengths(*c) for c in ((1, 1, 3000), (1, 1, 1), (2, 2, 2)))
+        want = (max(mp.log(p[k] / z[k]) for k in p)
+                - max(mp.log(p[k] / x0[k]) for k in p))
+    assert value == pytest.approx(float(want), rel=1e-8)  # 9 printed digits
 
 
 def test_missing_arc_is_usage_error():
@@ -301,12 +354,14 @@ def test_horofn_boundary():
     assert float(out.stdout) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_horofn_crushed_class_is_domain_error():
+def test_horofn_at_a_crushed_class_is_finite():
+    # a(B1,B2;B3), crossed by a33, is about e^-748.6 at (1500, 1500, 1):
+    # below the doubles, but its log sets the value, about 747.89
     mu = json.dumps([{"class_id": "a33", "weight": 1}])
     out = run("horofn", "--pants", "--base", "1,1,1", "--at", "1500,1500,1",
               "--mu", mu)
-    assert out.returncode == 3
-    assert "Traceback" not in out.stderr
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) == pytest.approx(747.889629, rel=1e-8)
 
 
 @pytest.mark.parametrize("argv", [
@@ -618,9 +673,12 @@ def test_every_leaf_verb_has_a_handler():
 
 
 # values the argv fuzz draws from besides plain lengths: edge and bad
-# numbers, ids, lamination JSON, and panel levels and sample counts (small,
-# negative, just past the cap and huge)
-FUZZ_NUMBERS = ["-0.7", "0", "-1", "1e-9", "40", "1e308", "inf", "nan", "x", ""]
+# numbers (cuffs at which arcs leave the double range among them), ids,
+# lamination JSON, and panel levels and sample counts (small, negative, just
+# past the cap and huge)
+FUZZ_NUMBERS = ["-0.7", "0", "-1", "1e-9", "40", "3000", "1e5", "1e308", "inf",
+                "nan", "x", ""]
+NON_FINITE = re.compile(r"\b(Infinity|NaN|inf|nan)\b")
 FUZZ_VALUES = {
     "--arc": ["a12", "a33", "B1", "C1", "a(B1;C1,C1)", "a(B1;C1,C1)~1",
               "w(1,1)", "w(a,b)", "w(1)", "zz", ""],
@@ -683,5 +741,7 @@ def test_argv_fuzz_exits_only_with_documented_codes(capsys):
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
         codes.setdefault(code, argv)
-        capsys.readouterr()
+        out = capsys.readouterr().out
+        # a run that succeeds prints only finite numbers
+        assert code != 0 or not NON_FINITE.search(out), (argv, out)
     assert set(codes) == {0, 2, 3, 4}, codes

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from arcmetric import hyptrig as ht
 from arcmetric.errors import DomainError
+from mp_reference import mp_arc_distinct, mp_arc_same
 
 # Frozen from the axis-distance oracle (explicit right-angled-hexagon gluing,
 # holonomy fixed points, endpoint cross-ratio), cross-checked against 40-digit
@@ -75,21 +76,6 @@ def test_log_space_matches_direct_evaluation():
                + 2 * math.cosh(lb / 2) * math.cosh(g1 / 2) * math.cosh(g2 / 2))
         direct = 2 * math.acosh(math.sqrt(num) / math.sinh(lb / 2))
         assert ht.arc_length_same_boundary(*args) == pytest.approx(direct, rel=1e-13)
-
-
-def mp_arc_same(lb, lg1, lg2):
-    # sinh^2(l/2) = (ch1^2 + ch2^2 + 2 chb ch1 ch2) / shb^2, no cancellation
-    cb, c1, c2 = (mp.cosh(mp.mpf(v) / 2) for v in (lb, lg1, lg2))
-    s2 = (c1 ** 2 + c2 ** 2 + 2 * cb * c1 * c2) / mp.sinh(mp.mpf(lb) / 2) ** 2
-    return 2 * mp.asinh(mp.sqrt(s2))
-
-
-def mp_arc_distinct(lb1, lb2, lg):
-    # sinh^2(l/2) = (cosh(lg/2) + cosh((lb1 - lb2)/2)) / (2 sh1 sh2)
-    lb1, lb2, lg = mp.mpf(lb1), mp.mpf(lb2), mp.mpf(lg)
-    s2 = (mp.cosh(lg / 2) + mp.cosh((lb1 - lb2) / 2)) \
-        / (2 * mp.sinh(lb1 / 2) * mp.sinh(lb2 / 2))
-    return 2 * mp.asinh(mp.sqrt(s2))
 
 
 def test_pants_formulas_match_mpmath_on_the_stated_domain():
@@ -177,11 +163,12 @@ def test_same_case_beta_seam_continuity(g1, g2, w):
 
 
 def test_leaf_decay_bound_values():
-    assert ht.leaf_decay_bound(1.0, 0.0, 2) == pytest.approx(6 / math.sinh(0.5),
-                                                             rel=1e-12)
+    # the envelope is returned as its log
+    assert math.exp(ht.leaf_decay_bound(1.0, 0.0, 2)) == pytest.approx(
+        6 / math.sinh(0.5), rel=1e-12)
     # 6/sinh(e^3) = 2.2706e-8
-    assert ht.leaf_decay_bound(2.0, 3.0, 2) == pytest.approx(2.270614434e-8,
-                                                             rel=1e-8)
+    assert math.exp(ht.leaf_decay_bound(2.0, 3.0, 2)) == pytest.approx(
+        2.270614434e-8, rel=1e-8)
 
 
 def test_leaf_decay_bound_monotone():

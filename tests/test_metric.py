@@ -164,24 +164,35 @@ def test_degenerate_panel_error():
         met.boundary_horofunction(mu, X222, tiny)
 
 
-def test_boundary_horofunction_crushed_class_is_domain_error():
-    # at (1500, 1500, 1) the arc a(B1,B2;B3) underflows to length 0.0
+def test_boundary_horofunction_at_a_crushed_class():
+    # at (1500, 1500, 1) the arc a(B1,B2;B3) is about e^-748.6, below the
+    # doubles: class_length refuses to report it, but its log is finite, so
+    # the a33 horofunction is built and evaluated there
     mu = lam.rational_lamination(S, {S.arc_alias("a33"): 1.0})
     Y = geo.pants_point(1500, 1500, 1)
-    assert geo.class_length(Y, S.arc_alias("a12")) == 0.0
+    a12 = S.arc_alias("a12")
+    log_a12 = geo.LengthPlan(S, [a12]).vector(Y)[0]
+    assert -749 < log_a12 < -748
+    with pytest.raises(DomainError, match=r"length of a\(B1,B2;B3\)"):
+        geo.class_length(Y, a12)
+    # a12 is crossed once and crushed, so it attains the supremum at Y
     h = met.boundary_horofunction(mu, geo.pants_point(1, 1, 1), PANEL)
-    with pytest.raises(DomainError):
-        met.horofunction_eval(h, Y)
-    # the same class crushed at the base point makes the normalizer infinite
-    with pytest.raises(DomainError):
-        met.boundary_horofunction(mu, Y, PANEL)
+    assert met.horofunction_eval(h, Y) == -log_a12 - h.constant
+    # built at Y, its log normalizer is finite and it vanishes there
+    h_Y = met.boundary_horofunction(mu, Y, PANEL)
+    assert h_Y.constant == -log_a12
+    assert met.horofunction_eval(h_Y, Y) == 0.0
 
 
 def test_log_sup_ratio_kernel():
-    # ties go to the first entry in panel order; lx <= 0 gives an inf ratio
-    assert met._log_sup_ratio([1.0, 2.0, 3.0], [2.0, 4.0, 3.0]) \
-        == (math.log(2.0), 0)
-    assert met._log_sup_ratio([1.0, 0.0, 2.0], [2.0, 1.0, 9.0]) == (math.inf, 1)
+    # on log vectors the supremum of ratios is the max of differences, and
+    # ties go to the first entry in panel order
+    lg = math.log
+    assert met._log_sup_ratio([0.0, lg(2.0), lg(3.0)], [lg(2.0), lg(4.0), lg(3.0)]) \
+        == (lg(2.0), 0)
+    # a length far below the doubles is an ordinary log: a finite supremum
+    assert met._log_sup_ratio([0.0, -1e5, lg(2.0)], [lg(2.0), 0.0, lg(9.0)]) \
+        == (1e5, 1)
     plan = geo.panel_plan(PANEL)
     lx, ly = plan.vector(X222), plan.vector(X444)
     value, k = met._log_sup_ratio(lx, ly)
@@ -196,9 +207,10 @@ def test_boundary_horofunction_crossed_pairs():
                               for e in PANEL
                               if lam.intersection_number(mu, e) > 0)
     assert len(h.crossed) == 4
-    assert h.constant == max(lam.intersection_number(mu, e)
-                             / geo.class_length(X222, e) for e in PANEL
-                             if lam.intersection_number(mu, e) > 0)
+    # the log normalizer: max of log i(mu, e) - log l(e) at the base point
+    assert h.constant == max(math.log(lam.intersection_number(mu, e))
+                             - geo.LengthPlan(S, [e]).vector(X222)[0]
+                             for e in PANEL if lam.intersection_number(mu, e) > 0)
     assert met.interior_horofunction(X444, X222, PANEL).crossed == ()
 
 

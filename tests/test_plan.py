@@ -1,10 +1,14 @@
-"""LengthPlan: compiled panel length vectors equal a per-class reference.
+"""LengthPlan: compiled panel log length vectors equal a per-class reference.
 
-The reference reads coordinate lengths from FNPoint.length_of and calls the
-checked hyptrig wrappers, none of the plan's cached log terms or routes.
-Every value is compared with ==, bit for bit: both evaluate the same formula
-with the same floats, so nothing may round differently.
+The reference computes each class's log length on its own, from each
+coordinate curve's length and log length (FNPoint.length_of at a point, the
+path's log lengths along a walk) through the hyptrig cores and log-term
+functions: none of the plan's cached log terms or routes.  Every value is
+compared with ==, bit for bit: both evaluate the same formula with the same
+floats, so nothing may round differently.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +18,7 @@ from arcmetric import asymptotics as asy
 from arcmetric import geometry as geo
 from arcmetric import hyptrig as ht
 from arcmetric import lamination as lam
-from arcmetric.errors import DomainError, UnsupportedClassError
+from arcmetric.errors import DomainError, InvalidSpecError, UnsupportedClassError
 from arcmetric.topology import ArcClass, CurveClass, build_surface, enumerate_panel
 
 # the experiment-sweep surfaces: tier 1 and the decomposition-level ones
@@ -35,39 +39,57 @@ def points(draw, surface, cuffs=lengths):
     return geo.fn_point(surface, interior, boundary)
 
 
-def reference_length(X, cls):
-    """Length of cls at X, class by class, from the checked hyptrig wrappers."""
-    surface = X.surface
+def reference_log(surface, coord, twist, cls):
+    """Log length of cls, class by class, from coord(label) -> (length, log
+    length) of a coordinate curve (a puncture is (0.0, -inf)) and its
+    twist(label)."""
     torus = surface.signature == (1, 0, 1)
     if isinstance(cls, CurveClass):
         if cls.kind in ("boundary", "interior"):
-            return X.length_of(cls.label)
+            return coord(cls.label)[1]
         if not (torus and cls.kind == "word" and cls.slope is not None):
             raise UnsupportedClassError(cls.label)
-        (_, (lC, tau)), = X.interior
-        return ht.torus_slope_length(lC, tau, X.length_of("B1"), *cls.slope)
+        return ht.torus_slope_length(coord("C1")[1], twist("C1"), coord("B1")[1],
+                                     *cls.slope)
     if surface.double_of is not None:
         raise DomainError("arcs live on bordered surfaces")
+
+    def cosh(side):
+        return ht.log_cosh(side[0] / 2)
+
     if cls.twist != 0:
         if not torus:
             raise UnsupportedClassError(cls.label)
-        (_, (lC, tau)), = X.interior
-        host = ht.torus_slope_length(lC, tau, X.length_of("B1"), 1, cls.twist)
-        return ht.arc_length_same_boundary(X.length_of("B1"), host, host)
+        host = ht.torus_slope_length(coord("C1")[1], twist("C1"), coord("B1")[1],
+                                     1, cls.twist)
+        host = ht.log_cosh(math.exp(host) / 2)
+        return ht.arc_same_from_logs(cosh(coord("B1")), ht.log_sinh_half(*coord("B1")),
+                                     host, host)
     kind, *sides = cls.pattern
-    a, b, c = (0.0 if side in surface.punctures else X.length_of(side)
-               for side in sides)
+    a, b, c = map(coord, sides)
     if kind == "same":
-        return ht.arc_length_same_boundary(a, b, c)
-    return ht.arc_length_distinct_boundaries(a, b, c)
+        return ht.arc_same_from_logs(cosh(a), ht.log_sinh_half(*a), cosh(b), cosh(c))
+    return ht.arc_distinct_from_logs(a[0], b[0], cosh(c), ht.log_sinh_half(*a),
+                                     ht.log_sinh_half(*b))
+
+
+def references(surface, coord, twist, entries):
+    """The reference log length of each entry, or the type of its first
+    error (the plan must raise the same type)."""
+    try:
+        return [reference_log(surface, coord, twist, e) for e in entries]
+    except Exception as exc:
+        return type(exc)
 
 
 def direct(X, entries):
-    """The reference length of each entry, or the type of its first error."""
-    try:
-        return [reference_length(X, e) for e in entries]
-    except Exception as exc:  # the plan must raise the same type
-        return type(exc)
+    """The reference at the point X."""
+    def coord(label):
+        if label in X.surface.punctures:
+            return 0.0, -math.inf
+        return X.length_of(label), math.log(X.length_of(label))
+    return references(X.surface, coord, lambda label: X.interior_dict()[label][1],
+                      entries)
 
 
 def planned(plan, X):
@@ -105,14 +127,18 @@ def walked(spec, plan):
 
 
 def expected(spec, entries, grid):
-    """The reference at each scaling_path point, up to the first error."""
-    out = []
+    """The reference at each point of the path, from its coordinates' log
+    lengths (a decayed one far below the doubles), up to the first error."""
+    surface, out = spec.mu.surface, []
+    held = {label: (param, math.log(param))
+            for label, (kind, param) in spec.regimes if kind == "hold"}
+    held.update(dict.fromkeys(surface.punctures, (0.0, -math.inf)))
+    twists = dict(spec.base_point.interior)
     for t in grid:
-        try:
-            X = asy.scaling_path(spec, t)
-        except Exception as exc:
-            return out + [type(exc)]
-        out.append(direct(X, entries))
+        coords = {**held, **{label: (math.exp(v), v) for label, v
+                             in asy._moving_lengths(spec, t).items()}}
+        out.append(references(surface, coords.__getitem__,
+                              lambda label: twists[label][1], entries))
         if isinstance(out[-1], type):
             break
     return out
@@ -143,7 +169,8 @@ def paths(draw, surfaces, cuffs):
 def test_walk_equals_class_length_at_every_point(case):
     # along a scaling path only the entries with a moving side are
     # re-evaluated; the held ones keep their first value, which is exact.
-    # Cuffs span [1e-8, 1e3], and a leaf decays to the 1e-300 floor by t = 8
+    # Cuffs span [1e-8, 1e3], and a leaf decays below the doubles by t = 8,
+    # where the walk and the reference read its log length
     spec, panel = case
     plan = geo.panel_plan(panel)
     vectors = walked(spec, plan)
@@ -164,17 +191,19 @@ def test_walk_torus_word_entries_equal_the_reference(X0, complexity, cls):
 
 
 def test_walk_stops_at_the_double_range():
-    # B3 grows at rate 2: the vectors before t + log 2 > log(DBL_MAX) are
-    # yielded, and the walk raises DomainError (not OverflowError from e^t)
-    # at the first point past it
+    # B3 grows at rate 2: a grid up to t + log 2 <= log(DBL_MAX) is walked
+    # in full, a(B3;B1,B2) about e^(-e^709 / 2) at its end, and a grid past
+    # it is refused when its spec is built, before any walk
     surface = SURFACES[0]
     mu = lam.rational_lamination(surface, {surface.arc_alias("a33"): 1.0})
-    spec = asy.make_path_spec(mu, geo.pants_point(1.0, 1.0, 2.0),
-                              (0.0, 5.0, 700.0, 709.0, 720.0))
+    grid = (0.0, 5.0, 700.0, 709.0)
+    spec = asy.make_path_spec(mu, geo.pants_point(1.0, 1.0, 2.0), grid)
     panel = enumerate_panel(surface, 0)
     vectors = walked(spec, geo.panel_plan(panel))
     assert vectors == expected(spec, panel.entries, spec.grid)
-    assert len(vectors) == 5 and vectors[-1] is DomainError
+    assert len(vectors) == 4 and all(map(math.isfinite, vectors[-1]))
+    with pytest.raises(InvalidSpecError, match="moving length of B3"):
+        asy.make_path_spec(mu, geo.pants_point(1.0, 1.0, 2.0), grid + (720.0,))
 
 
 def test_intersections_are_computed_once_per_lamination(monkeypatch):
