@@ -192,7 +192,8 @@ def torus_slope_length(log_lC: float, tau: float, log_lB: float, p: int,
     if q == 1 and c < 1.0:  # c may underflow: cosh(l/2) - 1 by parts, in logs,
         s = tau + p * lC  # sinh^2(l/4) = sinh^2(d/4) cosh(s/2) + sinh^2(s/4)
         x = 2 * log_sinh_half(d / 2, log_d - _LN2) + _log_cosh_rel(s / 2)
-        y = 2 * log_sinh(abs(s) / 4) if s else -math.inf
+        y = (2 * log_sinh_half(abs(s) / 2, math.log(abs(s)) - _LN2)
+             if s else -math.inf)  # reads log |s|: s / 4 may underflow
         top = max(x, y)
         log_length = _LN2 + _log_2asinh_of_exp(
             (top + math.log(math.exp(x - top) + math.exp(y - top))) / 2)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arcmetric import asymptotics as asy
@@ -87,6 +87,7 @@ def test_guard_refuses_cancelled_descents(point, slope):
 
 @settings(max_examples=25, deadline=None)
 @given(log_cuffs, st.floats(-50.0, 50.0), log_cuffs)
+@example(1.0, 5e-324, 1.0)  # a denormal twist: s / 4 underflows to 0
 def test_fricke_identity(lC, tau, lB):
     # x^2 + y^2 + z^2 - xyz = 2 - 2 cosh(lB/2) on the traces of C1, w(0,1)
     # and w(1,1): the boundary as the commutator of the handle
