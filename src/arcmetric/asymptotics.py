@@ -8,8 +8,9 @@ hold their initial length.  Twists are held constant.  This reproduces
 exactly the boundary-length asymptotics the pants-local case analysis
 consumes; targets crossing several pants are not registered.
 
-Domain: every moving log length and every e^t i(mu, target) at the last
-grid point is a finite double, checked once when a PathSpec (and a deviation
+Domain: every growing length, e^t w / 2 of every leaf and e^t i(mu, target)
+at the last grid point, and every decaying length at the first, where it is
+longest, is a finite double, checked once when a PathSpec (and a deviation
 walk's targets) is built, else InvalidSpecError.  A point with a coordinate
 off the doubles exists only inside a walk; scaling_path refuses it.
 """
@@ -74,8 +75,12 @@ class PathSpec(namedtuple("PathSpec", "mu base_point grid regimes")):
                         for label in surface.boundaries + surface.interior_curves)
         t = grid[-1]  # a growing e^t rate and a decaying e^t w / 2 are doubles
         _check_range("the moving length of", t, (
-            (label, t + math.log(param / 2 if kind == "decay" else param))
+            (label, t + (ht._log_half(param) if kind == "decay" else math.log(param)))
             for label, (kind, param) in regimes if kind != "hold"))
+        t, chi = grid[0], abs_double_chi(surface)  # a decaying length is longest
+        _check_range("the moving length of", t, (
+            (label, ht.leaf_decay_bound(param, t, chi))
+            for label, (kind, param) in regimes if kind == "decay"))
         return super().__new__(cls, mu, base_point, grid, regimes)
 
     def regime_dict(self) -> dict:
@@ -112,7 +117,7 @@ def scaling_path(spec: PathSpec, t: float) -> geo.FNPoint:
     """The point at parameter t (twists from the base point), or a
     DomainError naming a coordinate that is not a double there."""
     lengths = {label: param for label, (kind, param) in spec.regimes if kind == "hold"}
-    lengths.update((label, geo._length_from_log(label, log_length))
+    lengths.update((label, ht._length_from_log(label, log_length))
                    for label, log_length in _moving_lengths(spec, t).items())
     return spec.base_point.with_lengths(lengths)
 

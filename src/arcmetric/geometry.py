@@ -19,16 +19,12 @@ like every length here, it runs on the standard library.
 from __future__ import annotations
 
 import math
-import sys
 from functools import lru_cache
 from typing import NamedTuple
 
 from . import hyptrig as ht
 from .errors import DomainError, UnsupportedClassError
 from .topology import ArcClass, CurveClass, Surface, build_surface, double_topology
-
-# e^x is a normal double for x in this range
-_LOG_MIN, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
 class FNPoint(NamedTuple):
@@ -191,21 +187,13 @@ def _route(surface: Surface, cls) -> tuple:
         distinct(P[a], P[b], C[c], S[a], S[b])
 
 
-def _length_from_log(what, log_length: float) -> float:
-    """e^log_length, or a DomainError naming what: never 0.0 or inf."""
-    if not _LOG_MIN <= log_length <= _LOG_MAX:
-        raise DomainError(f"length of {what} must be positive and finite in "
-                          f"double precision, got e^{log_length!r}")
-    return math.exp(log_length)
-
-
 def class_length(X: FNPoint, cls) -> float:
     """Length of a CurveClass or ArcClass at X: e^ of its one-entry plan's
     log length, and a coordinate exactly as X holds it."""
     log_length = LengthPlan(X.surface, (cls,)).vector(X)[0]
     if isinstance(cls, CurveClass) and cls.kind in ("boundary", "interior"):
         return X.length_of(cls.label)
-    return _length_from_log(cls, log_length)
+    return ht._length_from_log(cls, log_length)
 
 
 class LengthPlan:

@@ -195,19 +195,6 @@ def perpendicular_at_circle_point(R: float, s: float) -> Geodesic:
     return geodesic_from_circle(center, radius)
 
 
-def common_perpendicular(g1: Geodesic, g2: Geodesic) -> Geodesic:
-    """Geodesic orthogonal to both g1 and g2 (finite half-circles only)."""
-    m1, r1 = g1.center_radius()
-    m2, r2 = g2.center_radius()
-    if abs(m1 - m2) < 1e-14:
-        raise DomainError("concentric geodesics: perpendicular is a vertical line")
-    x0 = (m1 * m1 - r1 * r1 - m2 * m2 + r2 * r2) / (2.0 * (m1 - m2))
-    rad2 = (x0 - m1) ** 2 - r1 * r1
-    if rad2 <= 0:
-        raise DomainError("geodesics admit no common perpendicular circle")
-    return geodesic_from_circle(x0, math.sqrt(rad2))
-
-
 def circle_intersection(c1: tuple[float, float], c2: tuple[float, float]) -> complex:
     """Upper half-plane intersection point of two circles (m, r) on the real axis."""
     m1, r1 = c1

@@ -21,6 +21,9 @@ from .errors import DomainError
 
 _LN2 = math.log(2.0)
 _EPS = sys.float_info.epsilon
+_DBL_MIN = sys.float_info.min
+# e^x is a normal double for x in this range
+_LOG_MIN, _LOG_MAX = math.log(_DBL_MIN), math.log(sys.float_info.max)
 _SLOPE_RTOL = 1e-10  # a torus slope length with a larger error bound raises
 
 
@@ -37,14 +40,31 @@ def log_cosh(x: float) -> float:
 
 def log_sinh(x: float) -> float:
     """log(sinh(x)) for x > 0, safe for large and for denormal-small x."""
-    if x <= 0:
-        raise DomainError("log_sinh needs a positive argument")
     return x + math.log(-math.expm1(-2.0 * x)) - _LN2
 
 
 def log_sinh_half(length: float, log_length: float) -> float:
     """log(sinh(l/2)) from l > 0 and log l, which it reads below 2e-8."""
     return log_length - _LN2 if length < 2e-8 else log_sinh(length / 2)
+
+
+def _log_half(x: float) -> float:
+    """log(x/2) for x > 0, read from log x where x/2 is not a normal double."""
+    return math.log(x / 2) if x / 2 >= _DBL_MIN else math.log(x) - _LN2
+
+
+def _log_sinh_of_half(length: float) -> float:
+    """log(sinh(l/2)) for l > 0, from log l where l/2 is not a normal double."""
+    half = length / 2
+    return log_sinh(half) if half >= _DBL_MIN else _log_half(length)
+
+
+def _length_from_log(what, log_length: float) -> float:
+    """e^log_length, or a DomainError naming what: never 0.0, a denormal or inf."""
+    if not _LOG_MIN <= log_length <= _LOG_MAX:
+        raise DomainError(f"length of {what} must be positive and finite in "
+                          f"double precision, got e^{log_length!r}")
+    return math.exp(log_length)
 
 
 def _log_2asinh_of_exp(x: float) -> float:
@@ -74,8 +94,9 @@ def arc_length_same_boundary(lb: float, lg1: float, lg2: float) -> float:
             raise DomainError(f"{name} must be nonnegative, got {v}")
     if lb == 0:
         raise DomainError("arc from a cusp is undefined (lb = 0)")
-    return math.exp(arc_same_from_logs(log_cosh(lb / 2), log_sinh(lb / 2),
-                                       log_cosh(lg1 / 2), log_cosh(lg2 / 2)))
+    return _length_from_log("the arc", arc_same_from_logs(
+        log_cosh(lb / 2), _log_sinh_of_half(lb),
+        log_cosh(lg1 / 2), log_cosh(lg2 / 2)))
 
 
 def arc_same_from_logs(cb, sb, c1, c2) -> float:
@@ -105,8 +126,9 @@ def arc_length_distinct_boundaries(lb1: float, lb2: float, lg: float) -> float:
             raise DomainError(f"{name} must be nonnegative, got {v}")
     if lb1 == 0 or lb2 == 0:
         raise DomainError("arc endpoint on a cusp is undefined (lb = 0)")
-    return math.exp(arc_distinct_from_logs(
-        lb1, lb2, log_cosh(lg / 2), log_sinh(lb1 / 2), log_sinh(lb2 / 2)))
+    return _length_from_log("the arc", arc_distinct_from_logs(
+        lb1, lb2, log_cosh(lg / 2), _log_sinh_of_half(lb1),
+        _log_sinh_of_half(lb2)))
 
 
 def arc_distinct_from_logs(lb1, lb2, cg, s1, s2) -> float:
@@ -264,8 +286,10 @@ def leaf_decay_bound(omega: float, t: float, abs_chi: int) -> float:
         raise DomainError("leaf weight omega must be positive")
     if abs_chi < 1:
         raise DomainError("|chi| must be at least 1")
+    log_x = t + _log_half(omega)
     try:
-        x = math.exp(t + math.log(omega / 2.0))
+        x = math.exp(log_x)
     except OverflowError:
         raise DomainError(f"e^t * omega / 2 overflows at t = {t!r}") from None
-    return math.log(3.0 * abs_chi) - log_sinh(x)
+    # below the normal doubles sinh(x) = x to far below an ulp of log x
+    return math.log(3.0 * abs_chi) - (log_sinh(x) if x >= _DBL_MIN else log_x)

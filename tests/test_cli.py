@@ -122,6 +122,30 @@ def test_horofn_at_a_crushed_point_is_finite(capsys):
     assert value == pytest.approx(float(want), rel=1e-8)  # 9 printed digits
 
 
+@pytest.mark.parametrize("weight", [1e-305, 1e-310, 5e-324])
+def test_boundary_limit_with_a_tiny_leaf_weight(weight, tmp_path, capsys):
+    # a decaying leaf is longest at the first grid point, where its log
+    # length log 6 - log sinh(w / 2) is about 703.8, 716.3 and 746.9
+    config = json.loads((CONFIGS / "demo_boundary_pants.json").read_text())
+    config["mu"] = [{"class_id": "B1", "weight": weight}]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = cli.main(["experiment", "boundary-limit", str(path)])
+    out, err = capsys.readouterr()
+    if weight == 1e-305:
+        assert code == 0
+        data = json.loads(out)
+        assert data["final_distance"] == 1.0
+        assert data["limit_vector"] == {
+            "B1": 0.0, "B2": 0.0, "B3": 0.0, "a(B1,B2;B3)": 0.5,
+            "a(B1,B3;B2)": 0.5, "a(B1;B2,B3)": 1.0, "a(B2,B3;B1)": 0.0,
+            "a(B2;B1,B3)": 0.0, "a(B3;B1,B2)": 0.0}
+    else:
+        assert code == 3 and out == ""
+        assert err.startswith("error: the moving length of B1 leaves the "
+                              "double range at t = 0.0: e^7")
+
+
 def test_missing_arc_is_usage_error():
     out = run("arc-length", "--pants", "2,2,2")
     assert out.returncode == 2

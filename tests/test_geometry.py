@@ -1,5 +1,6 @@
 """Fenchel-Nielsen geometry: the holonomy oracle, lengths, and doubling."""
 
+import itertools
 import math
 import random
 
@@ -9,8 +10,8 @@ from arcmetric import geometry as geo
 from arcmetric import halfplane as hp
 from arcmetric import holonomy as ho
 from arcmetric import hyptrig as ht
-from arcmetric.errors import DomainError, UnsupportedClassError
-from arcmetric.topology import ArcClass, CurveClass
+from arcmetric.errors import DomainError, UnsupportedClassError, UnsupportedSurfaceError
+from arcmetric.topology import ArcClass, CurveClass, build_surface
 
 # the short name a{j}{k} of each pants arc, as the holonomy words a{j}{k}^d use it
 ARC_NAMES = {geo.pants_surface().arc_alias(a): a
@@ -77,30 +78,50 @@ def test_axis_distance_formulas_agree():
     assert (1 + lam) / (1 - lam) == pytest.approx(k, rel=1e-12)
 
 
-def test_shooting_solver_matches_scipy_brentq(monkeypatch):
-    optimize = pytest.importorskip("scipy.optimize")
-    grid = [0.1 * 140 ** (k / 7) for k in range(8)]  # log-spaced in [0.1, 14]
-    triples = [(l1, l2, l3) for l1 in grid for l2 in grid for l3 in grid]
-    ours = [ho.build_pants(*t).seam_lengths for t in triples]
-    monkeypatch.setattr(ho, "_brentq", optimize.brentq)
-    theirs = [ho.build_pants(*t).seam_lengths for t in triples]
-    assert ours == theirs
+def test_oracle_agreement_on_a_wide_log_grid():
+    # 9^3 log grid over [0.02, 14]: one long and two short cuffs included
+    grid = [0.02 * 700 ** (k / 8) for k in range(9)]
+    for lengths in itertools.product(grid, repeat=3):
+        oracle = ho.pants_arc_lengths_oracle(*lengths)
+        for key, value in formula_arc_lengths(*lengths).items():
+            assert abs(oracle[key] - value) <= 1e-3 * max(1.0, value), (lengths, key)
 
 
-def test_shooting_solver_failures_are_domain_errors():
-    def f(x):
-        return x ** 3 - 2.0
+def test_oracle_agreement_one_long_two_short_cuffs():
+    oracle = ho.pants_arc_lengths_oracle(14.0, 0.02, 0.02)
+    for key, value in formula_arc_lengths(14.0, 0.02, 0.02).items():
+        assert oracle[key] == pytest.approx(value, abs=1e-4), key
 
-    root = ho._brentq(f, 0.0, 2.0, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    assert root == pytest.approx(2.0 ** (1 / 3), abs=1e-14)
-    with pytest.raises(DomainError, match="does not change sign"):
-        ho._brentq(f, 2.0, 3.0, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    with pytest.raises(DomainError, match="did not converge"):
-        ho._brentq(f, 0.0, 2.0, xtol=1e-14, rtol=8.9e-16, maxiter=3)
+
+@pytest.mark.parametrize("lengths", [
+    (1, 1, 2000), (2000, 1, 1), (1e308, 1e308, 1e308), (5e-324, 5e-324, 5e-324),
+    (1e-300, 1, 1), (50, 50, 1), (1, 1, 1400)])
+def test_extreme_cuffs_give_numbers_or_domain_errors(lengths):
+    # cosh(1000) overflows, and at (1, 1, 1400) the seam 2-3 reflection does
+    for build in (ho.build_pants, ho.pants_arc_lengths_oracle):
+        try:
+            out = build(*lengths)
+        except DomainError:
+            continue
+        values = (out.values() if isinstance(out, dict)
+                  else [x for M in out.cuff_matrices for x in M])
+        assert all(map(math.isfinite, values))
+
+
+def test_pants_point_holonomy():
+    hol = geo.holonomy_build(geo.pants_point(2.0, 3.0, 4.0))
+    assert max(hol.generator_trace_errors().values()) <= 1e-12
+    assert max(hol.relator_residuals()) <= 1e-12
+    assert hol.word_length("B2") == pytest.approx(3.0, abs=1e-12)
+    X = geo.fn_point(build_surface(0, 0, 4), {"C1": (1.0, 0.0)},
+                     {f"B{j}": 1.0 for j in (1, 2, 3, 4)})
+    with pytest.raises(UnsupportedSurfaceError):
+        ho.point_holonomy(X)
 
 
 def test_long_cuffs_raise_domain_error_not_overflow():
-    # the seam between two cuffs of length 50 is longer than math.exp allows
+    # the seam between two cuffs of length 50 is about 6e-11 long: cosh of it
+    # rounds to 1, so the seam circles cannot place cuff 2
     with pytest.raises(DomainError, match="too long"):
         ho.build_pants(50.0, 50.0, 1.0)
     # the torus trace descent cancels here; unguarded, log1p raised ValueError

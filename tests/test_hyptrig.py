@@ -4,6 +4,7 @@ asymptotic bounds."""
 
 import math
 import random
+import sys
 
 import mpmath as mp
 import pytest
@@ -105,8 +106,49 @@ def test_huge_arguments_stay_finite():
     val = ht.arc_length_distinct_boundaries(1.0, 1.0, 2 * math.exp(10))
     assert val == pytest.approx(math.exp(10) - 2 * math.log(math.sinh(0.5)),
                                 abs=1e-6)
-    tiny = ht.arc_length_same_boundary(2 * math.exp(10), 1.0, 1.0)
-    assert 0 <= tiny < 1e-100
+    with pytest.raises(DomainError, match=r"got e\^-"):  # about e^-22026
+        ht.arc_length_same_boundary(2 * math.exp(10), 1.0, 1.0)
+
+
+def test_wrappers_refuse_arcs_below_the_normal_doubles():
+    # the arc is about e^-748.5: a 0.0 would be a length the point does not have
+    with pytest.raises(DomainError, match=r"got e\^-748\.49"):
+        ht.arc_length_same_boundary(3000.0, 1.0, 1.0)
+    with pytest.raises(DomainError, match=r"got e\^-"):
+        ht.arc_length_distinct_boundaries(3000.0, 3000.0, 1.0)
+
+
+def test_denormal_cuffs_and_leaf_weights():
+    # lb / 2 rounds to 0.0; log sinh(lb / 2) is read from log lb (50-digit mpmath)
+    assert ht.arc_length_same_boundary(5e-324, 1, 1) == pytest.approx(
+        1493.2792559400386, rel=1e-14)
+    assert ht.arc_length_distinct_boundaries(5e-324, 1, 1) == pytest.approx(
+        747.2914502959665, rel=1e-14)
+    assert ht.arc_length_distinct_boundaries(1, 5e-324, 1) == pytest.approx(
+        747.2914502959665, rel=1e-14)
+    # log 3 - log sinh(5e-324 / 2), and e^t omega / 2 below the doubles
+    assert ht.leaf_decay_bound(5e-324, 0.0, 1) == pytest.approx(
+        746.23183139060932, rel=1e-14)
+    assert ht.leaf_decay_bound(1e-300, -100.0, 1) == pytest.approx(
+        math.log(3.0) - (-100.0 + math.log(1e-300 / 2)), rel=1e-14)
+
+
+def test_normal_cuffs_read_log_sinh_as_before():
+    # the denormal branches leave every normal input bit for bit as it was
+    rng = random.Random(19)
+    for _ in range(200):
+        lb = math.exp(rng.uniform(math.log(4.5e-308), math.log(700.0)))  # lb/2 normal
+        lg = math.exp(rng.uniform(math.log(1e-8), math.log(700.0)))
+        sb = ht.log_sinh(lb / 2)
+        same = ht.arc_same_from_logs(ht.log_cosh(lb / 2), sb,
+                                     ht.log_cosh(lg / 2), ht.log_cosh(1.0))
+        if same >= math.log(sys.float_info.min):
+            assert ht.arc_length_same_boundary(lb, lg, 2.0) == math.exp(same)
+        distinct = ht.arc_distinct_from_logs(lb, 1.0, ht.log_cosh(lg / 2), sb,
+                                             ht.log_sinh(0.5))
+        assert ht.arc_length_distinct_boundaries(lb, 1.0, lg) == math.exp(distinct)
+        x = math.exp(0.5 + math.log(lb / 2))  # lb as a leaf weight
+        assert ht.leaf_decay_bound(lb, 0.5, 2) == math.log(6.0) - ht.log_sinh(x)
 
 
 # -- intersection cases ---------------------------------------------------------
