@@ -198,11 +198,8 @@ def boundary_convergence(spec: PathSpec, panel):
     if top == 0:
         raise DegeneratePanelError("panel misses the driving lamination")
     target = [v / top for v in ivec]
-    out = []
-    for t, logs in zip(spec.grid, _walk(spec, plan)):
-        top = max(logs)
-        out.append((t, max(abs(math.exp(v - top) - b) for v, b in zip(logs, target))))
-    return out
+    return [(t, max(abs(a - b) for a, b in zip(met._projective(logs), target)))
+            for t, logs in zip(spec.grid, _walk(spec, plan))]
 
 
 def horo_convergence(spec: PathSpec, probes, panel: Panel):
@@ -217,9 +214,9 @@ def horo_convergence(spec: PathSpec, probes, panel: Panel):
     if any(P.surface != spec.mu.surface for P in probes):
         raise DomainError("points live on different surfaces")
     plan = geo.panel_plan(panel)
-    log_ivals = met._logs(plan.intersections(spec.mu))
+    log_ivals = met._log_intersections(spec.mu, plan)
     base_lengths, *probe_lengths = [plan.vector(P) for P in (spec.base_point, *probes)]
-    constant = met._normalizer(spec.mu, log_ivals, base_lengths)
+    constant = met._normalizer(log_ivals, base_lengths)
     mu_values = [met._log_sup_ratio(ly, log_ivals)[0] - constant
                  for ly in probe_lengths]
     out = []

@@ -202,6 +202,7 @@ class LengthPlan:
     Each entry is compiled to its _route, which refuses it if it has no
     length on the surface; a point of another surface is a DomainError.
     The plan keeps the intersection vector of each lamination it is asked for.
+    Plans are equal, and hash, by (surface, entries).
     """
 
     def __init__(self, surface: Surface, entries):
@@ -210,6 +211,13 @@ class LengthPlan:
         self._routes = [_route(surface, entry) for entry in self.entries]
         self._punctures = dict.fromkeys(surface.punctures, 0.0)
         self._intersections = []  # (lamination, its intersection vector)
+
+    def __eq__(self, other):
+        return (isinstance(other, LengthPlan) and self.surface == other.surface
+                and self.entries == other.entries)
+
+    def __hash__(self):
+        return hash((self.surface, self.entries))
 
     def vector(self, X: FNPoint) -> list[float]:
         """The log length of each entry at X: the one-point walk."""
@@ -260,7 +268,9 @@ class LengthPlan:
 
 
 def panel_plan(panel) -> LengthPlan:
-    """The LengthPlan of a Panel; a LengthPlan is returned as it is."""
+    """The LengthPlan of a Panel, a LengthPlan as it is; empty, a DomainError."""
+    if not panel.entries:
+        raise DomainError("panel is empty")
     if isinstance(panel, LengthPlan):
         return panel
     return LengthPlan(panel.surface, panel.entries)

@@ -53,12 +53,6 @@ def _log_half(x: float) -> float:
     return math.log(x / 2) if x / 2 >= _DBL_MIN else math.log(x) - _LN2
 
 
-def _log_sinh_of_half(length: float) -> float:
-    """log(sinh(l/2)) for l > 0, from log l where l/2 is not a normal double."""
-    half = length / 2
-    return log_sinh(half) if half >= _DBL_MIN else _log_half(length)
-
-
 def _length_from_log(what, log_length: float) -> float:
     """e^log_length, or a DomainError naming what: never 0.0, a denormal or inf."""
     if not _LOG_MIN <= log_length <= _LOG_MAX:
@@ -95,7 +89,7 @@ def arc_length_same_boundary(lb: float, lg1: float, lg2: float) -> float:
     if lb == 0:
         raise DomainError("arc from a cusp is undefined (lb = 0)")
     return _length_from_log("the arc", arc_same_from_logs(
-        log_cosh(lb / 2), _log_sinh_of_half(lb),
+        log_cosh(lb / 2), log_sinh_half(lb, math.log(lb)),
         log_cosh(lg1 / 2), log_cosh(lg2 / 2)))
 
 
@@ -127,8 +121,8 @@ def arc_length_distinct_boundaries(lb1: float, lb2: float, lg: float) -> float:
     if lb1 == 0 or lb2 == 0:
         raise DomainError("arc endpoint on a cusp is undefined (lb = 0)")
     return _length_from_log("the arc", arc_distinct_from_logs(
-        lb1, lb2, log_cosh(lg / 2), _log_sinh_of_half(lb1),
-        _log_sinh_of_half(lb2)))
+        lb1, lb2, log_cosh(lg / 2), log_sinh_half(lb1, math.log(lb1)),
+        log_sinh_half(lb2, math.log(lb2))))
 
 
 def arc_distinct_from_logs(lb1, lb2, cg, s1, s2) -> float:

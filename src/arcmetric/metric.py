@@ -6,18 +6,22 @@ values are exact.  Every result reports the panel complexity it used, and
 values are monotone nondecreasing under panel refinement.  Lengths arrive
 as logs: a supremum of ratios is a maximum of differences, and a normalized
 vector is exp(log l - max log l), finite however far off the doubles.
+
+One functional xi on the panel gives both compactifications: the lengths
+l(X) of a point or the intersection numbers i(mu, .) of a lamination.  The
+Thurston side is its projective class [xi] (_projective), and the horofunction
+side is Psi_xi(Y) = log sup xi/l(Y) - log sup xi/l(X0).
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from typing import NamedTuple
 
 from . import geometry as geo
 from . import lamination as lam
 from .errors import DegeneratePanelError, DomainError
-from .topology import Panel, _immutable
+from .topology import Panel
 
 
 class MetricValue(NamedTuple):
@@ -43,90 +47,85 @@ def _logs(values) -> list:
     return [math.log(v) if v > 0 else -math.inf for v in values]
 
 
+def _projective(logs) -> tuple[float, ...]:
+    """The projective class of a vector held as logs, at sup-norm 1."""
+    top = max(logs)
+    return tuple(math.exp(v - top) for v in logs)
+
+
 def arc_metric(X: geo.FNPoint, Y: geo.FNPoint, panel: Panel) -> MetricValue:
     """d(X, Y) = log sup of length ratios l(Y)/l(X) over the panel.
 
     Ties are broken by panel order, so reports are deterministic.
     """
-    if len(panel) == 0:
-        raise DomainError("panel is empty")
+    plan = geo.panel_plan(panel)
     if X.surface != Y.surface:
         raise DomainError("points live on different surfaces")
-    plan = geo.panel_plan(panel)
     value, k = _log_sup_ratio(plan.vector(X), plan.vector(Y))
     return MetricValue(value, str(panel.entries[k]), panel.complexity)
 
 
 def thurston_vector(X: geo.FNPoint, panel: Panel) -> tuple[float, ...]:
     """Panel length vector normalized to sup-norm 1 (projective class)."""
-    if len(panel) == 0:
-        raise DomainError("panel is empty")
-    logs = geo.panel_plan(panel).vector(X)
-    top = max(logs)
-    return tuple(math.exp(v - top) for v in logs)
+    return _projective(geo.panel_plan(panel).vector(X))
 
 
 # -- horofunctions -----------------------------------------------------------------
 
 
-def _normalizer(mu, log_ivals, base_lengths) -> float:
-    """log sup i(mu, .)/l(., X0), the constant of a boundary horofunction."""
+def _log_intersections(mu, plan) -> list:
+    """log i(mu, e) for each entry e of the plan (-inf where mu misses e)."""
     if mu.is_zero():
         raise DomainError("boundary horofunction needs a nonzero lamination")
-    best = _log_sup_ratio(base_lengths, log_ivals)[0]
+    return _logs(plan.intersections(mu))
+
+
+def _normalizer(log_xi, base_lengths) -> float:
+    """log sup xi/l(., X0), the constant of Psi_xi."""
+    best = _log_sup_ratio(base_lengths, log_xi)[0]
     if best == -math.inf:
         raise DegeneratePanelError("the panel misses the lamination at the base point")
     return best
 
 
-class Horofunction(namedtuple("Horofunction",
-                              "kind base_point panel point mu constant")):
-    """Either an interior point function d(., X) - d(X0, X), or the boundary
-    function attached to a projective lamination via the normalized
-    intersection form.
+class Horofunction(NamedTuple):
+    """Psi_xi(Y) = log sup xi/l(Y) - constant: log_xi holds log xi on the
+    panel entries where xi > 0, plan is their LengthPlan, and constant =
+    max(log_xi - l(X0)) = log sup xi/l(X0), so Psi_xi(X0) = 0."""
 
-    constant is computed once, here: d(X0, X) for an interior point, and
-    log sup i(mu, .)/l(., X0) for a lamination.  crossed holds the (entry,
-    i(mu, entry)) pairs of the panel entries mu crosses (empty for an
-    interior point), _log_ivals their log i and _plan their length plan,
-    built once in the instance __dict__, outside equality and hash.
-    """
+    base_point: geo.FNPoint
+    plan: geo.LengthPlan
+    log_xi: tuple
+    constant: float
 
-    def __new__(cls, kind: str, base_point: geo.FNPoint, panel: Panel,
-                point: geo.FNPoint | None = None,
-                mu: lam.RationalLamination | None = None):
-        crossed, log_ivals, plan = (), [], None
-        if kind == "interior":
-            constant = arc_metric(base_point, point, panel).value
-        else:
-            crossed = tuple((e, i) for e in panel
-                            if (i := lam.intersection_number(mu, e)) > 0)
-            log_ivals = _logs(ival for _, ival in crossed)
-            plan = geo.LengthPlan(panel.surface, [e for e, _ in crossed])
-            constant = _normalizer(mu, log_ivals, plan.vector(base_point))
-        self = super().__new__(cls, kind, base_point, panel, point, mu, constant)
-        self.__dict__.update(crossed=crossed, _log_ivals=log_ivals, _plan=plan)
-        return self
 
-    __setattr__ = __delattr__ = _immutable
+def _horofunction(base_point, plan, log_xi) -> Horofunction:
+    log_xi = tuple(log_xi)
+    return Horofunction(base_point, plan, log_xi,
+                        _normalizer(log_xi, plan.vector(base_point)))
 
 
 def interior_horofunction(X: geo.FNPoint, base_point: geo.FNPoint,
                           panel: Panel) -> Horofunction:
-    return Horofunction("interior", base_point, panel, point=X)
+    """Psi_xi for xi = l(X), on every panel entry: d(., X) - d(X0, X)."""
+    plan = geo.panel_plan(panel)
+    return _horofunction(base_point, plan, plan.vector(X))
 
 
 def boundary_horofunction(mu: lam.RationalLamination, base_point: geo.FNPoint,
                           panel: Panel) -> Horofunction:
-    return Horofunction("boundary", base_point, panel, mu=mu)
+    """Psi_xi for xi = i(mu, .), on the panel entries mu crosses."""
+    plan = geo.panel_plan(panel)
+    crossed = [(e, v) for e, v in zip(plan.entries, _log_intersections(mu, plan))
+               if v > -math.inf]
+    return _horofunction(base_point,
+                         geo.LengthPlan(plan.surface, [e for e, _ in crossed]),
+                         [v for _, v in crossed])
 
 
 def horofunction_eval(h: Horofunction, Y: geo.FNPoint) -> float:
-    """Value at Y: interior points give d(Y, X) - d(X0, X); boundary points
-    give log sup of the normalized intersection form against lengths at Y."""
-    if h.kind == "interior":
-        return arc_metric(Y, h.point, h.panel).value - h.constant
-    return _log_sup_ratio(h._plan.vector(Y), h._log_ivals)[0] - h.constant
+    """Psi_xi(Y) = log sup xi/l(Y) - log sup xi/l(X0)."""
+    return _log_sup_ratio(h.plan.vector(Y), h.log_xi)[0] - h.constant
 
 
 # -- convergence detection ------------------------------------------------------------
@@ -185,6 +184,5 @@ def detect_limit(points, panel: Panel, tolerance: float = 1e-6,
     coord_step = max(abs(a - b) for a, b in zip(coords(pts[-1]), coords(pts[-2])))
     if coord_step <= tolerance * max(1.0, max(map(abs, coords(pts[-1])))):
         return LimitReport("interior", panel.complexity, point=pts[-1])
-    top = max(logs[1])
     return LimitReport("boundary", panel.complexity,
-                       projective_vector=tuple(math.exp(v - top) for v in logs[1]))
+                       projective_vector=_projective(logs[1]))

@@ -496,3 +496,29 @@ def test_boundary_convergence_on_a_panel_mu_misses():
     panel = Panel(S, 0, (CurveClass("boundary", "B1"),))
     with pytest.raises(DegeneratePanelError, match="misses the driving lamination"):
         asy.boundary_convergence(SPEC, panel)
+
+
+EMPTY = Panel(S, 0, ())
+X0_222 = geo.pants_point(2, 2, 2)
+NU_B3 = lam.normalize(lam.rational_lamination(S, {CurveClass("boundary", "B3"): 1.0}),
+                      X0_222)
+EMPTY_PANEL_CALLS = {
+    "arc_metric": lambda: met.arc_metric(BASE, X0_222, EMPTY),
+    "thurston_vector": lambda: met.thurston_vector(BASE, EMPTY),
+    "interior_horofunction": lambda: met.interior_horofunction(X0_222, BASE, EMPTY),
+    "boundary_horofunction": lambda: met.boundary_horofunction(MU, BASE, EMPTY),
+    "normalized_length_vector": lambda: met.normalized_length_vector(X0_222, BASE,
+                                                                     EMPTY),
+    "detect_limit": lambda: met.detect_limit([BASE, X0_222], EMPTY),
+    "boundary_convergence": lambda: asy.boundary_convergence(SPEC, EMPTY),
+    "horo_convergence": lambda: asy.horo_convergence(SPEC, [X0_222], EMPTY),
+    "separation_experiment": lambda: asy.separation_experiment(
+        lam.normalize(MU, X0_222), NU_B3, X0_222, EMPTY),
+}
+
+
+@pytest.mark.parametrize("call", EMPTY_PANEL_CALLS.values(), ids=EMPTY_PANEL_CALLS)
+def test_an_empty_panel_is_one_typed_error(call):
+    # no supremum and no projective class exists over no entries
+    with pytest.raises(DomainError, match="panel is empty"):
+        call()

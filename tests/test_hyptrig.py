@@ -134,12 +134,13 @@ def test_denormal_cuffs_and_leaf_weights():
 
 
 def test_normal_cuffs_read_log_sinh_as_before():
-    # the denormal branches leave every normal input bit for bit as it was
+    # the wrappers read log sinh(lb/2) as every length plan does, from log lb
+    # below lb = 2e-8, and the leaf-decay denormal branch leaves normal inputs
     rng = random.Random(19)
     for _ in range(200):
         lb = math.exp(rng.uniform(math.log(4.5e-308), math.log(700.0)))  # lb/2 normal
         lg = math.exp(rng.uniform(math.log(1e-8), math.log(700.0)))
-        sb = ht.log_sinh(lb / 2)
+        sb = ht.log_sinh_half(lb, math.log(lb))
         same = ht.arc_same_from_logs(ht.log_cosh(lb / 2), sb,
                                      ht.log_cosh(lg / 2), ht.log_cosh(1.0))
         if same >= math.log(sys.float_info.min):

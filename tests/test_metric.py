@@ -203,15 +203,34 @@ def test_log_sup_ratio_kernel():
 def test_boundary_horofunction_crossed_pairs():
     mu = lam.rational_lamination(S, {S.arc_alias("a33"): 1.0})
     h = met.boundary_horofunction(mu, X222, PANEL)
-    assert h.crossed == tuple((e, lam.intersection_number(mu, e))
-                              for e in PANEL
-                              if lam.intersection_number(mu, e) > 0)
-    assert len(h.crossed) == 4
+    crossed = [e for e in PANEL if lam.intersection_number(mu, e) > 0]
+    # the plan holds the crossed entries in panel order, log_xi their log i
+    assert h.plan.entries == tuple(crossed)
+    assert h.log_xi == tuple(math.log(lam.intersection_number(mu, e)) for e in crossed)
+    assert len(crossed) == 4
     # the log normalizer: max of log i(mu, e) - log l(e) at the base point
     assert h.constant == max(math.log(lam.intersection_number(mu, e))
                              - geo.LengthPlan(S, [e]).vector(X222)[0]
-                             for e in PANEL if lam.intersection_number(mu, e) > 0)
-    assert met.interior_horofunction(X444, X222, PANEL).crossed == ()
+                             for e in crossed)
+    h_X = met.interior_horofunction(X444, X222, PANEL)
+    assert h_X.plan.entries == PANEL.entries
+    assert h_X.log_xi == tuple(geo.panel_plan(PANEL).vector(X444))
+
+
+def test_interior_horofunction_eval_computes_one_vector(monkeypatch):
+    h = met.interior_horofunction(X444, X222, PANEL)
+    Y = geo.pants_point(1.5, 2.5, 3.5)
+    # d(Y, X) - d(X0, X), bit for bit
+    assert met.horofunction_eval(h, Y) == \
+        met.arc_metric(Y, X444, PANEL).value - met.arc_metric(X222, X444, PANEL).value
+    calls, vector, plans, init = [], geo.LengthPlan.vector, [], geo.LengthPlan.__init__
+    monkeypatch.setattr(geo.LengthPlan, "vector",
+                        lambda plan, X: calls.append(X) or vector(plan, X))
+    monkeypatch.setattr(geo.LengthPlan, "__init__",
+                        lambda plan, *args: plans.append(args) or init(plan, *args))
+    met.horofunction_eval(h, Y)
+    # Y's length vector, from the plan the horofunction holds
+    assert calls == [Y] and plans == []
 
 
 # -- limit detection ----------------------------------------------------------------

@@ -9,6 +9,7 @@ floats, so nothing may round differently.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +205,29 @@ def test_walk_stops_at_the_double_range():
     assert len(vectors) == 4 and all(map(math.isfinite, vectors[-1]))
     with pytest.raises(InvalidSpecError, match="moving length of B3"):
         asy.make_path_spec(mu, geo.pants_point(1.0, 1.0, 2.0), grid + (720.0,))
+
+
+def test_checked_arc_wrappers_equal_class_length():
+    # the hyptrig wrappers read log sinh(l/2) as every plan does (from log l
+    # below l = 2e-8), so an arc has one length, bit for bit, at any cuff
+    rng, lo, hi = random.Random(31), math.log(1e-12), math.log(1e3)
+    triples = [[math.exp(rng.uniform(lo, hi)) for _ in range(3)] for _ in range(3000)]
+    triples += [[5e-324, 1.0, 2.0], [1e-12, 5e-324, 3.0]]  # a denormal cuff
+    arcs = [e for e in enumerate_panel(SURFACES[0], 0) if isinstance(e, ArcClass)]
+    for triple in triples:
+        X = geo.pants_point(*triple)
+        for arc in arcs:
+            kind, a, b, c = arc.pattern
+            wrapper = (ht.arc_length_same_boundary if kind == "same"
+                       else ht.arc_length_distinct_boundaries)
+            sides = [X.length_of(label) for label in (a, b, c)]
+            try:
+                want = geo.class_length(X, arc)
+            except DomainError:  # below the doubles: both refuse
+                with pytest.raises(DomainError):
+                    wrapper(*sides)
+                continue
+            assert wrapper(*sides) == want, (triple, str(arc))
 
 
 def test_intersections_are_computed_once_per_lamination(monkeypatch):
