@@ -12,10 +12,9 @@ the path leaves every compact set and lands on the Thurston boundary.
 
 import math
 
-from arcmetric import (boundary_convergence, enumerate_panel,
-                       intersection_number, make_path_spec, pants_point,
-                       rational_lamination, scaling_path, thurston_vector,
-                       verify_key_inequality)
+from arcmetric import (boundary_convergence, enumerate_panel, make_path_spec,
+                       pants_point, rational_lamination, scaling_path,
+                       thurston_vector, verify_key_inequality)
 from arcmetric.geometry import panel_plan
 
 S = pants_point(1, 1, 2).surface
@@ -54,12 +53,11 @@ print()
 
 print("projective distance to the intersection vector of mu:")
 coarse = make_path_spec(mu, base, [2, 4, 6, 8, 10])
-for t, dist in boundary_convergence(coarse, panel):
+convergence = boundary_convergence(coarse, panel)
+for t, dist in convergence.series:
     print(f"  t = {t:>4.1f}: sup-norm distance {dist:.3e}")
-ivec = [intersection_number(mu, e) for e in panel]
-top = max(ivec)
 final = thurston_vector(scaling_path(spec, 10.0), panel)
 print()
 print(f"{'class':>12} {'limit vector':>14} {'i(mu,.)/max':>12}")
-for lab, got, want in zip(panel.labels(), final, ivec):
-    print(f"{lab:>12} {got:>14.6f} {want / top:>12.6f}")
+for lab, got, want in zip(panel.labels(), final, convergence.limit_vector):
+    print(f"{lab:>12} {got:>14.6f} {want:>12.6f}")

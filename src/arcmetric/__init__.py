@@ -31,16 +31,16 @@ _LAZY = {
                  "torus_point", "torus_surface"),
     "lamination": ("DTCoordinates", "RationalLamination", "class_from_id",
                    "dt_decode", "dt_double_coordinates", "dt_encode",
-                   "intersection_number", "lamination_from_dict",
-                   "lamination_to_dict", "normalize", "rational_lamination",
-                   "ratio_sup", "refine", "sample_supported_lamination",
-                   "sphere_dimension"),
+                   "intersection_number", "intersection_vector",
+                   "lamination_from_dict", "lamination_to_dict", "normalize",
+                   "rational_lamination", "ratio_sup", "refine",
+                   "sample_supported_lamination", "sphere_dimension"),
     "metric": ("Horofunction", "LimitReport", "MetricValue", "arc_metric",
                "boundary_horofunction", "detect_limit", "horofunction_eval",
                "interior_horofunction", "normalized_length_vector",
                "thurston_vector"),
-    "asymptotics": ("DeviationReport", "PathSpec", "SeparationWitness",
-                    "boundary_convergence", "horo_convergence",
+    "asymptotics": ("BoundaryConvergence", "DeviationReport", "PathSpec",
+                    "SeparationWitness", "boundary_convergence", "horo_convergence",
                     "make_path_spec", "scaling_path", "separation_experiment",
                     "verify_key_inequality"),
 }

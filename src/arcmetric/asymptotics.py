@@ -12,7 +12,8 @@ Domain: every growing length, e^t w / 2 of every leaf and e^t i(mu, target)
 at the last grid point, and every decaying length at the first, where it is
 longest, is a finite double, checked once when a PathSpec (and a deviation
 walk's targets) is built, else InvalidSpecError.  A point with a coordinate
-off the doubles exists only inside a walk; scaling_path refuses it.
+off the doubles exists only inside a walk; scaling_path refuses it.  Each
+experiment computes each intersection vector it reads once.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def deviation_walk(spec: PathSpec, targets):
         except UnsupportedClassError as exc:
             skipped.append((str(target), str(exc)))
     plan = geo.LengthPlan(surface, [targets[k] for k in columns])
-    ivals = plan.intersections(spec.mu)
+    ivals = lam.intersection_vector(spec.mu, plan.entries)
     log_ivals, t_last = met._logs(ivals), spec.grid[-1]
     _check_range("e^t i(mu, target) of", t_last,
                  ((e, t_last + v) for e, v in zip(plan.entries, log_ivals)))
@@ -188,18 +189,25 @@ def verify_key_inequality(spec: PathSpec, targets):
     return deviation_walk(spec, targets)[1:]
 
 
-def boundary_convergence(spec: PathSpec, panel):
+class BoundaryConvergence(NamedTuple):
+    """series: (t, distance) per grid t; limit_vector: i(mu, .) at sup-norm 1."""
+
+    series: list
+    limit_vector: tuple
+
+
+def boundary_convergence(spec: PathSpec, panel: Panel) -> BoundaryConvergence:
     """Projective sup-norm distance between the length vector of X_t and the
-    normalized intersection vector of the driving lamination.  panel is a
-    Panel or its geo.LengthPlan, which keeps that intersection vector."""
+    normalized intersection vector of the driving lamination."""
     plan = geo.panel_plan(panel)
-    ivec = plan.intersections(spec.mu)
+    ivec = lam.intersection_vector(spec.mu, plan.entries)
     top = max(ivec)
     if top == 0:
         raise DegeneratePanelError("panel misses the driving lamination")
-    target = [v / top for v in ivec]
-    return [(t, max(abs(a - b) for a, b in zip(met._projective(logs), target)))
-            for t, logs in zip(spec.grid, _walk(spec, plan))]
+    target = tuple(v / top for v in ivec)
+    return BoundaryConvergence(
+        [(t, max(abs(a - b) for a, b in zip(met._projective(logs), target)))
+         for t, logs in zip(spec.grid, _walk(spec, plan))], target)
 
 
 def horo_convergence(spec: PathSpec, probes, panel: Panel):
@@ -214,7 +222,7 @@ def horo_convergence(spec: PathSpec, probes, panel: Panel):
     if any(P.surface != spec.mu.surface for P in probes):
         raise DomainError("points live on different surfaces")
     plan = geo.panel_plan(panel)
-    log_ivals = met._log_intersections(spec.mu, plan)
+    log_ivals = met._log_intersections(spec.mu, plan.entries)
     base_lengths, *probe_lengths = [plan.vector(P) for P in (spec.base_point, *probes)]
     constant = met._normalizer(log_ivals, base_lengths)
     mu_values = [met._log_sup_ratio(ly, log_ivals)[0] - constant
@@ -266,7 +274,8 @@ def separation_experiment(mu: lam.RationalLamination,
         blends = ((eps, mu.scaled(1.0 - eps) + zeta.scaled(eps / L))
                   for eps in _EPSILONS)
     plan = geo.panel_plan(panel)
-    i_nu, i_mu = (met._logs(plan.intersections(m)) for m in (nu, mu))
+    i_nu, i_mu = (met._logs(lam.intersection_vector(m, plan.entries))
+                  for m in (nu, mu))
     attempts = []
     for eps, blend in blends:
         spec = make_path_spec(blend, X0, grid)

@@ -222,14 +222,11 @@ def cmd_experiment_inequality(args) -> int:
 def cmd_experiment_boundary_limit(args) -> int:
     from . import asymptotics as asy
     _, spec, panel = _experiment_common(_load_config(args.config))
-    plan = geo.panel_plan(panel)
-    series = asy.boundary_convergence(spec, plan)
+    series, limit_vector = asy.boundary_convergence(spec, panel)
     _write_csv(args.csv, ["t", "sup_norm_distance",
                           f"panel_n={panel.complexity}"], series)
-    ivec = plan.intersections(spec.mu)
-    top = max(ivec)
     _emit({"final_distance": series[-1][1],
-           "limit_vector": {lab: v / top for lab, v in zip(panel.labels(), ivec)},
+           "limit_vector": dict(zip(panel.labels(), limit_vector)),
            "panel": panel_to_dict(panel),
            "panel_n": panel.complexity}, args.json_out)
     return 0

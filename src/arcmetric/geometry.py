@@ -1,12 +1,12 @@
 """Fenchel-Nielsen points, the doubling embedding, and geodesic lengths.
 
 Every length comes from one route table, _route, compiled into a
-LengthPlan, as a log length: decomposition and boundary curves are
-Fenchel-Nielsen coordinates and exact; pants-local arcs go through the
-closed-form pants formulas; torus slope curves (and the hosts of twisted
-torus arcs) through hyptrig.torus_slope_length; every other class is
-refused with a typed error.  class_length is e^ of the log, or a
-DomainError where that is not a double.
+LengthPlan, a value of (surface, entries), as a log length: decomposition
+and boundary curves are Fenchel-Nielsen coordinates and exact; pants-local
+arcs go through the closed-form pants formulas; torus slope curves (and the
+hosts of twisted torus arcs) through hyptrig.torus_slope_length; every other
+class is refused with a typed error.  class_length is e^ of the log, or a
+DomainError where that is not a double.  No lamination reaches this layer.
 
 Twists are hyperbolic lengths, positive = right twist; the mirror side of a
 double carries negated twists.
@@ -201,8 +201,8 @@ class LengthPlan:
 
     Each entry is compiled to its _route, which refuses it if it has no
     length on the surface; a point of another surface is a DomainError.
-    The plan keeps the intersection vector of each lamination it is asked for.
-    Plans are equal, and hash, by (surface, entries).
+    A plan is a value: it stores nothing after it is built, and plans are
+    equal, hash and print by (surface, entries).
     """
 
     def __init__(self, surface: Surface, entries):
@@ -210,7 +210,6 @@ class LengthPlan:
         self.entries = tuple(entries)
         self._routes = [_route(surface, entry) for entry in self.entries]
         self._punctures = dict.fromkeys(surface.punctures, 0.0)
-        self._intersections = []  # (lamination, its intersection vector)
 
     def __eq__(self, other):
         return (isinstance(other, LengthPlan) and self.surface == other.surface
@@ -218,6 +217,9 @@ class LengthPlan:
 
     def __hash__(self):
         return hash((self.surface, self.entries))
+
+    def __repr__(self):
+        return f"LengthPlan({self.surface.signature}, {list(map(str, self.entries))})"
 
     def vector(self, X: FNPoint) -> list[float]:
         """The log length of each entry at X: the one-point walk."""
@@ -255,24 +257,11 @@ class LengthPlan:
             yield vec
             vec, indices = vec.copy(), moving_entries
 
-    def intersections(self, mu) -> tuple:
-        """(i(mu, e) for e in entries), computed once per lamination."""
-        for seen, ivals in self._intersections:
-            if seen is mu:
-                return ivals
-        from . import lamination as lam  # lamination imports this module
-
-        ivals = tuple(lam.intersection_number(mu, e) for e in self.entries)
-        self._intersections.append((mu, ivals))
-        return ivals
-
 
 def panel_plan(panel) -> LengthPlan:
-    """The LengthPlan of a Panel, a LengthPlan as it is; empty, a DomainError."""
+    """The LengthPlan of a Panel; an empty panel is a DomainError."""
     if not panel.entries:
         raise DomainError("panel is empty")
-    if isinstance(panel, LengthPlan):
-        return panel
     return LengthPlan(panel.surface, panel.entries)
 
 

@@ -1,8 +1,8 @@
 """Rational measured laminations and their coordinates.
 
 A rational lamination is a weighted union of pairwise disjoint curve and arc
-classes.  Intersection numbers follow the conventions forced by the pants
-case formulas:
+classes; intersection_vector is its functional i(mu, .) on a panel.
+Intersection numbers follow the conventions forced by the pants case formulas:
 
 * an arc crossing a boundary curve counts 1 per endpoint when the arc is the
   measured side (this is the count seen by the double, and the one that
@@ -175,6 +175,11 @@ def intersection_number(mu: RationalLamination, gamma) -> float:
     """i(mu, gamma), linear in the weights of mu."""
     return sum(w * class_intersection(mu.surface, c, gamma)
                for c, w in mu.components)
+
+
+def intersection_vector(mu: RationalLamination, entries) -> tuple:
+    """(i(mu, e) for e in entries): one intersection_number per entry."""
+    return tuple(intersection_number(mu, e) for e in entries)
 
 
 def normalize(mu: RationalLamination, X0: geo.FNPoint) -> RationalLamination:

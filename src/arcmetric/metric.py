@@ -73,11 +73,11 @@ def thurston_vector(X: geo.FNPoint, panel: Panel) -> tuple[float, ...]:
 # -- horofunctions -----------------------------------------------------------------
 
 
-def _log_intersections(mu, plan) -> list:
-    """log i(mu, e) for each entry e of the plan (-inf where mu misses e)."""
+def _log_intersections(mu, entries) -> list:
+    """log i(mu, e) for each of the entries (-inf where mu misses e)."""
     if mu.is_zero():
         raise DomainError("boundary horofunction needs a nonzero lamination")
-    return _logs(plan.intersections(mu))
+    return _logs(lam.intersection_vector(mu, entries))
 
 
 def _normalizer(log_xi, base_lengths) -> float:
@@ -115,11 +115,11 @@ def interior_horofunction(X: geo.FNPoint, base_point: geo.FNPoint,
 def boundary_horofunction(mu: lam.RationalLamination, base_point: geo.FNPoint,
                           panel: Panel) -> Horofunction:
     """Psi_xi for xi = i(mu, .), on the panel entries mu crosses."""
-    plan = geo.panel_plan(panel)
-    crossed = [(e, v) for e, v in zip(plan.entries, _log_intersections(mu, plan))
+    entries = geo.panel_plan(panel).entries
+    crossed = [(e, v) for e, v in zip(entries, _log_intersections(mu, entries))
                if v > -math.inf]
     return _horofunction(base_point,
-                         geo.LengthPlan(plan.surface, [e for e, _ in crossed]),
+                         geo.LengthPlan(panel.surface, [e for e, _ in crossed]),
                          [v for _, v in crossed])
 
 

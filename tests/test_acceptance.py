@@ -150,13 +150,13 @@ def test_criterion_06_thurston_boundary_convergence():
     """Projective distance to the intersection vector <= 1e-3 at t = 8."""
     mu = lam.rational_lamination(S, {S.arc_alias("a33"): 1.0})
     spec = asy.make_path_spec(mu, geo.pants_point(1, 1, 2), [8.0])
-    pants_dist = dict(asy.boundary_convergence(spec, PANEL))[8.0]
+    pants_dist = dict(asy.boundary_convergence(spec, PANEL).series)[8.0]
     assert pants_dist <= 1e-3
 
     beta = CurveClass("word", "w(0,1)", (0, 1))
     mu_t = lam.rational_lamination(T, {beta: 1.0})
     spec_t = asy.make_path_spec(mu_t, geo.torus_point(1.0, 0.0, 2.0), [8.0])
-    torus_dist = dict(asy.boundary_convergence(spec_t, enumerate_panel(T, 0)))[8.0]
+    torus_dist = dict(asy.boundary_convergence(spec_t, enumerate_panel(T, 0)).series)[8.0]
     assert torus_dist <= 1e-3
     report(6, f"boundary convergence at t=8: pants {pants_dist:.2e}, "
               f"one-holed torus {torus_dist:.2e} (both <= 1e-3)")

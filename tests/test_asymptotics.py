@@ -359,7 +359,7 @@ def test_walk_reevaluates_only_moving_entries(monkeypatch):
                         {"B1": 1.0, "B2": 1.5, "B3": 0.8, "B4": 2.0})
     spec = asy.make_path_spec(mu, base, (0.0, 1.0, 2.0, 3.0))
     calls = _count_formula_calls(monkeypatch)
-    series = asy.boundary_convergence(spec, panel)
+    series = asy.boundary_convergence(spec, panel).series
     arcs = [e for e in panel if isinstance(e, ArcClass)]
     moving = [a for a in arcs if "B1" in a.pattern[1:]]
     assert (len(arcs), len(moving)) == (6, 3)
@@ -409,7 +409,7 @@ def test_horo_convergence_equals_the_horofunction_api(config):
 
 def test_boundary_convergence_pants():
     spec = asy.make_path_spec(MU, BASE, [4, 6, 8])
-    series = dict(asy.boundary_convergence(spec, PANEL))
+    series = dict(asy.boundary_convergence(spec, PANEL).series)
     assert series[8] <= 1e-3
     assert series[4] > series[6] > series[8]
 
@@ -418,7 +418,7 @@ def test_boundary_convergence_torus():
     beta = CurveClass("word", "w(0,1)", (0, 1))
     mu = lam.rational_lamination(T, {beta: 1.0})
     spec = asy.make_path_spec(mu, geo.torus_point(1.0, 0.0, 2.0), [4, 6, 8])
-    series = dict(asy.boundary_convergence(spec, enumerate_panel(T, 0)))
+    series = dict(asy.boundary_convergence(spec, enumerate_panel(T, 0)).series)
     assert series[8] <= 1e-3
 
 

@@ -139,7 +139,7 @@ def test_paths_to_t50_match_mpmath_in_log_space(config):
             for got, label in zip(logs, panel.labels()):
                 assert_close(got, mp.log(ref[label]))
     assert spec.grid[-1] == 50.0
-    for series in (asy.boundary_convergence(spec, plan),
+    for series in (asy.boundary_convergence(spec, panel).series,
                    asy.horo_convergence(spec, probes, panel)):
         assert [t for t, _ in series] == list(spec.grid)
         assert all(math.isfinite(v) for _, v in series)

@@ -217,6 +217,16 @@ def test_boundary_horofunction_crossed_pairs():
     assert h_X.log_xi == tuple(geo.panel_plan(PANEL).vector(X444))
 
 
+def test_boundary_horofunctions_built_apart_are_equal_and_print_alike():
+    mu = lam.rational_lamination(S, {S.arc_alias("a33"): 1.0})
+    h, g = (met.boundary_horofunction(mu, X222, PANEL) for _ in range(2))
+    assert h == g and h.plan is not g.plan
+    assert repr(h) == repr(g)
+    # the plan prints its surface signature and the crossed entries
+    crossed = [str(e) for e in PANEL if lam.intersection_number(mu, e) > 0]
+    assert f"plan=LengthPlan(S_0,0,3, {crossed})" in repr(h)
+
+
 def test_interior_horofunction_eval_computes_one_vector(monkeypatch):
     h = met.interior_horofunction(X444, X222, PANEL)
     Y = geo.pants_point(1.5, 2.5, 3.5)

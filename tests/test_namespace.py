@@ -1,9 +1,11 @@
 """The lazy package namespace: what `import arcmetric` loads and binds."""
 
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,7 +49,21 @@ def test_every_public_name_is_its_home_module_object():
 
 def test_dir_lists_every_public_name():
     assert set(arcmetric.__all__) <= set(dir(arcmetric))
-    assert len(set(arcmetric.__all__)) == len(arcmetric.__all__) == 68
+    assert len(set(arcmetric.__all__)) == len(arcmetric.__all__) == 70
+
+
+def test_geometry_imports_nothing_from_the_layers_above_it():
+    # lamination, metric and asymptotics read lengths through geometry, so
+    # an import back would be a cycle
+    tree = ast.parse(Path(arcmetric.__file__).with_name("geometry.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert not {name.rpartition(".")[2] for name in imported} \
+        & {"lamination", "metric", "asymptotics"}
 
 
 def test_unknown_name_is_attribute_error():

@@ -230,18 +230,16 @@ def test_checked_arc_wrappers_equal_class_length():
             assert wrapper(*sides) == want, (triple, str(arc))
 
 
-def test_intersections_are_computed_once_per_lamination(monkeypatch):
+def test_intersection_vector_is_one_intersection_number_per_entry(monkeypatch):
     surface = SURFACES[0]
     panel = enumerate_panel(surface, 0)
     mu = lam.rational_lamination(surface, {surface.arc_alias("a33"): 1.0})
-    plan = geo.panel_plan(panel)
     expected = tuple(lam.intersection_number(mu, e) for e in panel)
     calls = []
     intersection = lam.intersection_number
     monkeypatch.setattr(lam, "intersection_number",
                         lambda m, e: calls.append(e) or intersection(m, e))
-    assert plan.intersections(mu) == expected
-    assert plan.intersections(mu) is plan.intersections(mu)
+    assert lam.intersection_vector(mu, panel.entries) == expected
     assert len(calls) == len(panel)
 
 

@@ -119,7 +119,7 @@ def test_boundary_limit_on_word_panels_reaches_t10(n):
     w01 = lam.class_from_id(TORUS, "w(0,1)")
     spec = asy.make_path_spec(lam.rational_lamination(TORUS, {w01: 1.0}),
                               geo.torus_point(1.0, 0.0, 2.0))
-    series = asy.boundary_convergence(spec, PANELS[n])
+    series = asy.boundary_convergence(spec, PANELS[n]).series
     assert [t for t, _ in series] == list(asy.DEFAULT_GRID)
     assert series[-1][1] <= 1e-4
 
