@@ -10,14 +10,14 @@ and one of them wins with a ratio bigger than 2.
 import math
 
 from arcmetric import arc_metric, enumerate_panel, pants_point
-from arcmetric.geometry import panel_plan
+from arcmetric.geometry import log_lengths
 
 X = pants_point(2, 2, 2)
 Y = pants_point(4, 4, 4)
 panel = enumerate_panel(X.surface, 0)
-plan = panel_plan(panel)  # compiled once, evaluated at each point
-# a plan vector holds log lengths
-lengths_x, lengths_y = ([math.exp(v) for v in plan.vector(P)] for P in (X, Y))
+# log_lengths gives the log length of each panel entry at a point
+lengths_x, lengths_y = ([math.exp(v) for v in log_lengths(X.surface, panel.entries, P)]
+                        for P in (X, Y))
 print("panel (complete for the pair of pants):")
 print(" ", ", ".join(panel.labels()))
 print()

@@ -136,14 +136,15 @@ class DeviationReport(NamedTuple):
     flagged: bool
 
 
-def _walk(spec: PathSpec, plan: geo.LengthPlan):
-    """The plan's log length vectors at X_t, t in spec.grid, one at a time."""
-    if plan.surface is not spec.mu.surface and plan.surface != spec.mu.surface:
+def _walk(spec: PathSpec, surface, entries):
+    """The entries' log length vectors at X_t, t in spec.grid, one at a time."""
+    if surface is not spec.mu.surface and surface != spec.mu.surface:
         raise DomainError("point and length plan live on different surfaces")
     held = {label: geo._checked_length(label, param)
             for label, (kind, param) in spec.regimes if kind == "hold"}
     twists = {label: twist for label, (_, twist) in spec.base_point.interior}
-    return plan.walk(held, (_moving_lengths(spec, t) for t in spec.grid), twists)
+    return geo.walk(surface, entries, held,
+                    (_moving_lengths(spec, t) for t in spec.grid), twists)
 
 
 def deviation_walk(spec: PathSpec, targets):
@@ -157,16 +158,16 @@ def deviation_walk(spec: PathSpec, targets):
     surface, columns, skipped = spec.mu.surface, {}, []
     for k, target in enumerate(targets):
         try:
-            geo._route(surface, target)
+            geo._compiled(surface, target)
             columns[k] = []
         except UnsupportedClassError as exc:
             skipped.append((str(target), str(exc)))
-    plan = geo.LengthPlan(surface, [targets[k] for k in columns])
-    ivals = lam.intersection_vector(spec.mu, plan.entries)
+    entries = [targets[k] for k in columns]
+    ivals = lam.intersection_vector(spec.mu, entries)
     log_ivals, t_last = met._logs(ivals), spec.grid[-1]
     _check_range("e^t i(mu, target) of", t_last,
-                 ((e, t_last + v) for e, v in zip(plan.entries, log_ivals)))
-    for t, logs in zip(spec.grid, _walk(spec, plan)):
+                 ((e, t_last + v) for e, v in zip(entries, log_ivals)))
+    for t, logs in zip(spec.grid, _walk(spec, surface, entries)):
         # e^t i as a growing coordinate's own length, so its deviation is 0
         for devs, log_length, log_ival in zip(columns.values(), logs, log_ivals):
             devs.append(math.exp(log_length) - math.exp(t + log_ival))
@@ -199,15 +200,15 @@ class BoundaryConvergence(NamedTuple):
 def boundary_convergence(spec: PathSpec, panel: Panel) -> BoundaryConvergence:
     """Projective sup-norm distance between the length vector of X_t and the
     normalized intersection vector of the driving lamination."""
-    plan = geo.panel_plan(panel)
-    ivec = lam.intersection_vector(spec.mu, plan.entries)
+    ivec = lam.intersection_vector(spec.mu, panel.entries)
     top = max(ivec)
     if top == 0:
         raise DegeneratePanelError("panel misses the driving lamination")
     target = tuple(v / top for v in ivec)
     return BoundaryConvergence(
         [(t, max(abs(a - b) for a, b in zip(met._projective(logs), target)))
-         for t, logs in zip(spec.grid, _walk(spec, plan))], target)
+         for t, logs in zip(spec.grid, _walk(spec, panel.surface, panel.entries))],
+        target)
 
 
 def horo_convergence(spec: PathSpec, probes, panel: Panel):
@@ -221,14 +222,14 @@ def horo_convergence(spec: PathSpec, probes, panel: Panel):
         raise DomainError("horo_convergence needs at least one probe point")
     if any(P.surface != spec.mu.surface for P in probes):
         raise DomainError("points live on different surfaces")
-    plan = geo.panel_plan(panel)
-    log_ivals = met._log_intersections(spec.mu, plan.entries)
-    base_lengths, *probe_lengths = [plan.vector(P) for P in (spec.base_point, *probes)]
+    log_ivals = met._log_intersections(spec.mu, panel.entries)
+    base_lengths, *probe_lengths = [geo.log_lengths(panel.surface, panel.entries, P)
+                                    for P in (spec.base_point, *probes)]
     constant = met._normalizer(log_ivals, base_lengths)
     mu_values = [met._log_sup_ratio(ly, log_ivals)[0] - constant
                  for ly in probe_lengths]
     out = []
-    for t, lengths in zip(spec.grid, _walk(spec, plan)):
+    for t, lengths in zip(spec.grid, _walk(spec, panel.surface, panel.entries)):
         d_base = met._log_sup_ratio(base_lengths, lengths)[0]
         dev = max(abs((met._log_sup_ratio(ly, lengths)[0] - d_base) - v)
                   for ly, v in zip(probe_lengths, mu_values))
@@ -273,13 +274,12 @@ def separation_experiment(mu: lam.RationalLamination,
         L = geo.lamination_length(X0, zeta)
         blends = ((eps, mu.scaled(1.0 - eps) + zeta.scaled(eps / L))
                   for eps in _EPSILONS)
-    plan = geo.panel_plan(panel)
-    i_nu, i_mu = (met._logs(lam.intersection_vector(m, plan.entries))
+    i_nu, i_mu = (met._logs(lam.intersection_vector(m, panel.entries))
                   for m in (nu, mu))
     attempts = []
     for eps, blend in blends:
         spec = make_path_spec(blend, X0, grid)
-        for t, logs in zip(spec.grid, _walk(spec, plan)):
+        for t, logs in zip(spec.grid, _walk(spec, panel.surface, panel.entries)):
             lhs = met._log_sup_ratio(logs, i_nu)[0]
             rhs = met._log_sup_ratio(logs, i_mu)[0]
             if -math.inf in (lhs, rhs):

@@ -1,12 +1,12 @@
 """Fenchel-Nielsen points, the doubling embedding, and geodesic lengths.
 
-Every length comes from one route table, _route, compiled into a
-LengthPlan, a value of (surface, entries), as a log length: decomposition
-and boundary curves are Fenchel-Nielsen coordinates and exact; pants-local
-arcs go through the closed-form pants formulas; torus slope curves (and the
-hosts of twisted torus arcs) through hyptrig.torus_slope_length; every other
-class is refused with a typed error.  class_length is e^ of the log, or a
-DomainError where that is not a double.  No lamination reaches this layer.
+Every length is a log length from one map, _route, compiled once per class
+and surface into the surface's route table: decomposition and boundary
+curves are Fenchel-Nielsen coordinates and exact; pants-local arcs use the
+closed-form pants formulas, torus slope curves (and the hosts of twisted
+torus arcs) hyptrig.torus_slope_length, and any other class is a typed
+error.  log_lengths reads classes at a point, walk along a path, and
+class_length is e^ of the log.  No lamination reaches this layer.
 
 Twists are hyperbolic lengths, positive = right twist; the mirror side of a
 double carries negated twists.
@@ -142,7 +142,7 @@ def _route(surface: Surface, cls) -> tuple:
     log cosh and log sinh of half of it, and its twist.  A coordinate curve
     reads its log length, an untwisted pants arc calls a hyptrig core, and a
     torus slope or twisted torus arc goes through torus_slope_length; any
-    other class is refused with a typed error when its plan is built.
+    other class is refused with a typed error when it is compiled.
     """
     labels, punctures = surface.boundaries + surface.interior_curves, surface.punctures
     torus, slope = surface.signature == (1, 0, 1), ht.torus_slope_length
@@ -187,82 +187,63 @@ def _route(surface: Surface, cls) -> tuple:
         distinct(P[a], P[b], C[c], S[a], S[b])
 
 
+def _compiled(surface: Surface, cls) -> tuple:
+    """The _route of cls on surface, from the surface's route table."""
+    routes = surface._routes
+    route = routes.get(cls)
+    if route is None:
+        route = routes[cls] = _route(surface, cls)
+    return route
+
+
 def class_length(X: FNPoint, cls) -> float:
-    """Length of a CurveClass or ArcClass at X: e^ of its one-entry plan's
-    log length, and a coordinate exactly as X holds it."""
-    log_length = LengthPlan(X.surface, (cls,)).vector(X)[0]
+    """Length of a class at X: e^ of its log length; a coordinate as X holds it."""
+    log_length = log_lengths(X.surface, (cls,), X)[0]
     if isinstance(cls, CurveClass) and cls.kind in ("boundary", "interior"):
         return X.length_of(cls.label)
     return ht._length_from_log(cls, log_length)
 
 
-class LengthPlan:
-    """Log length vectors of an ordered list of classes, compiled once.
-
-    Each entry is compiled to its _route, which refuses it if it has no
-    length on the surface; a point of another surface is a DomainError.
-    A plan is a value: it stores nothing after it is built, and plans are
-    equal, hash and print by (surface, entries).
-    """
-
-    def __init__(self, surface: Surface, entries):
-        self.surface = surface
-        self.entries = tuple(entries)
-        self._routes = [_route(surface, entry) for entry in self.entries]
-        self._punctures = dict.fromkeys(surface.punctures, 0.0)
-
-    def __eq__(self, other):
-        return (isinstance(other, LengthPlan) and self.surface == other.surface
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.surface, self.entries))
-
-    def __repr__(self):
-        return f"LengthPlan({self.surface.signature}, {list(map(str, self.entries))})"
-
-    def vector(self, X: FNPoint) -> list[float]:
-        """The log length of each entry at X: the one-point walk."""
-        if X.surface is not self.surface and X.surface != self.surface:
-            raise DomainError("point and length plan live on different surfaces")
-        held = {label: _checked_length(label, length) for label, length in
-                X.boundary + tuple((label, v) for label, (v, _) in X.interior)}
-        twists = {label: twist for label, (_, twist) in X.interior}
-        return next(self.walk(held, ({},), twists))
-
-    def walk(self, held: dict, moving, twists: dict):
-        """Yield the log length vector at each point of a path, a new list each.
-
-        held maps the labels every point shares to their (checked) lengths;
-        moving yields the log lengths of the other labels (each at most
-        log(DBL_MAX)), point by point; twists maps each interior label to
-        its twist.  A label's log terms are computed once per point, a held
-        label's once.  The first point is evaluated in full, in entry order;
-        later ones re-evaluate only the entries with a moving input."""
-        lengths = {**self._punctures, **held}
-        logs = {a: math.log(v) if v else -math.inf for a, v in lengths.items()}
-        lc = {a: ht.log_cosh(v / 2) for a, v in lengths.items()}
-        ls = {a: ht.log_sinh_half(v, logs[a]) for a, v in lengths.items()}
-        routes = self._routes
-        moving_entries = [k for k, (inputs, _) in enumerate(routes)
-                          if not lengths.keys() >= set(inputs)]
-        vec, indices = [0.0] * len(routes), range(len(routes))
-        for row in moving:
-            for label, log_length in row.items():
-                length = lengths[label] = math.exp(log_length)
-                logs[label], lc[label] = log_length, ht.log_cosh(length / 2)
-                ls[label] = ht.log_sinh_half(length, log_length)
-            for k in indices:
-                vec[k] = routes[k][1](lengths, logs, lc, ls, twists)
-            yield vec
-            vec, indices = vec.copy(), moving_entries
+def log_lengths(surface: Surface, entries, X: FNPoint) -> list[float]:
+    """The log length at X of each of the entries, the one-point walk: a
+    class without a length is refused first, then a point off surface."""
+    routes = [_compiled(surface, entry) for entry in entries]
+    if X.surface is not surface and X.surface != surface:
+        raise DomainError("point and length plan live on different surfaces")
+    held = {label: _checked_length(label, length) for label, length in
+            X.boundary + tuple((label, v) for label, (v, _) in X.interior)}
+    twists = {label: twist for label, (_, twist) in X.interior}
+    return next(_walk(surface, routes, held, ({},), twists))
 
 
-def panel_plan(panel) -> LengthPlan:
-    """The LengthPlan of a Panel; an empty panel is a DomainError."""
-    if not panel.entries:
-        raise DomainError("panel is empty")
-    return LengthPlan(panel.surface, panel.entries)
+def walk(surface: Surface, entries, held: dict, moving, twists: dict):
+    """Yield the log length vector of the entries at each point of a path
+    on surface, a new list each: held maps the labels every point shares to
+    their checked lengths, moving yields the others' log lengths (at most
+    log(DBL_MAX)) point by point, twists maps interior labels to twists.
+    Log terms are computed once per point (a held label's once); after the
+    first point only the entries with a moving input are re-evaluated."""
+    return _walk(surface, [_compiled(surface, entry) for entry in entries],
+                 held, moving, twists)
+
+
+def _walk(surface, routes, held, moving, twists):
+    lengths = {**dict.fromkeys(surface.punctures, 0.0), **held}
+    logs = {a: math.log(v) if v else -math.inf for a, v in lengths.items()}
+    lc = {a: ht.log_cosh(v / 2) for a, v in lengths.items()}
+    ls = {a: ht.log_sinh_half(v, logs[a]) for a, v in lengths.items()}
+    moving_entries = [k for k, (inputs, _) in enumerate(routes)
+                      if not lengths.keys() >= set(inputs)]
+    vec, indices = [0.0] * len(routes), range(len(routes))
+    for row in moving:
+        for label, log_length in row.items():
+            length = lengths[label] = math.exp(log_length)
+            logs[label], lc[label] = log_length, ht.log_cosh(length / 2)
+            ls[label] = ht.log_sinh_half(length, log_length)
+        for k in indices:
+            vec[k] = routes[k][1](lengths, logs, lc, ls, twists)
+        yield vec
+        vec, indices = vec.copy(), moving_entries
 
 
 def lamination_length(X: FNPoint, lamination) -> float:

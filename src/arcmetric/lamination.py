@@ -257,13 +257,10 @@ def dt_encode(mu: RationalLamination) -> DTCoordinates:
             if isinstance(c, CurveClass) and c.label == label:
                 theta += w  # a leaf on the curve is pure twist
                 continue
+            i_val += w * class_intersection(surface, c, target)
             slope = _slope_of(surface, c)
             if slope is not None and label == "C1" and surface.is_torus():
-                p, q = slope
-                i_val += w * abs(q)
-                theta += w * p if q != 0 else 0.0
-            else:
-                i_val += w * class_intersection(surface, c, target)
+                theta += w * slope[0]
         if i_val == 0.0:
             theta = abs(theta)  # canonical form of the (0, t) ~ (0, -t) quotient
         curves.append((label, (i_val, theta)))
@@ -464,7 +461,9 @@ def refine(mu: RationalLamination):
 
 
 def sample_supported_lamination(surface: Surface, rng) -> RationalLamination:
-    """Random nonzero decomposition-adapted lamination (tier-1 surfaces)."""
+    """Random nonzero lamination that dt_encode accepts (tier-1 surfaces):
+    pants arcs and boundary leaves, or on the torus C1, B1, the base arc and
+    slopes w(p, q), |p|, q <= 3, whose twist coordinate is nonzero if p != 0."""
     def w():
         return rng.uniform(0.2, 3.0)
 

@@ -3,9 +3,9 @@
 All suprema over curves and arcs are truncated to a finite panel; on the
 pair of pants the nine-entry panel is the complete family, so there the
 values are exact.  Every result reports the panel complexity it used, and
-values are monotone nondecreasing under panel refinement.  Lengths arrive
-as logs: a supremum of ratios is a maximum of differences, and a normalized
-vector is exp(log l - max log l), finite however far off the doubles.
+is monotone nondecreasing under refinement.  Lengths arrive as logs from
+geometry.log_lengths: a supremum of ratios is a maximum of differences, and
+a normalized vector, exp(log l - max log l), is finite off the doubles too.
 
 One functional xi on the panel gives both compactifications: the lengths
 l(X) of a point or the intersection numbers i(mu, .) of a lamination.  The
@@ -58,16 +58,16 @@ def arc_metric(X: geo.FNPoint, Y: geo.FNPoint, panel: Panel) -> MetricValue:
 
     Ties are broken by panel order, so reports are deterministic.
     """
-    plan = geo.panel_plan(panel)
     if X.surface != Y.surface:
         raise DomainError("points live on different surfaces")
-    value, k = _log_sup_ratio(plan.vector(X), plan.vector(Y))
+    value, k = _log_sup_ratio(*(geo.log_lengths(panel.surface, panel.entries, P)
+                                for P in (X, Y)))
     return MetricValue(value, str(panel.entries[k]), panel.complexity)
 
 
 def thurston_vector(X: geo.FNPoint, panel: Panel) -> tuple[float, ...]:
     """Panel length vector normalized to sup-norm 1 (projective class)."""
-    return _projective(geo.panel_plan(panel).vector(X))
+    return _projective(geo.log_lengths(panel.surface, panel.entries, X))
 
 
 # -- horofunctions -----------------------------------------------------------------
@@ -89,43 +89,45 @@ def _normalizer(log_xi, base_lengths) -> float:
 
 
 class Horofunction(NamedTuple):
-    """Psi_xi(Y) = log sup xi/l(Y) - constant: log_xi holds log xi on the
-    panel entries where xi > 0, plan is their LengthPlan, and constant =
+    """Psi_xi(Y) = log sup xi/l(Y) - constant: entries are the panel
+    entries where xi > 0, log_xi holds log xi on them, and constant =
     max(log_xi - l(X0)) = log sup xi/l(X0), so Psi_xi(X0) = 0."""
 
     base_point: geo.FNPoint
-    plan: geo.LengthPlan
+    entries: tuple
     log_xi: tuple
     constant: float
 
 
-def _horofunction(base_point, plan, log_xi) -> Horofunction:
-    log_xi = tuple(log_xi)
-    return Horofunction(base_point, plan, log_xi,
-                        _normalizer(log_xi, plan.vector(base_point)))
+def _horofunction(base_point, panel, entries, log_xi) -> Horofunction:
+    entries, log_xi = tuple(entries), tuple(log_xi)
+    base_lengths = geo.log_lengths(panel.surface, entries, base_point)
+    return Horofunction(base_point, entries, log_xi, _normalizer(log_xi, base_lengths))
 
 
 def interior_horofunction(X: geo.FNPoint, base_point: geo.FNPoint,
                           panel: Panel) -> Horofunction:
     """Psi_xi for xi = l(X), on every panel entry: d(., X) - d(X0, X)."""
-    plan = geo.panel_plan(panel)
-    return _horofunction(base_point, plan, plan.vector(X))
+    return _horofunction(base_point, panel, panel.entries,
+                         geo.log_lengths(panel.surface, panel.entries, X))
 
 
 def boundary_horofunction(mu: lam.RationalLamination, base_point: geo.FNPoint,
                           panel: Panel) -> Horofunction:
     """Psi_xi for xi = i(mu, .), on the panel entries mu crosses."""
-    entries = geo.panel_plan(panel).entries
+    entries = panel.entries
+    for entry in entries:  # a class without a length is refused, crossed or not
+        geo._compiled(panel.surface, entry)
     crossed = [(e, v) for e, v in zip(entries, _log_intersections(mu, entries))
                if v > -math.inf]
-    return _horofunction(base_point,
-                         geo.LengthPlan(panel.surface, [e for e, _ in crossed]),
+    return _horofunction(base_point, panel, [e for e, _ in crossed],
                          [v for _, v in crossed])
 
 
 def horofunction_eval(h: Horofunction, Y: geo.FNPoint) -> float:
     """Psi_xi(Y) = log sup xi/l(Y) - log sup xi/l(X0)."""
-    return _log_sup_ratio(h.plan.vector(Y), h.log_xi)[0] - h.constant
+    lengths = geo.log_lengths(h.base_point.surface, h.entries, Y)
+    return _log_sup_ratio(lengths, h.log_xi)[0] - h.constant
 
 
 # -- convergence detection ------------------------------------------------------------
@@ -140,8 +142,8 @@ def normalized_length_vector(X: geo.FNPoint, base_point: geo.FNPoint,
     lengths, toward a projective lamination it tends to a multiple of the
     intersection-number vector.
     """
-    plan = geo.panel_plan(panel)
-    return _normalized(plan.vector(X), plan.vector(base_point))
+    return _normalized(*(geo.log_lengths(panel.surface, panel.entries, P)
+                         for P in (X, base_point)))
 
 
 def _normalized(logs, base) -> tuple[float, ...]:
@@ -170,9 +172,8 @@ def detect_limit(points, panel: Panel, tolerance: float = 1e-6,
     pts = list(points)
     if len(pts) < 2:
         raise DomainError("need at least two points to detect a limit")
-    plan = geo.panel_plan(panel)
-    base = plan.vector(base_point or pts[0])
-    logs = [plan.vector(X) for X in pts[-2:]]
+    base, *logs = [geo.log_lengths(panel.surface, panel.entries, X)
+                   for X in (base_point or pts[0], *pts[-2:])]
     prev, last = (_normalized(v, base) for v in logs)
     vec_step = max(abs(a - b) for a, b in zip(last, prev))
     if vec_step > tolerance:

@@ -1,11 +1,12 @@
 """Surface signatures, pants decompositions, curve/arc classes, panels.
 
 Surfaces are bordered (at least one boundary component) except for the
-closed doubles produced by `double_topology`.  Every surface gets a
-deterministic canonical pants decomposition.  Two surfaces are "tier 1"
-(the pair of pants S_{0,0,3} and the one-holed torus S_{1,0,1}): these carry
-holonomy markings, so their panels extend beyond decomposition data to
-registered word classes.
+closed doubles of `double_topology`.  Every surface gets a deterministic
+canonical pants decomposition and keeps the tables lamination and geometry
+fill (intersection numbers, compiled length routes).  On the "tier 1"
+surfaces S_{0,0,3} and S_{1,0,1}, which carry holonomy markings, panels
+extend beyond decomposition data to registered word classes.  Panels are
+never empty.
 
 Labels: interior decomposition curves "C1", "C2", ...; boundary components
 "B1", ...; punctures "U1", ...; mirrored curves on a double get an "m"
@@ -152,6 +153,10 @@ class Surface(namedtuple("Surface", "signature pants interior_curves boundaries 
     def _intersections(self) -> dict:
         return {}  # (c, target) -> i(c, target), filled by lamination
 
+    @functools.cached_property
+    def _routes(self) -> dict:
+        return {}  # class -> its compiled log length formula, filled by geometry
+
     def is_torus(self) -> bool:
         return self.signature == SurfaceSignature(1, 0, 1)
 
@@ -287,13 +292,15 @@ def double_topology(surface: Surface) -> Surface:
 
 
 class Panel:
-    """Finite ordered family of curve/arc classes truncating the suprema.
-    Its len and iteration run over the entries."""
+    """Finite nonempty ordered family of curve/arc classes truncating the
+    suprema.  Its len and iteration run over the entries."""
 
     __slots__ = ("surface", "complexity", "entries")
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, surface: Surface, complexity: int, entries: tuple):
+        if not entries:
+            raise DomainError("panel is empty")
         for name, value in zip(self.__slots__, (surface, complexity, entries)):
             object.__setattr__(self, name, value)
 

@@ -314,9 +314,11 @@ def test_boundary_limit_cli_computes_the_intersection_vector_once(monkeypatch,
     assert len(calls) == 3 + 9
 
 
-def _count_formula_calls(monkeypatch):
-    """Record each call of a pants-formula core (plans look them up when
-    built)."""
+def _count_formula_calls(monkeypatch, surface):
+    """Record each call of a pants-formula core on surface.  A route binds
+    its core when it is compiled, so the surface's route table starts empty
+    until the monkeypatch is undone."""
+    monkeypatch.setitem(surface.__dict__, "_routes", {})
     calls = []
     for name in ("arc_same_from_logs", "arc_distinct_from_logs"):
         def counting(*args, formula=getattr(ht, name)):
@@ -328,7 +330,7 @@ def _count_formula_calls(monkeypatch):
 
 def test_horo_convergence_builds_each_constant_once(monkeypatch):
     spec = asy.make_path_spec(MU, BASE, [4.0, 6.0, 8.0, 10.0])
-    formula_calls, intersection_calls = _count_formula_calls(monkeypatch), []
+    formula_calls, intersection_calls = _count_formula_calls(monkeypatch, S), []
     intersection = lam.intersection_number
 
     def counting_intersection(mu, gamma):
@@ -358,7 +360,7 @@ def test_walk_reevaluates_only_moving_entries(monkeypatch):
     base = geo.fn_point(surface, {"C1": (1.2, 0.3)},
                         {"B1": 1.0, "B2": 1.5, "B3": 0.8, "B4": 2.0})
     spec = asy.make_path_spec(mu, base, (0.0, 1.0, 2.0, 3.0))
-    calls = _count_formula_calls(monkeypatch)
+    calls = _count_formula_calls(monkeypatch, surface)
     series = asy.boundary_convergence(spec, panel).series
     arcs = [e for e in panel if isinstance(e, ArcClass)]
     moving = [a for a in arcs if "B1" in a.pattern[1:]]
@@ -498,27 +500,31 @@ def test_boundary_convergence_on_a_panel_mu_misses():
         asy.boundary_convergence(SPEC, panel)
 
 
-EMPTY = Panel(S, 0, ())
+def empty():
+    return Panel(S, 0, ())
+
+
 X0_222 = geo.pants_point(2, 2, 2)
 NU_B3 = lam.normalize(lam.rational_lamination(S, {CurveClass("boundary", "B3"): 1.0}),
                       X0_222)
 EMPTY_PANEL_CALLS = {
-    "arc_metric": lambda: met.arc_metric(BASE, X0_222, EMPTY),
-    "thurston_vector": lambda: met.thurston_vector(BASE, EMPTY),
-    "interior_horofunction": lambda: met.interior_horofunction(X0_222, BASE, EMPTY),
-    "boundary_horofunction": lambda: met.boundary_horofunction(MU, BASE, EMPTY),
+    "arc_metric": lambda: met.arc_metric(BASE, X0_222, empty()),
+    "thurston_vector": lambda: met.thurston_vector(BASE, empty()),
+    "interior_horofunction": lambda: met.interior_horofunction(X0_222, BASE, empty()),
+    "boundary_horofunction": lambda: met.boundary_horofunction(MU, BASE, empty()),
     "normalized_length_vector": lambda: met.normalized_length_vector(X0_222, BASE,
-                                                                     EMPTY),
-    "detect_limit": lambda: met.detect_limit([BASE, X0_222], EMPTY),
-    "boundary_convergence": lambda: asy.boundary_convergence(SPEC, EMPTY),
-    "horo_convergence": lambda: asy.horo_convergence(SPEC, [X0_222], EMPTY),
+                                                                     empty()),
+    "detect_limit": lambda: met.detect_limit([BASE, X0_222], empty()),
+    "boundary_convergence": lambda: asy.boundary_convergence(SPEC, empty()),
+    "horo_convergence": lambda: asy.horo_convergence(SPEC, [X0_222], empty()),
     "separation_experiment": lambda: asy.separation_experiment(
-        lam.normalize(MU, X0_222), NU_B3, X0_222, EMPTY),
+        lam.normalize(MU, X0_222), NU_B3, X0_222, empty()),
 }
 
 
 @pytest.mark.parametrize("call", EMPTY_PANEL_CALLS.values(), ids=EMPTY_PANEL_CALLS)
 def test_an_empty_panel_is_one_typed_error(call):
-    # no supremum and no projective class exists over no entries
+    # no supremum and no projective class exists over no entries: the panel
+    # is refused when it is built, so no entry point ever receives one
     with pytest.raises(DomainError, match="panel is empty"):
         call()

@@ -68,7 +68,6 @@ def test_pants_points_match_mpmath_in_log_space():
     # random pairs and probes with cuffs log-uniform in [1e-3, 1e5]: the
     # shortest arcs are far below the doubles there, about e^(-25000)
     rng = random.Random(1411)
-    plan = geo.panel_plan(PANEL)
 
     def point():
         return geo.pants_point(*(math.exp(rng.uniform(math.log(1e-3), math.log(1e5)))
@@ -79,7 +78,8 @@ def test_pants_points_match_mpmath_in_log_space():
             X, Y, Z = point(), point(), point()
             refs = {P: pants_ref(P) for P in (X, Y, Z)}
             for P, ref in refs.items():
-                for got, label in zip(plan.vector(P), PANEL.labels()):
+                for got, label in zip(geo.log_lengths(S, PANEL.entries, P),
+                                      PANEL.labels()):
                     assert_close(got, mp.log(ref[label]))
             assert_close(met.arc_metric(X, Y, PANEL).value, mp_sup(refs[Y], refs[X]))
             assert_close(met.arc_metric(Y, X, PANEL).value, mp_sup(refs[X], refs[Y]))
@@ -100,10 +100,10 @@ def test_pants_points_match_mpmath_in_log_space():
 def test_pants_log_lengths_at_the_ends_of_the_doubles(cuffs):
     # cuffs near DBL_MAX, where a sum of log cosh terms would overflow and a
     # difference of two cuffs needs 700 digits in the reference
-    plan = geo.panel_plan(PANEL)
+    X = geo.pants_point(*cuffs)
     with mp.workdps(700):
         ref = mp_pants_lengths(*cuffs)
-        for got, label in zip(plan.vector(geo.pants_point(*cuffs)), PANEL.labels()):
+        for got, label in zip(geo.log_lengths(S, PANEL.entries, X), PANEL.labels()):
             assert_close(got, mp.log(ref[label]))
 
 
@@ -132,9 +132,8 @@ def test_paths_to_t50_match_mpmath_in_log_space(config):
     data["grid"] = [0.5 * k for k in range(101)]
     surface, spec, panel = cli._experiment_common(data)
     probes = [geo.fn_from_dict(surface, p) for p in data["probes"]]
-    plan = geo.panel_plan(panel)
     with mp.workdps(50):
-        for t, logs in zip(spec.grid, asy._walk(spec, plan)):
+        for t, logs in zip(spec.grid, asy._walk(spec, surface, panel.entries)):
             ref = mp_lengths(mp_path_lengths(spec, t), panel)
             for got, label in zip(logs, panel.labels()):
                 assert_close(got, mp.log(ref[label]))
@@ -152,11 +151,11 @@ def test_torus_c1_path_distance_is_read_from_the_walk():
     T = geo.torus_surface()
     X = geo.torus_point(1.0, 0.3, 1.0)
     panel = enumerate_panel(T, 3)
-    plan = geo.panel_plan(panel)
     mu = lam.rational_lamination(T, {T.curve_class("C1"): 1.0})
     spec = asy.make_path_spec(mu, X, (0.0, 8.0, 10.0, 12.0))
-    base = plan.vector(X)
-    distances = [met._log_sup_ratio(logs, base)[0] for logs in asy._walk(spec, plan)]
+    base = geo.log_lengths(T, panel.entries, X)
+    distances = [met._log_sup_ratio(logs, base)[0]
+                 for logs in asy._walk(spec, T, panel.entries)]
     with mp.workdps(60):
         ref_X = checks.TorusReference(1.0, 0.3, 1.0)
         for t, got in zip(spec.grid, distances):

@@ -9,7 +9,7 @@ from arcmetric import asymptotics as asy
 from arcmetric import geometry as geo
 from arcmetric import lamination as lam
 from arcmetric import metric as met
-from arcmetric.errors import DegeneratePanelError, DomainError
+from arcmetric.errors import DegeneratePanelError, DomainError, UnsupportedClassError
 from arcmetric.topology import CurveClass, Panel, enumerate_panel
 
 S = geo.pants_surface()
@@ -67,9 +67,8 @@ def test_monotone_under_panel_refinement():
 
 def test_empty_panel_rejected():
     from arcmetric.topology import Panel
-    empty = Panel(S, 0, ())
-    with pytest.raises(DomainError):
-        met.arc_metric(X222, X444, empty)
+    with pytest.raises(DomainError, match="panel is empty"):
+        Panel(S, 0, ())
 
 
 def test_doubling_isometry_against_thurston_value():
@@ -171,7 +170,7 @@ def test_boundary_horofunction_at_a_crushed_class():
     mu = lam.rational_lamination(S, {S.arc_alias("a33"): 1.0})
     Y = geo.pants_point(1500, 1500, 1)
     a12 = S.arc_alias("a12")
-    log_a12 = geo.LengthPlan(S, [a12]).vector(Y)[0]
+    log_a12 = geo.log_lengths(S, [a12], Y)[0]
     assert -749 < log_a12 < -748
     with pytest.raises(DomainError, match=r"length of a\(B1,B2;B3\)"):
         geo.class_length(Y, a12)
@@ -193,8 +192,7 @@ def test_log_sup_ratio_kernel():
     # a length far below the doubles is an ordinary log: a finite supremum
     assert met._log_sup_ratio([0.0, -1e5, lg(2.0)], [lg(2.0), 0.0, lg(9.0)]) \
         == (1e5, 1)
-    plan = geo.panel_plan(PANEL)
-    lx, ly = plan.vector(X222), plan.vector(X444)
+    lx, ly = (geo.log_lengths(S, PANEL.entries, P) for P in (X222, X444))
     value, k = met._log_sup_ratio(lx, ly)
     d = met.arc_metric(X222, X444, PANEL)
     assert (d.value, d.maximizer) == (value, str(PANEL.entries[k]))
@@ -204,27 +202,38 @@ def test_boundary_horofunction_crossed_pairs():
     mu = lam.rational_lamination(S, {S.arc_alias("a33"): 1.0})
     h = met.boundary_horofunction(mu, X222, PANEL)
     crossed = [e for e in PANEL if lam.intersection_number(mu, e) > 0]
-    # the plan holds the crossed entries in panel order, log_xi their log i
-    assert h.plan.entries == tuple(crossed)
+    # entries are the crossed ones in panel order, log_xi their log i
+    assert h.entries == tuple(crossed)
     assert h.log_xi == tuple(math.log(lam.intersection_number(mu, e)) for e in crossed)
     assert len(crossed) == 4
     # the log normalizer: max of log i(mu, e) - log l(e) at the base point
     assert h.constant == max(math.log(lam.intersection_number(mu, e))
-                             - geo.LengthPlan(S, [e]).vector(X222)[0]
+                             - geo.log_lengths(S, [e], X222)[0]
                              for e in crossed)
     h_X = met.interior_horofunction(X444, X222, PANEL)
-    assert h_X.plan.entries == PANEL.entries
-    assert h_X.log_xi == tuple(geo.panel_plan(PANEL).vector(X444))
+    assert h_X.entries == PANEL.entries
+    assert h_X.log_xi == tuple(geo.log_lengths(S, PANEL.entries, X444))
 
 
 def test_boundary_horofunctions_built_apart_are_equal_and_print_alike():
     mu = lam.rational_lamination(S, {S.arc_alias("a33"): 1.0})
     h, g = (met.boundary_horofunction(mu, X222, PANEL) for _ in range(2))
-    assert h == g and h.plan is not g.plan
+    assert h == g and h.entries is not g.entries
     assert repr(h) == repr(g)
-    # the plan prints its surface signature and the crossed entries
-    crossed = [str(e) for e in PANEL if lam.intersection_number(mu, e) > 0]
-    assert f"plan=LengthPlan(S_0,0,3, {crossed})" in repr(h)
+    # the repr holds the crossed entries
+    crossed = tuple(e for e in PANEL if lam.intersection_number(mu, e) > 0)
+    assert f"entries={crossed!r}" in repr(h)
+
+
+def record_log_lengths(monkeypatch):
+    """Lists that record the point of each log_lengths call and the class of
+    each _route call (a class compiled on a surface)."""
+    calls, compiled, log_lengths, route = [], [], geo.log_lengths, geo._route
+    monkeypatch.setattr(geo, "log_lengths", lambda surface, entries, X:
+                        calls.append(X) or log_lengths(surface, entries, X))
+    monkeypatch.setattr(geo, "_route", lambda surface, cls:
+                        compiled.append(cls) or route(surface, cls))
+    return calls, compiled
 
 
 def test_interior_horofunction_eval_computes_one_vector(monkeypatch):
@@ -233,14 +242,31 @@ def test_interior_horofunction_eval_computes_one_vector(monkeypatch):
     # d(Y, X) - d(X0, X), bit for bit
     assert met.horofunction_eval(h, Y) == \
         met.arc_metric(Y, X444, PANEL).value - met.arc_metric(X222, X444, PANEL).value
-    calls, vector, plans, init = [], geo.LengthPlan.vector, [], geo.LengthPlan.__init__
-    monkeypatch.setattr(geo.LengthPlan, "vector",
-                        lambda plan, X: calls.append(X) or vector(plan, X))
-    monkeypatch.setattr(geo.LengthPlan, "__init__",
-                        lambda plan, *args: plans.append(args) or init(plan, *args))
+    calls, compiled = record_log_lengths(monkeypatch)
     met.horofunction_eval(h, Y)
-    # Y's length vector, from the plan the horofunction holds
-    assert calls == [Y] and plans == []
+    # Y's length vector, from the routes its entries compiled on the surface
+    assert calls == [Y] and compiled == []
+
+
+def test_each_class_is_compiled_once_per_surface(monkeypatch):
+    # the torus level-24 panel: once one arc_metric has compiled it, the
+    # panel's entry points compile nothing, and a walk over new targets
+    # compiles each of them once
+    T = geo.torus_surface()
+    panel = enumerate_panel(T, 24)
+    X, Y = geo.torus_point(1.3, 0.4, 0.9), geo.torus_point(1.1, -0.2, 1.4)
+    met.arc_metric(X, Y, panel)
+    compiled = record_log_lengths(monkeypatch)[1]
+    met.arc_metric(X, Y, panel)
+    met.thurston_vector(Y, panel)
+    met.horofunction_eval(met.interior_horofunction(X, Y, panel), X)
+    assert compiled == []
+    mu = lam.rational_lamination(T, {T.pants_arcs()[0]: 1.0})
+    met.horofunction_eval(met.boundary_horofunction(mu, Y, panel), X)
+    new = T.word_curves_at(25) + T.word_arcs_at(25)
+    targets = [*panel.entries[:4], *new] * 2
+    asy.deviation_walk(asy.make_path_spec(mu, X, (0.0, 1.0)), targets)
+    assert len(compiled) == len(set(compiled)) and set(compiled) <= set(new)
 
 
 # -- limit detection ----------------------------------------------------------------
@@ -274,15 +300,12 @@ def test_detect_limit_normalizes_only_the_last_two_points(monkeypatch):
     mu = lam.rational_lamination(S, {S.arc_alias("a33"): 1.0})
     spec = asy.make_path_spec(mu, geo.pants_point(1, 1, 2))
     seq = [asy.scaling_path(spec, t) for t in (4, 5, 6, 7, 8)]
-    calls, vector, plans, panel_plan = [], geo.LengthPlan.vector, [], geo.panel_plan
-    monkeypatch.setattr(geo.LengthPlan, "vector",
-                        lambda plan, X: calls.append(X) or vector(plan, X))
-    monkeypatch.setattr(geo, "panel_plan",
-                        lambda panel: plans.append(panel) or panel_plan(panel))
+    met.thurston_vector(X222, PANEL)  # the panel's routes are in the table
+    calls, compiled = record_log_lengths(monkeypatch)
     assert met.detect_limit(seq, PANEL, 1e-3, base_point=X222).kind == "boundary"
-    # one plan; the base point once, then each of the last two points
+    # nothing compiled; the base point once, then each of the last two points
     assert calls == [X222, seq[-2], seq[-1]]
-    assert plans == [PANEL]
+    assert compiled == []
 
 
 def test_detect_limit_needs_two_points():
@@ -298,3 +321,9 @@ def test_metric_inputs_without_a_value_are_typed_errors():
     zero = lam.rational_lamination(S, {})
     with pytest.raises(DomainError, match="needs a nonzero lamination"):
         met.boundary_horofunction(zero, X222, PANEL)
+    # a class without a length is refused even where mu misses it
+    loop = Panel(S, 0, (CurveClass("loop", "l1"), *PANEL.entries))
+    mu = lam.rational_lamination(S, {S.arc_alias("a33"): 1.0})
+    assert lam.intersection_number(mu, loop.entries[0]) == 0
+    with pytest.raises(UnsupportedClassError, match="unknown curve kind 'loop'"):
+        met.boundary_horofunction(mu, X222, loop)

@@ -66,6 +66,20 @@ def test_geometry_imports_nothing_from_the_layers_above_it():
         & {"lamination", "metric", "asymptotics"}
 
 
+def test_topology_imports_nothing_from_the_package_but_errors():
+    # the benchmark's setup probe builds panels with topology alone; any
+    # package import here, lazy ones included, would load with it
+    tree = ast.parse(Path(arcmetric.__file__).with_name("topology.py").read_text())
+    relative, absolute = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            (relative if node.level else absolute).add(node.module)
+        if isinstance(node, ast.Import):
+            absolute.update(alias.name for alias in node.names)
+    assert relative == {"errors"}
+    assert not {name.partition(".")[0] for name in absolute} & {"arcmetric"}
+
+
 def test_unknown_name_is_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         arcmetric.no_such_name  # noqa: B018

@@ -1,11 +1,12 @@
-"""LengthPlan: compiled panel log length vectors equal a per-class reference.
+"""geometry.log_lengths and geometry.walk: panel log length vectors, read
+through each surface's route table, equal a per-class reference.
 
 The reference computes each class's log length on its own, from each
 coordinate curve's length and log length (FNPoint.length_of at a point, the
 path's log lengths along a walk) through the hyptrig cores and log-term
-functions: none of the plan's cached log terms or routes.  Every value is
-compared with ==, bit for bit: both evaluate the same formula with the same
-floats, so nothing may round differently.
+functions: none of the walk's shared log terms or compiled routes.  Every
+value is compared with ==, bit for bit: both evaluate the same formula with
+the same floats, so nothing may round differently.
 """
 
 import math
@@ -76,7 +77,7 @@ def reference_log(surface, coord, twist, cls):
 
 def references(surface, coord, twist, entries):
     """The reference log length of each entry, or the type of its first
-    error (the plan must raise the same type)."""
+    error (log_lengths and walk must raise the same type)."""
     try:
         return [reference_log(surface, coord, twist, e) for e in entries]
     except Exception as exc:
@@ -93,9 +94,9 @@ def direct(X, entries):
                       entries)
 
 
-def planned(plan, X):
+def logs_or_error(panel, X):
     try:
-        return plan.vector(X)
+        return geo.log_lengths(panel.surface, panel.entries, X)
     except Exception as exc:
         return type(exc)
 
@@ -106,7 +107,7 @@ def planned(plan, X):
 def test_panel_zero_vectors_equal_class_length(case):
     surface, X = case
     panel = enumerate_panel(surface, 0)
-    assert geo.panel_plan(panel).vector(X) == direct(X, panel.entries)
+    assert geo.log_lengths(surface, panel.entries, X) == direct(X, panel.entries)
 
 
 @settings(max_examples=25, deadline=None)
@@ -114,14 +115,14 @@ def test_panel_zero_vectors_equal_class_length(case):
 def test_torus_word_panels_equal_the_reference(X, complexity):
     # word curves and twisted arcs take the torus trace descent
     panel = enumerate_panel(TORUS, complexity)
-    assert planned(geo.panel_plan(panel), X) == direct(X, panel.entries)
+    assert logs_or_error(panel, X) == direct(X, panel.entries)
 
 
-def walked(spec, plan):
+def walked(spec, panel):
     """The walk's vectors along the path, then the type of its error."""
     out = []
     try:
-        out.extend(asy._walk(spec, plan))
+        out.extend(asy._walk(spec, panel.surface, panel.entries))
     except Exception as exc:
         out.append(type(exc))
     return out
@@ -173,8 +174,7 @@ def test_walk_equals_class_length_at_every_point(case):
     # Cuffs span [1e-8, 1e3], and a leaf decays below the doubles by t = 8,
     # where the walk and the reference read its log length
     spec, panel = case
-    plan = geo.panel_plan(panel)
-    vectors = walked(spec, plan)
+    vectors = walked(spec, panel)
     assert vectors == expected(spec, panel.entries, spec.grid)
     assert len({id(vec) for vec in vectors}) == len(vectors)  # a new list each
 
@@ -187,8 +187,7 @@ def test_walk_torus_word_entries_equal_the_reference(X0, complexity, cls):
     panel = enumerate_panel(TORUS, complexity)
     spec = asy.make_path_spec(lam.rational_lamination(TORUS, {cls: 1.0}), X0,
                               (0.0, 0.5, 1.0, 2.0))
-    assert walked(spec, geo.panel_plan(panel)) \
-        == expected(spec, panel.entries, spec.grid)
+    assert walked(spec, panel) == expected(spec, panel.entries, spec.grid)
 
 
 def test_walk_stops_at_the_double_range():
@@ -200,7 +199,7 @@ def test_walk_stops_at_the_double_range():
     grid = (0.0, 5.0, 700.0, 709.0)
     spec = asy.make_path_spec(mu, geo.pants_point(1.0, 1.0, 2.0), grid)
     panel = enumerate_panel(surface, 0)
-    vectors = walked(spec, geo.panel_plan(panel))
+    vectors = walked(spec, panel)
     assert vectors == expected(spec, panel.entries, spec.grid)
     assert len(vectors) == 4 and all(map(math.isfinite, vectors[-1]))
     with pytest.raises(InvalidSpecError, match="moving length of B3"):
@@ -208,7 +207,7 @@ def test_walk_stops_at_the_double_range():
 
 
 def test_checked_arc_wrappers_equal_class_length():
-    # the hyptrig wrappers read log sinh(l/2) as every plan does (from log l
+    # the hyptrig wrappers read log sinh(l/2) as every route does (from log l
     # below l = 2e-8), so an arc has one length, bit for bit, at any cuff
     rng, lo, hi = random.Random(31), math.log(1e-12), math.log(1e3)
     triples = [[math.exp(rng.uniform(lo, hi)) for _ in range(3)] for _ in range(3000)]
@@ -246,35 +245,34 @@ def test_intersection_vector_is_one_intersection_number_per_entry(monkeypatch):
 def test_errors_match_class_length():
     X = geo.pants_point(1.0, 2.0, 3.0)
     panel = enumerate_panel(X.surface, 0)
-    plan = geo.panel_plan(panel)
-    # arcs on a double: the pants plan at the doubled point, and a plan
+    # arcs on a double: the pants panel at the doubled point, and an arc
     # compiled on the double itself
     D = geo.double_point(X)
     arc = X.surface.arc_alias("a12")
     assert direct(D, panel.entries) is DomainError
     with pytest.raises(DomainError):
-        plan.vector(D)
+        geo.log_lengths(X.surface, panel.entries, D)
     assert direct(D, [arc]) is DomainError
     with pytest.raises(DomainError):
-        geo.LengthPlan(D.surface, [arc]).vector(D)
+        geo.log_lengths(D.surface, [arc], D)
     # a word class is unsupported on the pants
     word = CurveClass("word", "w(1,1)", (1, 1))
     assert direct(X, [word]) is UnsupportedClassError
     with pytest.raises(UnsupportedClassError):
-        geo.LengthPlan(X.surface, [word]).vector(X)
+        geo.log_lengths(X.surface, [word], X)
     # a twisted arc is registered on the torus only
     twisted = ArcClass(arc.pants_id, arc.pattern, twist=2)
     assert direct(X, [twisted]) is UnsupportedClassError
     with pytest.raises(UnsupportedClassError):
-        geo.LengthPlan(X.surface, [twisted]).vector(X)
+        geo.log_lengths(X.surface, [twisted], X)
     # a point of another surface
     T = geo.torus_point(1.0, 0.0, 2.0)
     assert direct(T, panel.entries) is DomainError
     with pytest.raises(DomainError):
-        plan.vector(T)
+        geo.log_lengths(X.surface, panel.entries, T)
     assert direct(X, enumerate_panel(TORUS, 0).entries) is DomainError
     with pytest.raises(DomainError):
-        geo.panel_plan(enumerate_panel(TORUS, 0)).vector(X)
+        geo.log_lengths(TORUS, enumerate_panel(TORUS, 0).entries, X)
 
 
 PANTS_POINT = geo.pants_point(1.0, 2.0, 3.0)
@@ -306,10 +304,10 @@ REFUSALS = [
 @pytest.mark.parametrize("X, cls, error, message", [case[1:] for case in REFUSALS],
                          ids=[case[0] for case in REFUSALS])
 def test_plan_build_refuses_a_class_without_length(X, cls, error, message):
-    # a class's support depends on the surface alone, so the plan refuses it
-    # when it is built, with the type and message class_length raises
+    # a class's support depends on the surface alone, so log_lengths refuses
+    # it when it compiles it, with the type and message class_length raises
     with pytest.raises(error) as built:
-        geo.LengthPlan(X.surface, [CurveClass("boundary", "B1"), cls])
+        geo.log_lengths(X.surface, [CurveClass("boundary", "B1"), cls], X)
     assert str(built.value) == message
     with pytest.raises(error) as evaluated:
         geo.class_length(X, cls)
