@@ -4,9 +4,11 @@ Verbs: arc-length, curve-length, double, distance, horofn, and
 experiment {inequality | boundary-limit | horo-converge | separate | dt-sphere}.
 Exit codes: 0 success, 2 usage, 3 domain error, 4 unsupported class/surface.
 
-Sweeps are written as CSV with a header row and fixed 9-significant-digit
-decimals, so identical configs produce byte-identical files; summaries are
-JSON with shortest round-trip floats.
+The four config experiments share one runner, cmd_experiment: it loads the
+config, calls the verb's function from _EXPERIMENTS and writes the outputs,
+a CSV sweep (header t, the verb's columns, panel_n=K; rows in fixed
+9-significant-digit decimals, so identical configs give byte-identical files)
+and a JSON summary with shortest round-trip floats and panel_n.
 """
 
 from __future__ import annotations
@@ -94,12 +96,11 @@ def _config_shape(what: str, value, kind: type):
 _MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError)
 
 
-def _config_grid(config) -> tuple:
-    """The config's t grid: a list, or {start, stop, step} of <= 10**6 points."""
+def _config_grid(config, default) -> tuple:
+    """The config's t grid (a list or {start, stop, step}), or default."""
     grid = config.get("grid")
     if grid is None:
-        from . import asymptotics as asy
-        return asy.DEFAULT_GRID
+        return default
     try:
         if isinstance(grid, list):
             return tuple(float(t) for t in grid)
@@ -110,17 +111,6 @@ def _config_grid(config) -> tuple:
     except _MALFORMED as exc:
         raise InvalidSpecError(f"config grid {grid!r}: {exc!r}") from None
     raise InvalidSpecError(f"config grid {grid!r} has over 10**6 points")
-
-
-def _write_csv(path, header, rows):
-    """The header through csv (labels may hold commas), then rows of floats."""
-    if not path:
-        return
-    import csv
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\r\n")
 
 
 def _emit(data, path=None):
@@ -184,81 +174,83 @@ def cmd_horofn(args) -> int:
 
 
 # -- experiments --------------------------------------------------------------------
-# asymptotics, csv and random load inside the experiment handlers, so the
-# closed-form verbs above never import them
+# a config verb's function returns (panel, CSV value columns or None, rows from
+# t on, summary fields); asymptotics, csv and random load in the handlers
 
 
-def _experiment_common(config):
-    """(surface, the path's spec, panel) of an experiment config."""
-    from . import asymptotics as asy
+def _experiment_inputs(asy, config) -> tuple:
+    """(surface, base point, mu, grid, panel) of an experiment config."""
     surface = build_surface(*_signature(_require(config, "surface")))
     base = geo.fn_from_dict(surface, _require(config, "base_point"))
     mu = lam.lamination_from_dict(surface, _require(config, "mu"))
-    grid = _config_grid(config)
+    grid = _config_grid(config, asy.DEFAULT_GRID)
     try:
         panel_n = int(config.get("panel_n", 0))
     except _MALFORMED as exc:
         raise InvalidSpecError(f"config panel_n: {exc!r}") from None
-    panel = enumerate_panel(surface, panel_n)
-    return surface, asy.make_path_spec(mu, base, grid), panel
+    return surface, base, mu, grid, enumerate_panel(surface, panel_n)
 
 
-def cmd_experiment_inequality(args) -> int:
-    from . import asymptotics as asy
-    config = _load_config(args.config)
-    surface, spec, panel = _experiment_common(config)
+def _inequality(asy, config):
+    surface, base, mu, grid, panel = _experiment_inputs(asy, config)
+    spec = asy.PathSpec(mu, base, grid)
     names = _config_shape("targets", config.get("targets") or [], list)
     targets = [lam.class_from_id(surface, n) for n in names] or panel.entries
     names = names or panel.labels()
     columns, reports, skipped = asy.deviation_walk(spec, targets)
-    _write_csv(args.csv, ["t"] + [f"dev[{names[k]}]" for k in columns]
-               + [f"panel_n={panel.complexity}"],
-               zip(spec.grid, *columns.values()))
-    _emit({"targets": [r._asdict() for r in reports],
-           "skipped": skipped, "panel_n": panel.complexity}, args.json_out)
-    return 0
+    return (panel, [f"dev[{names[k]}]" for k in columns],
+            zip(spec.grid, *columns.values()),
+            {"targets": [r._asdict() for r in reports], "skipped": skipped})
 
 
-def cmd_experiment_boundary_limit(args) -> int:
-    from . import asymptotics as asy
-    _, spec, panel = _experiment_common(_load_config(args.config))
-    series, limit_vector = asy.boundary_convergence(spec, panel)
-    _write_csv(args.csv, ["t", "sup_norm_distance",
-                          f"panel_n={panel.complexity}"], series)
-    _emit({"final_distance": series[-1][1],
-           "limit_vector": dict(zip(panel.labels(), limit_vector)),
-           "panel": panel_to_dict(panel),
-           "panel_n": panel.complexity}, args.json_out)
-    return 0
+def _boundary_limit(asy, config):
+    _, base, mu, grid, panel = _experiment_inputs(asy, config)
+    series, limit_vector = asy.boundary_convergence(
+        asy.PathSpec(mu, base, grid), panel)
+    return (panel, ["sup_norm_distance"], series,
+            {"final_distance": series[-1][1],
+             "limit_vector": dict(zip(panel.labels(), limit_vector)),
+             "panel": panel_to_dict(panel)})
 
 
-def cmd_experiment_horo_converge(args) -> int:
-    from . import asymptotics as asy
-    config = _load_config(args.config)
-    surface, spec, panel = _experiment_common(config)
+def _horo_converge(asy, config):
+    surface, base, mu, grid, panel = _experiment_inputs(asy, config)
+    spec = asy.PathSpec(mu, base, grid)
     probes = [geo.fn_from_dict(surface, p)
               for p in _config_shape("probes", _require(config, "probes"), list)]
     series = asy.horo_convergence(spec, probes, panel)
-    _write_csv(args.csv, ["t", "max_probe_deviation",
-                          f"panel_n={panel.complexity}"], series)
-    _emit({"final_deviation": series[-1][1], "probes": len(probes),
-           "panel_n": panel.complexity}, args.json_out)
-    return 0
+    return (panel, ["max_probe_deviation"], series,
+            {"final_deviation": series[-1][1], "probes": len(probes)})
 
 
-def cmd_experiment_separate(args) -> int:
+def _separate(asy, config):
+    """Walks paths of blends of the normalized mu, never mu's own path."""
+    surface, base, mu, grid, panel = _experiment_inputs(asy, config)
+    nu = lam.lamination_from_dict(surface, _require(config, "nu"))
+    witness = asy.separation_experiment(
+        lam.normalize(mu, base), lam.normalize(nu, base), base, panel, grid)
+    return (panel, None, None,
+            {"witness_point": geo.fn_to_dict(witness.point),
+             "lhs": witness.lhs, "rhs": witness.rhs,
+             "gap": witness.lhs - witness.rhs,
+             "epsilon": witness.epsilon, "t": witness.t})
+
+
+_EXPERIMENTS = {"inequality": _inequality, "boundary-limit": _boundary_limit,
+                "horo-converge": _horo_converge, "separate": _separate}
+
+
+def cmd_experiment(args) -> int:
+    """Run a config verb; the CSV header goes through csv (labels may hold commas)."""
     from . import asymptotics as asy
     config = _load_config(args.config)
-    surface, spec, panel = _experiment_common(config)
-    base = spec.base_point
-    nu = lam.lamination_from_dict(surface, _require(config, "nu"))
-    mu, nu = lam.normalize(spec.mu, base), lam.normalize(nu, base)
-    witness = asy.separation_experiment(mu, nu, base, panel, spec.grid)
-    _emit({"witness_point": geo.fn_to_dict(witness.point),
-           "lhs": witness.lhs, "rhs": witness.rhs,
-           "gap": witness.lhs - witness.rhs,
-           "epsilon": witness.epsilon, "t": witness.t,
-           "panel_n": panel.complexity}, args.json_out)
+    panel, columns, rows, summary = _EXPERIMENTS[args.verb](asy, config)
+    if args.csv and columns is not None:
+        import csv
+        with open(args.csv, "w", newline="") as fh:
+            csv.writer(fh).writerow(["t", *columns, f"panel_n={panel.complexity}"])
+            fh.writelines(",".join(map(_fmt, row)) + "\r\n" for row in rows)
+    _emit({**summary, "panel_n": panel.complexity}, args.json_out)
     return 0
 
 
@@ -346,16 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("experiment", help="run a configured experiment")
     exp = s.add_subparsers(dest="verb", required=True)
-    for verb, func in (("inequality", cmd_experiment_inequality),
-                       ("boundary-limit", cmd_experiment_boundary_limit),
-                       ("horo-converge", cmd_experiment_horo_converge),
-                       ("separate", cmd_experiment_separate)):
+    for verb in _EXPERIMENTS:
         e = exp.add_parser(verb)
         e.add_argument("config", help="JSON experiment config")
         e.add_argument("--csv", default=None, help="CSV sweep output path")
         e.add_argument("--json", dest="json_out", default=None,
                        help="JSON summary path (default: stdout)")
-        e.set_defaults(func=func)
+        e.set_defaults(func=cmd_experiment)
     e = exp.add_parser("dt-sphere")
     e.add_argument("--surface", required=True, help="g,n,p")
     e.add_argument("--samples", type=int, default=50)

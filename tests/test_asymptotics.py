@@ -392,8 +392,8 @@ def test_horo_convergence_equals_the_horofunction_api(config):
     # at each t, the series is max over probes Y of |Phi_{X_t}(Y) - Phi_mu(Y)|
     # from the public horofunctions, bit for bit
     data = json.loads(config.read_text())
-    surface, spec, panel = cli._experiment_common(data)
-    base = spec.base_point
+    surface, base, mu, grid, panel = cli._experiment_inputs(asy, data)
+    spec = asy.PathSpec(mu, base, grid)
     probes = [geo.fn_from_dict(surface, p) for p in data["probes"]]
     h_mu = met.boundary_horofunction(spec.mu, base, panel)
     series = asy.horo_convergence(spec, probes, panel)

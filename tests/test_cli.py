@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -610,6 +611,34 @@ def test_experiment_separate(tmp_path):
     assert out.returncode == 0
     data = json.loads(out.stdout)
     assert data["gap"] >= 1e-3
+
+
+def test_separate_ignores_the_path_of_unnormalized_mu(tmp_path, capsys):
+    # separate walks blends of the normalized mu only: a weight whose own
+    # path would leave the double range (B3 grows as 1e305 * 2 e^t) is fine
+    demo = CONFIGS / "demo_separate.json"
+    assert cli.main(["experiment", "separate", str(demo)]) == 0
+    gap = json.loads(capsys.readouterr().out)["gap"]
+    config = json.loads(demo.read_text())
+    config["mu"][0]["weight"] *= 1e305
+    path = tmp_path / "separate.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["experiment", "separate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["gap"] == pytest.approx(gap, abs=1e-12)
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("arcmetric ")]
+    assert len(lines) == 13
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = [str(ROOT / arg) if arg.startswith("demos/configs/") else arg
+                for arg in shlex.split(line)[1:]]
+        assert cli.main(argv) == 0, line
+    capsys.readouterr()
+    assert (tmp_path / "out.csv").read_text().startswith("t,")
 
 
 def test_malformed_config_reports_location(tmp_path):

@@ -130,7 +130,8 @@ def test_paths_to_t50_match_mpmath_in_log_space(config):
     # boundary leaf B4, whose length decays to about e^(-e^50 / 4)
     data = json.loads(config_path(config).read_text())
     data["grid"] = [0.5 * k for k in range(101)]
-    surface, spec, panel = cli._experiment_common(data)
+    surface, base, mu, grid, panel = cli._experiment_inputs(asy, data)
+    spec = asy.PathSpec(mu, base, grid)
     probes = [geo.fn_from_dict(surface, p) for p in data["probes"]]
     with mp.workdps(50):
         for t, logs in zip(spec.grid, asy._walk(spec, surface, panel.entries)):
@@ -172,7 +173,8 @@ def test_demo_boundary_pants_path_distances():
     # B3 = 2 e^t: d(X_8, X_16) is about 8 (B3 grows by e^8), and
     # d(X_8, X_0) about 1,490, set by a(B3;B1,B2) ~ e^(-B3/4) at X_8
     data = json.loads(config_path("demo_boundary_pants").read_text())
-    _, spec, panel = cli._experiment_common(data)
+    _, base, mu, grid, panel = cli._experiment_inputs(asy, data)
+    spec = asy.PathSpec(mu, base, grid)
     X0, X8, X16 = (asy.scaling_path(spec, t) for t in (0.0, 8.0, 16.0))
     with mp.workdps(50):
         for X, Y, approx in ((X8, X16, 8), (X8, X0, 1490)):
