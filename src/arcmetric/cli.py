@@ -283,12 +283,13 @@ def cmd_experiment_dt_sphere(args) -> int:
 
 
 def _add_surface_flags(sub):
-    sub.add_argument("--pants", nargs="?", const="", default=None,
-                     metavar="l1,l2,l3",
-                     help="pair of pants; optionally the point itself")
-    sub.add_argument("--torus", nargs="?", const="", default=None,
-                     metavar="lC,tau,lB",
-                     help="one-holed torus; optionally the point itself")
+    flags = sub.add_mutually_exclusive_group()
+    flags.add_argument("--pants", nargs="?", const="", default=None,
+                       metavar="l1,l2,l3",
+                       help="pair of pants; optionally the point itself")
+    flags.add_argument("--torus", nargs="?", const="", default=None,
+                       metavar="lC,tau,lB",
+                       help="one-holed torus; optionally the point itself")
 
 
 @functools.cache

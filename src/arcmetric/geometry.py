@@ -140,12 +140,11 @@ def _route(surface: Surface, cls) -> tuple:
     the one map from a class to its log length at points of surface, read
     from each label's length (0.0 for a puncture or an underflow), its log,
     log cosh and log sinh of half of it, and its twist.  A coordinate curve
-    reads its log length, an untwisted pants arc calls a hyptrig core, and a
-    torus slope or twisted torus arc goes through torus_slope_length; any
-    other class is refused with a typed error when it is compiled.
+    reads its log length, and a pants arc, torus slope or twisted torus arc
+    calls its hyptrig cores by name at each evaluation (a wrapper sees every
+    call); any other class is refused with a typed error when it is compiled.
     """
     labels, punctures = surface.boundaries + surface.interior_curves, surface.punctures
-    torus, slope = surface.signature == (1, 0, 1), ht.torus_slope_length
     if not isinstance(cls, ArcClass):
         if cls.kind in ("boundary", "interior"):
             if cls.label not in labels:
@@ -154,23 +153,23 @@ def _route(surface: Surface, cls) -> tuple:
             return (cls.label,), lambda P, L, C, S, T, a=cls.label: L[a]
         if cls.kind != "word":
             raise UnsupportedClassError(f"unknown curve kind {cls.kind!r}")
-        if not torus or cls.slope is None:
+        if not surface.is_torus() or cls.slope is None:
             raise UnsupportedClassError(f"word class {cls.label!r} "
                                         f"unsupported on {surface.signature}")
         return ("C1", "B1"), lambda P, L, C, S, T, p=cls.slope[0], q=cls.slope[1]: \
-            slope(L["C1"], T["C1"], L["B1"], p, q)
+            ht.torus_slope_length(L["C1"], T["C1"], L["B1"], p, q)
     if surface.double_of is not None:
         raise DomainError("arcs live on bordered surfaces, not doubles")
     if cls.twist != 0:
-        if not torus:
+        if not surface.is_torus():
             raise UnsupportedClassError("twisted arcs are registered "
                                         "on the one-holed torus only")
 
-        def twisted(P, L, C, S, T, k=cls.twist, same=ht.arc_same_from_logs):
-            # the host pants is bounded by the boundary and two copies of
-            # the slope-(1, k) curve
-            host = ht.log_cosh(math.exp(slope(L["C1"], T["C1"], L["B1"], 1, k)) / 2)
-            return same(C["B1"], S["B1"], host, host)
+        def twisted(P, L, C, S, T, k=cls.twist):
+            # the host pants: the boundary and two copies of the slope-(1, k) curve
+            host = ht.log_cosh(math.exp(ht.torus_slope_length(
+                L["C1"], T["C1"], L["B1"], 1, k)) / 2)
+            return ht.arc_same_from_logs(C["B1"], S["B1"], host, host)
         return ("C1", "B1"), twisted
     kind, a, b, c = cls.pattern
     for label in (a, b, c):
@@ -179,12 +178,12 @@ def _route(surface: Surface, cls) -> tuple:
     if kind == "same":  # from a back to a, separating b and c
         if a in punctures:
             raise DomainError("arc from a cusp is undefined (lb = 0)")
-        return (a, b, c), lambda P, L, C, S, T, same=ht.arc_same_from_logs: same(
+        return (a, b, c), lambda P, L, C, S, T: ht.arc_same_from_logs(
             C[a], S[a], C[b], C[c])
     if a in punctures or b in punctures:  # from a to b, c the third side
         raise DomainError("arc endpoint on a cusp is undefined (lb = 0)")
-    return (a, b, c), lambda P, L, C, S, T, distinct=ht.arc_distinct_from_logs: \
-        distinct(P[a], P[b], C[c], S[a], S[b])
+    return (a, b, c), lambda P, L, C, S, T: ht.arc_distinct_from_logs(
+        P[a], P[b], C[c], S[a], S[b])
 
 
 def _compiled(surface: Surface, cls) -> tuple:

@@ -183,11 +183,14 @@ def intersection_vector(mu: RationalLamination, entries) -> tuple:
 
 
 def normalize(mu: RationalLamination, X0: geo.FNPoint) -> RationalLamination:
-    """Scale mu so its total length at X0 is 1; idempotent."""
+    """Divide mu's weights by its total length at X0; idempotent."""
     if mu.is_zero():
         raise DomainError("cannot normalize the zero lamination")
     total = geo.lamination_length(X0, mu)
-    return mu.scaled(1.0 / total)
+    components = tuple((c, w / total) for c, w in mu.components) if total else ()
+    if not components or not all(0 < w < math.inf for _, w in components):
+        raise DomainError(f"cannot normalize by the total length {total!r} at X0")
+    return mu._replace(components=components)
 
 
 # -- the ratio supremum ---------------------------------------------------------
@@ -328,10 +331,7 @@ def _decode_torus(surface: Surface, curve_coords, theta_hats) -> RationalLaminat
         if abs(theta * q - i_val * p) > 1e-9 * max(1.0, abs(theta), i_val):
             raise UnsupportedCoordinatesError(
                 "coordinates are not a weighted rational slope class")
-        if (p, q) == (0, 1):
-            weights[CurveClass("word", "w(0,1)", (0, 1))] = i_val
-        else:
-            weights[CurveClass("word", f"w({p},{q})", (p, q))] = i_val / q
+        weights[CurveClass("word", f"w({p},{q})", (p, q))] = i_val / q
     if th_b > 0:
         if i_val != 0.0:
             raise UnsupportedCoordinatesError(

@@ -16,6 +16,7 @@ side is Psi_xi(Y) = log sup xi/l(Y) - log sup xi/l(X0).
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 from . import geometry as geo
@@ -33,13 +34,11 @@ class MetricValue(NamedTuple):
 
 
 def _log_sup_ratio(lx, ly) -> tuple:
-    """(max of ly - lx, index of the first entry attaining it): log sup of
-    the ratios of two vectors held as logs; (-inf, None) if ly is all -inf."""
-    best, best_index = -math.inf, None
-    for k, (a, b) in enumerate(zip(lx, ly)):
-        if b - a > best:
-            best, best_index = b - a, k
-    return best, best_index
+    """(max of ly - lx, first index attaining it): log sup of the ratios of
+    two log vectors, lx finite log lengths; (-inf, None) if ly is all -inf."""
+    diffs = list(map(operator.sub, ly, lx))
+    best = max(diffs, default=-math.inf)
+    return (best, diffs.index(best)) if best > -math.inf else (best, None)
 
 
 def _logs(values) -> list:

@@ -315,10 +315,7 @@ def test_boundary_limit_cli_computes_the_intersection_vector_once(monkeypatch,
 
 
 def _count_formula_calls(monkeypatch, surface):
-    """Record each call of a pants-formula core on surface.  A route binds
-    its core when it is compiled, so the surface's route table starts empty
-    until the monkeypatch is undone."""
-    monkeypatch.setitem(surface.__dict__, "_routes", {})
+    """Record each call of a pants-formula core on surface."""
     calls = []
     for name in ("arc_same_from_logs", "arc_distinct_from_logs"):
         def counting(*args, formula=getattr(ht, name)):

@@ -479,6 +479,16 @@ def test_error_contract_in_process(argv, code, err, tmp_path, capsys):
     assert stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["arc-length", "--pants", "1,2,3", "--torus", "1,0,1", "--arc", "a12"],
+    ["curve-length", "--torus", "1,0,1", "--pants", "--curve", "B1"]])
+def test_pants_and_torus_exclude_each_other(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_parser_is_built_once_and_reused(capsys):
     mu = json.dumps([{"class_id": "a33", "weight": 1.0}])
     argvs = [["distance", "--pants", "--x", "2,2,2"],  # usage error: no --y
@@ -621,6 +631,20 @@ def test_separate_ignores_the_path_of_unnormalized_mu(tmp_path, capsys):
     gap = json.loads(capsys.readouterr().out)["gap"]
     config = json.loads(demo.read_text())
     config["mu"][0]["weight"] *= 1e305
+    path = tmp_path / "separate.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["experiment", "separate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["gap"] == pytest.approx(gap, abs=1e-12)
+
+
+def test_separate_normalizes_a_subnormal_mu(tmp_path, capsys):
+    # mu's total length at the base point is below 1 / DBL_MAX: normalize
+    # divides by it rather than multiplying by an overflowing reciprocal
+    demo = CONFIGS / "demo_separate.json"
+    assert cli.main(["experiment", "separate", str(demo)]) == 0
+    gap = json.loads(capsys.readouterr().out)["gap"]
+    config = json.loads(demo.read_text())
+    config["mu"][0]["weight"] = 1e-310
     path = tmp_path / "separate.json"
     path.write_text(json.dumps(config))
     assert cli.main(["experiment", "separate", str(path)]) == 0

@@ -11,7 +11,7 @@ from arcmetric import halfplane as hp
 from arcmetric import holonomy as ho
 from arcmetric import hyptrig as ht
 from arcmetric.errors import DomainError, UnsupportedClassError, UnsupportedSurfaceError
-from arcmetric.topology import ArcClass, CurveClass, build_surface
+from arcmetric.topology import ArcClass, CurveClass, build_surface, enumerate_panel
 
 # the short name a{j}{k} of each pants arc, as the holonomy words a{j}{k}^d use it
 ARC_NAMES = {geo.pants_surface().arc_alias(a): a
@@ -291,6 +291,36 @@ def test_twisted_arc_lengths_via_host_curve():
         assert geo.class_length(X, arc) == pytest.approx(expected, abs=1e-12)
     assert geo.class_length(X, base) == pytest.approx(
         ht.arc_length_same_boundary(1.5, 2.0, 2.0), abs=1e-12)
+
+
+def test_compiled_routes_call_their_formulas_by_name(monkeypatch):
+    # a route looks its hyptrig core up when it is evaluated, so a wrapper
+    # installed after the surface compiled the class sees every call, as it
+    # does for a class compiled under it
+    T = geo.torus_surface()
+    entries = enumerate_panel(T, 3).entries
+    X = geo.torus_point(1.3, 0.4, 0.9)
+    geo.log_lengths(T, entries, X)
+
+    def count_cores():
+        calls = []
+        for name in ("arc_same_from_logs", "arc_distinct_from_logs",
+                     "torus_slope_length"):
+            def counting(*args, name=name, core=getattr(ht, name)):
+                calls.append((name, args))
+                return core(*args)
+            monkeypatch.setattr(ht, name, counting)
+        return calls
+
+    compiled = count_cores()
+    vec = geo.log_lengths(T, entries, X)
+    monkeypatch.undo()
+    monkeypatch.setitem(T.__dict__, "_routes", {})
+    fresh = count_cores()
+    assert geo.log_lengths(T, entries, X) == vec
+    assert compiled == fresh
+    assert {name for name, _ in fresh} == {
+        "arc_same_from_logs", "arc_distinct_from_logs", "torus_slope_length"}
 
 
 def test_unsupported_classes_raise():

@@ -117,6 +117,17 @@ def test_normalize_examples():
         lam.normalize(lam.RationalLamination(S, ()), X0)
 
 
+def test_normalize_refuses_weights_off_the_doubles():
+    # a total that rounds to 0, and a quotient that overflows, are typed
+    # errors; a subnormal total with a normal quotient is fine
+    for weight, X0 in [(5e-324, geo.pants_point(1e-10, 1, 1)),
+                       (1.0, geo.pants_point(1e-310, 1, 1))]:
+        with pytest.raises(DomainError):
+            lam.normalize(L(S, {B1: weight}), X0)
+    mu = lam.normalize(L(S, {B1: 1e-310}), geo.pants_point(2, 2, 2))
+    assert mu.components == ((B1, 0.5),)
+
+
 def test_mediant_property():
     # the length ratio of a lamination never beats its best component ratio
     rng = random.Random(17)

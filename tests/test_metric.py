@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcmetric import asymptotics as asy
 from arcmetric import geometry as geo
@@ -196,6 +198,28 @@ def test_log_sup_ratio_kernel():
     value, k = met._log_sup_ratio(lx, ly)
     d = met.arc_metric(X222, X444, PANEL)
     assert (d.value, d.maximizer) == (value, str(PANEL.entries[k]))
+
+
+def _log_sup_ratio_loop(lx, ly):
+    best, best_index = -math.inf, None
+    for k, (a, b) in enumerate(zip(lx, ly)):
+        if b - a > best:
+            best, best_index = b - a, k
+    return best, best_index
+
+
+# few distinct values, so that ties (signed zeros among them) are common
+_log_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+                        st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_log_values, st.one_of(_log_values, st.just(-math.inf)))))
+def test_log_sup_ratio_matches_the_first_index_loop(pairs):
+    lx, ly = [a for a, _ in pairs], [b for _, b in pairs]
+    got, want = met._log_sup_ratio(lx, ly), _log_sup_ratio_loop(lx, ly)
+    assert got == want
+    assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0])
 
 
 def test_boundary_horofunction_crossed_pairs():
