@@ -58,7 +58,8 @@ class PathSpec(namedtuple("PathSpec", "mu base_point grid regimes")):
 
     regimes maps every coordinate curve label to ("grow", rate),
     ("decay", leaf_weight) or ("hold", initial_length), classified from the
-    lamination; a PathSpec that exists is valid, its grid in the domain.
+    lamination; a PathSpec that exists is valid, its grid finite, strictly
+    increasing from t >= 0 and in the domain.
     """
 
     __slots__ = ()
@@ -69,9 +70,10 @@ class PathSpec(namedtuple("PathSpec", "mu base_point grid regimes")):
         if base_point.surface != surface:
             raise InvalidSpecError("base point and lamination disagree on surface")
         grid = tuple(float(t) for t in grid)
-        if len(grid) < 1 or any(t < 0 for t in grid) \
+        if not grid or not all(math.isfinite(t) and t >= 0 for t in grid) \
                 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise InvalidSpecError("grid must be strictly increasing with t >= 0")
+            raise InvalidSpecError(
+                "grid must be finite and strictly increasing with t >= 0")
         regimes = tuple((label, _regime(mu, base_point, label))
                         for label in surface.boundaries + surface.interior_curves)
         t = grid[-1]  # a growing e^t rate and a decaying e^t w / 2 are doubles
@@ -106,8 +108,6 @@ def _check_range(what: str, t: float, log_sizes) -> None:
 
 def _moving_lengths(spec: PathSpec, t: float) -> dict:
     """Log lengths at X_t of the growing and decaying curves."""
-    if not (math.isfinite(t) and t >= 0):
-        raise DomainError("path parameter must be >= 0")
     chi = abs_double_chi(spec.mu.surface)
     return {label: t + math.log(param) if kind == "grow"
             else ht.leaf_decay_bound(param, t, chi)
@@ -117,6 +117,8 @@ def _moving_lengths(spec: PathSpec, t: float) -> dict:
 def scaling_path(spec: PathSpec, t: float) -> geo.FNPoint:
     """The point at parameter t (twists from the base point), or a
     DomainError naming a coordinate that is not a double there."""
+    if not (math.isfinite(t) and t >= 0):
+        raise DomainError(f"path parameter must be finite and >= 0, got {t!r}")
     lengths = {label: param for label, (kind, param) in spec.regimes if kind == "hold"}
     lengths.update((label, ht._length_from_log(label, log_length))
                    for label, log_length in _moving_lengths(spec, t).items())
@@ -138,13 +140,8 @@ class DeviationReport(NamedTuple):
 
 def _walk(spec: PathSpec, surface, entries):
     """The entries' log length vectors at X_t, t in spec.grid, one at a time."""
-    if surface is not spec.mu.surface and surface != spec.mu.surface:
-        raise DomainError("point and length plan live on different surfaces")
-    held = {label: geo._checked_length(label, param)
-            for label, (kind, param) in spec.regimes if kind == "hold"}
-    twists = {label: twist for label, (_, twist) in spec.base_point.interior}
-    return geo.walk(surface, entries, held,
-                    (_moving_lengths(spec, t) for t in spec.grid), twists)
+    return geo.walk(surface, entries, spec.base_point,
+                    (_moving_lengths(spec, t) for t in spec.grid))
 
 
 def deviation_walk(spec: PathSpec, targets):

@@ -249,7 +249,8 @@ def cmd_experiment(args) -> int:
         import csv
         with open(args.csv, "w", newline="") as fh:
             csv.writer(fh).writerow(["t", *columns, f"panel_n={panel.complexity}"])
-            fh.writelines(",".join(map(_fmt, row)) + "\r\n" for row in rows)
+            line = ",".join(["%.9g"] * (len(columns) + 1)) + "\r\n"
+            fh.writelines(line % tuple(row) for row in rows)
     _emit({**summary, "panel_n": panel.complexity}, args.json_out)
     return 0
 

@@ -5,8 +5,9 @@ and surface into the surface's route table: decomposition and boundary
 curves are Fenchel-Nielsen coordinates and exact; pants-local arcs use the
 closed-form pants formulas, torus slope curves (and the hosts of twisted
 torus arcs) hyptrig.torus_slope_length, and any other class is a typed
-error.  log_lengths reads classes at a point, walk along a path, and
-class_length is e^ of the log.  No lamination reaches this layer.
+error.  walk reads classes along a path from a point, log_lengths is its
+walk of one step, and class_length is e^ of the log.  No lamination reaches
+this layer.
 
 Twists are hyperbolic lengths, positive = right twist; the mirror side of a
 double carries negated twists.
@@ -204,37 +205,33 @@ def class_length(X: FNPoint, cls) -> float:
 
 
 def log_lengths(surface: Surface, entries, X: FNPoint) -> list[float]:
-    """The log length at X of each of the entries, the one-point walk: a
-    class without a length is refused first, then a point off surface."""
+    """The log length at X of each of the entries: the walk of one step."""
+    return next(walk(surface, entries, X, ({},)))
+
+
+def walk(surface: Surface, entries, X: FNPoint, rows):
+    """Yield the log length vector of the entries at each point of a path
+    from X on surface, a new list each: a class without a length is refused
+    first, then a point off surface.  Each row maps the labels that move to
+    their log lengths (at most log(DBL_MAX)) at the next point; every other
+    label keeps X's length, and every point X's twists.  Log terms are
+    computed only for the labels the entries read, once per point (a held
+    label's once); after the first point only the entries that read a label
+    of the first row are re-evaluated."""
     routes = [_compiled(surface, entry) for entry in entries]
     if X.surface is not surface and X.surface != surface:
-        raise DomainError("point and length plan live on different surfaces")
-    held = {label: _checked_length(label, length) for label, length in
-            X.boundary + tuple((label, v) for label, (v, _) in X.interior)}
-    twists = {label: twist for label, (_, twist) in X.interior}
-    return next(_walk(surface, routes, held, ({},), twists))
-
-
-def walk(surface: Surface, entries, held: dict, moving, twists: dict):
-    """Yield the log length vector of the entries at each point of a path
-    on surface, a new list each: held maps the labels every point shares to
-    their checked lengths, moving yields the others' log lengths (at most
-    log(DBL_MAX)) point by point, twists maps interior labels to twists.
-    Log terms are computed once per point (a held label's once); after the
-    first point only the entries with a moving input are re-evaluated."""
-    return _walk(surface, [_compiled(surface, entry) for entry in entries],
-                 held, moving, twists)
-
-
-def _walk(surface, routes, held, moving, twists):
-    lengths = {**dict.fromkeys(surface.punctures, 0.0), **held}
+        raise DomainError("point and entries live on different surfaces")
+    coords = dict(X.boundary)
+    coords.update((label, length) for label, (length, _) in X.interior)
+    # route order, not a set's: it decides which bad length is reported
+    lengths = {a: _checked_length(a, coords[a]) if a in coords else 0.0  # a puncture
+               for a in dict.fromkeys(a for inputs, _ in routes for a in inputs)}
     logs = {a: math.log(v) if v else -math.inf for a, v in lengths.items()}
     lc = {a: ht.log_cosh(v / 2) for a, v in lengths.items()}
     ls = {a: ht.log_sinh_half(v, logs[a]) for a, v in lengths.items()}
-    moving_entries = [k for k, (inputs, _) in enumerate(routes)
-                      if not lengths.keys() >= set(inputs)]
-    vec, indices = [0.0] * len(routes), range(len(routes))
-    for row in moving:
+    twists = {label: twist for label, (_, twist) in X.interior}
+    vec, indices, moving = [0.0] * len(routes), range(len(routes)), None
+    for row in rows:
         for label, log_length in row.items():
             length = lengths[label] = math.exp(log_length)
             logs[label], lc[label] = log_length, ht.log_cosh(length / 2)
@@ -242,7 +239,10 @@ def _walk(surface, routes, held, moving, twists):
         for k in indices:
             vec[k] = routes[k][1](lengths, logs, lc, ls, twists)
         yield vec
-        vec, indices = vec.copy(), moving_entries
+        if moving is None:
+            moving = [k for k, (inputs, _) in enumerate(routes)
+                      if not row.keys().isdisjoint(inputs)]
+        vec, indices = vec.copy(), moving
 
 
 def lamination_length(X: FNPoint, lamination) -> float:

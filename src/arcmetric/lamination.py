@@ -517,8 +517,20 @@ def sample_supported_lamination(surface: Surface, rng) -> RationalLamination:
     raise UnsupportedSurfaceError("sampler registered for tier-1 surfaces")
 
 
+# the longest word a class id may name: a torus slope's length takes one
+# descent step per unit of word length, so the cap bounds an id's work
+_MAX_WORD = 10 ** 6
+
+
+def _check_word(class_id: str, word_length: int) -> None:
+    if word_length > _MAX_WORD:
+        raise DomainError(f"class id {class_id!r} has word length {word_length}, "
+                          f"over the cap 10**6")
+
+
 def class_from_id(surface: Surface, class_id: str):
-    """Resolve a class id: curve label, w(p,q) slope, or arc label."""
+    """Resolve a class id: curve label, w(p,q) slope, or arc label; a slope
+    or twisted arc whose word is longer than 10**6 is refused."""
     if not isinstance(class_id, str):
         raise DomainError(f"class id must be a string, got {class_id!r}")
     if class_id in surface.boundaries or class_id in surface.interior_curves:
@@ -531,6 +543,7 @@ def class_from_id(surface: Surface, class_id: str):
                               f"integers p and q") from None
         if q < 1 or math.gcd(abs(p), q) != 1:
             raise DomainError(f"slope ({p},{q}) is not primitive with q >= 1")
+        _check_word(class_id, abs(p) + q)
         return CurveClass("word", f"w({p},{q})", (p, q))
     _, tilde, twist = class_id.partition("~")
     if tilde:  # twisted torus arc: its twist k is any nonzero integer
@@ -538,6 +551,7 @@ def class_from_id(surface: Surface, class_id: str):
             k = int(twist)
         except ValueError:
             raise DomainError(f"arc twist in {class_id!r} is not an integer") from None
+        _check_word(class_id, abs(k) + 1)
         for arc in surface.word_arcs_at(abs(k) + 1):
             if arc.label == class_id:
                 return arc

@@ -187,6 +187,31 @@ def test_invalid_spec_rejected():
         asy.scaling_path(SPEC, -1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+LEAF_MU = lam.rational_lamination(S, {CurveClass("boundary", "B1"): 1.0,
+                                      S.arc_alias("a23"): 1.0})
+BAD_GRIDS = [(MU, (0.0, NAN)), (MU, (0.0, INF)), (MU, (INF,)),
+             (MU, (0.0, 1.0, NAN, 2.0)), (MU, ()), (MU, (-1.0, 1.0)),
+             # refused before a decaying leaf's envelope reads the NaN
+             (LEAF_MU, (NAN, 1.0))]
+
+
+@pytest.mark.parametrize("mu, grid", BAD_GRIDS, ids=[
+    f"{'leaf' if mu is LEAF_MU else 'a33'}{list(grid)}" for mu, grid in BAD_GRIDS])
+def test_path_spec_refuses_a_bad_grid(mu, grid):
+    with pytest.raises(InvalidSpecError) as refused:
+        asy.PathSpec(mu, BASE, grid)
+    assert str(refused.value) == \
+        "grid must be finite and strictly increasing with t >= 0"
+
+
+@pytest.mark.parametrize("t", [-1.0, NAN, INF])
+def test_scaling_path_refuses_a_parameter_off_the_path(t):
+    with pytest.raises(DomainError) as refused:
+        asy.scaling_path(SPEC, t)
+    assert str(refused.value) == f"path parameter must be finite and >= 0, got {t!r}"
+
+
 def test_key_inequality_limit_constant():
     for t in [3.0, 5.0, 8.0, 10.0]:
         Xt = asy.scaling_path(SPEC, t)
@@ -374,6 +399,17 @@ def test_horo_convergence_rejects_points_on_other_surfaces():
     probe = geo.torus_point(1.0, 0.0, 2.0)
     with pytest.raises(DomainError):
         asy.horo_convergence(asy.make_path_spec(MU, BASE, [4.0]), [probe], PANEL)
+
+
+@pytest.mark.parametrize("experiment", [
+    lambda panel: asy.boundary_convergence(SPEC, panel),
+    lambda panel: asy.horo_convergence(SPEC, [BASE], panel),
+], ids=["boundary_convergence", "horo_convergence"])
+def test_a_panel_of_another_surface_is_refused(experiment):
+    # i(mu, .) reads the torus's interior curve C1 on mu's pants
+    with pytest.raises(DomainError) as refused:
+        experiment(enumerate_panel(T, 0))
+    assert str(refused.value) == "unknown curve label 'C1' on S_0,0,3"
 
 
 def test_horo_convergence_needs_a_probe():

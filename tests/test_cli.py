@@ -445,10 +445,16 @@ def test_malformed_numbers_are_typed_errors(argv, edit, tmp_path, capsys):
 
 
 # argv, exit code, the start of stderr; MISSING is a config path that does
-# not exist, and HUGE_GRID a config whose grid has 2 * 10**6 + 1 points
+# not exist, HUGE_GRID a config whose grid has 2 * 10**6 + 1 points,
+# NAN_GRID one whose grid is [0.0, NaN] and BAD_JSON one that is not JSON
 ERROR_CONTRACT = [
     (["arc-length", "--pants", "--arc", "a12"], 3,
      "error: missing Fenchel-Nielsen coordinates\n"),
+    (["experiment", "boundary-limit", "BAD_JSON"], 3,
+     "error: config BAD_JSON: invalid JSON at line 1 column 3: Expecting "
+     "property name enclosed in double quotes\n"),
+    (["experiment", "boundary-limit", "NAN_GRID"], 3,
+     "error: grid must be finite and strictly increasing with t >= 0\n"),
     (["arc-length", "--point", "2,2,2", "--arc", "a12"], 3,
      "error: select a surface with --pants or --torus\n"),
     (["horofn", "--pants", "--base", "2,2,2", "--at", "3,3,3"], 3,
@@ -468,15 +474,36 @@ ERROR_CONTRACT = [
 @pytest.mark.parametrize("argv, code, err", ERROR_CONTRACT,
                          ids=[" ".join(argv) for argv, _, _ in ERROR_CONTRACT])
 def test_error_contract_in_process(argv, code, err, tmp_path, capsys):
-    paths = {"MISSING": tmp_path / "missing.json", "HUGE_GRID": tmp_path / "huge.json"}
+    paths = {name: tmp_path / f"{name}.json"
+             for name in ("MISSING", "HUGE_GRID", "NAN_GRID", "BAD_JSON")}
     cfg = json.loads((CONFIGS / "demo_boundary_pants.json").read_text())
-    cfg["grid"] = {"start": 0, "stop": 2e6, "step": 1}
-    paths["HUGE_GRID"].write_text(json.dumps(cfg))
-    argv = [str(paths.get(arg, arg)) for arg in argv]
+    for name, grid in (("HUGE_GRID", {"start": 0, "stop": 2e6, "step": 1}),
+                       ("NAN_GRID", [0.0, math.nan])):
+        paths[name].write_text(json.dumps({**cfg, "grid": grid}))
+    paths["BAD_JSON"].write_text("{ not json }")
+    for name, path in paths.items():
+        argv = [str(path) if arg == name else arg for arg in argv]
+        err = err.replace(name, str(path))
     assert cli.main(argv) == code
     out, stderr = capsys.readouterr()
-    assert out == "" and stderr.startswith(err.replace("MISSING", argv[-1]))
+    assert out == "" and stderr.startswith(err)
     assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, word_length", [
+    (["curve-length", "--torus", "1,0,1", "--curve", "w(1,10000000)"], 10000001),
+    (["arc-length", "--torus", "1,0,1", "--arc", "a(B1;C1,C1)~5000000"], 5000001),
+], ids=["slope", "twisted arc"])
+def test_class_ids_over_the_word_cap_exit_3_before_any_length(argv, word_length,
+                                                              monkeypatch, capsys):
+    # the torus descent takes one step per unit of word length, so an id
+    # over the cap is refused when it is parsed
+    lengths = []
+    monkeypatch.setattr(cli.geo, "log_lengths", lambda *args: lengths.append(args))
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == (f"error: class id {argv[-1]!r} has word "
+                                       f"length {word_length}, over the cap 10**6\n")
+    assert lengths == []
 
 
 @pytest.mark.parametrize("argv", [

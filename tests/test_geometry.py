@@ -196,6 +196,19 @@ def test_arc_length_examples():
         0.827136901638557, abs=1e-12)
 
 
+def test_class_length_computes_log_terms_of_the_labels_it_reads(monkeypatch):
+    # S_{0,0,6} has nine coordinate curves; a pants arc reads three of them
+    surface = build_surface(0, 0, 6)
+    X = geo.fn_point(surface, {c: (1.0 + k, 0.2) for k, c in
+                               enumerate(surface.interior_curves)},
+                     {b: 0.5 + k for k, b in enumerate(surface.boundaries)})
+    arc = surface.pants_arcs()[0]
+    calls, log_cosh = [], ht.log_cosh
+    monkeypatch.setattr(ht, "log_cosh", lambda x: calls.append(x) or log_cosh(x))
+    geo.class_length(X, arc)
+    assert len(calls) == 3 == len(set(arc.pattern[1:]))
+
+
 def test_lamination_length_linearity():
     from arcmetric import lamination as lam
     X = geo.pants_point(2, 2, 2)

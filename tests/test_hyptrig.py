@@ -62,6 +62,8 @@ def test_cusp_endpoint_rejected():
 def test_bad_inputs_rejected():
     with pytest.raises(DomainError):
         ht.arc_length_same_boundary(2, -1, 1)
+    with pytest.raises(DomainError, match=r"^lb2 must be nonnegative, got -1$"):
+        ht.arc_length_distinct_boundaries(2, -1, 1)
     with pytest.raises(DomainError):
         ht.arc_length_distinct_boundaries(2, 2, float("nan"))
     with pytest.raises(DomainError):
@@ -134,7 +136,7 @@ def test_denormal_cuffs_and_leaf_weights():
 
 
 def test_normal_cuffs_read_log_sinh_as_before():
-    # the wrappers read log sinh(lb/2) as every length plan does, from log lb
+    # the wrappers read log sinh(lb/2) as every compiled route does, from log lb
     # below lb = 2e-8, and the leaf-decay denormal branch leaves normal inputs
     rng = random.Random(19)
     for _ in range(200):
@@ -174,6 +176,9 @@ def test_intersection_distinct_cases():
 def test_invariant_leaf_disjoint_from_support():
     with pytest.raises(DomainError):
         ht.intersection_arc_same(1.0, 0, 0, w_beta=1.0)
+    with pytest.raises(DomainError,
+                       match=r"^side gamma2: intersection and weight must be >= 0$"):
+        ht.intersection_arc_same(1.0, 0.5, -0.5)
     with pytest.raises(DomainError):
         ht.intersection_arc_distinct(1.0, 0, 0, w_beta1=0.5)
 

@@ -102,6 +102,17 @@ def test_weight_validation():
         L(S, {B1: float("nan")})
 
 
+def test_scaling_and_sums_stay_on_one_surface():
+    mu = L(S, {A33: 1.0})
+    for factor in (0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(DomainError) as refused:
+            mu.scaled(factor)
+        assert str(refused.value) == "scaling factor must be positive and finite"
+    with pytest.raises(DomainError) as refused:
+        mu + L(T, {CurveClass("interior", "C1"): 1.0})
+    assert str(refused.value) == "laminations live on different surfaces"
+
+
 # -- normalize ----------------------------------------------------------------------
 
 
@@ -323,12 +334,14 @@ def test_class_from_id():
     assert lam.class_from_id(S, "B2") == B2
     assert lam.class_from_id(S, "a12") == A12
     assert lam.class_from_id(T, "w(1,2)").slope == (1, 2)
+    # word length |p| + q at the cap
+    assert lam.class_from_id(T, "w(-1,999999)").slope == (-1, 999999)
     assert lam.class_from_id(T, "a(B1;C1,C1)~1").twist == 1
     with pytest.raises(DomainError):
         lam.class_from_id(S, "nope")
 
 
-@pytest.mark.parametrize("k", [6, -7, 40])
+@pytest.mark.parametrize("k", [6, -7, 40, 999999, -999999])
 def test_class_from_id_twisted_arc_any_twist(k):
     arc = lam.class_from_id(T, f"a(B1;C1,C1)~{k}")
     assert arc.twist == k
@@ -344,10 +357,31 @@ def test_class_from_id_rejects_bad_twists():
         lam.class_from_id(S, "a(B1;B2,B3)~1")
 
 
-@pytest.mark.parametrize("bad", ["w(a,b)", "w(1)", "w(1,2,3)", "w()", 5, None])
-def test_class_from_id_rejects_malformed_ids(bad):
-    with pytest.raises(DomainError):
+def _over_the_cap(bad, word_length):
+    return f"class id {bad!r} has word length {word_length}, over the cap 10**6"
+
+
+MALFORMED_IDS = [
+    *[(bad, f"slope id {bad!r} is not w(p,q) with integers p and q")
+      for bad in ("w(a,b)", "w(1)", "w(1,2,3)", "w()")],
+    (5, "class id must be a string, got 5"),
+    (None, "class id must be a string, got None"),
+    ("w(2,4)", "slope (2,4) is not primitive with q >= 1"),
+    ("w(1,0)", "slope (1,0) is not primitive with q >= 1"),
+    # the slope's length would take one descent step per unit of word length
+    ("w(1,10000000)", _over_the_cap("w(1,10000000)", 10000001)),
+    ("w(-1000000,1)", _over_the_cap("w(-1000000,1)", 1000001)),
+    ("a(B1;C1,C1)~5000000", _over_the_cap("a(B1;C1,C1)~5000000", 5000001)),
+    ("a(B1;C1,C1)~-1000000", _over_the_cap("a(B1;C1,C1)~-1000000", 1000001)),
+]
+
+
+@pytest.mark.parametrize("bad, message", MALFORMED_IDS,
+                         ids=[str(bad) for bad, _ in MALFORMED_IDS])
+def test_class_from_id_rejects_malformed_ids(bad, message):
+    with pytest.raises(DomainError) as refused:
         lam.class_from_id(T, bad)
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("data", [
