@@ -28,7 +28,8 @@ from .errors import (ArcmetricError, DomainError, InvalidSpecError,
 from .topology import ArcClass, build_surface, enumerate_panel, panel_to_dict
 
 
-_fmt = "{:.9g}".format
+_FMT = "%.9g"  # every number printed: one value, or a CSV row of them
+_fmt = _FMT.__mod__
 _MAX_SAMPLES = 10 ** 5  # dt-sphere round trips: about 5 s at 50 us a sample
 
 
@@ -249,7 +250,7 @@ def cmd_experiment(args) -> int:
         import csv
         with open(args.csv, "w", newline="") as fh:
             csv.writer(fh).writerow(["t", *columns, f"panel_n={panel.complexity}"])
-            line = ",".join(["%.9g"] * (len(columns) + 1)) + "\r\n"
+            line = ",".join([_FMT] * (len(columns) + 1)) + "\r\n"
             fh.writelines(line % tuple(row) for row in rows)
     _emit({**summary, "panel_n": panel.complexity}, args.json_out)
     return 0

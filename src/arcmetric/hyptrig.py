@@ -186,6 +186,8 @@ def torus_slope_length(log_lC: float, tau: float, log_lB: float, p: int,
                                 * (abs(tau) + 2 * abs(k * lC)) / 4)
 
     n = p // q
+    if not -sys.float_info.max <= n < sys.float_info.max:  # closed reads n + 1
+        raise DomainError(f"slope ({p},{q}): p // q is past the double range")
     a, b, m = (n, 1), (n + 1, 1), (n, 1)
     (ca, ea), (cb, eb) = closed(n), closed(n + 1)
     cw = _log_cosh_rel(lC / 2)  # C1 = b - a

@@ -490,20 +490,38 @@ def test_error_contract_in_process(argv, code, err, tmp_path, capsys):
     assert stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv, word_length", [
-    (["curve-length", "--torus", "1,0,1", "--curve", "w(1,10000000)"], 10000001),
-    (["arc-length", "--torus", "1,0,1", "--arc", "a(B1;C1,C1)~5000000"], 5000001),
+@pytest.mark.parametrize("argv, steps", [
+    (["curve-length", "--torus", "1,0,1", "--curve", "w(1,10000000)"], 9999999),
+    (["arc-length", "--torus", "1,0,1", "--arc", "a(B1;C1,C1)~5000000"], 4999999),
 ], ids=["slope", "twisted arc"])
-def test_class_ids_over_the_word_cap_exit_3_before_any_length(argv, word_length,
-                                                              monkeypatch, capsys):
-    # the torus descent takes one step per unit of word length, so an id
-    # over the cap is refused when it is parsed
+def test_class_ids_over_the_descent_cap_exit_3_before_any_length(argv, steps,
+                                                                 monkeypatch, capsys):
+    # the torus slope descent to 1/q, or to a twisted arc's host (1, k), takes
+    # q - 1 or |k| - 1 steps, so an id over the cap is refused when it is parsed
     lengths = []
     monkeypatch.setattr(cli.geo, "log_lengths", lambda *args: lengths.append(args))
     assert cli.main(argv) == 3
-    assert capsys.readouterr().err == (f"error: class id {argv[-1]!r} has word "
-                                       f"length {word_length}, over the cap 10**6\n")
+    assert capsys.readouterr().err == (f"error: class id {argv[-1]!r} takes {steps} "
+                                       f"slope descent steps, over the cap 1000000\n")
     assert lengths == []
+
+
+@pytest.mark.parametrize("curve, out", [
+    ("w(10000000,1)", "10000001.6\n"),
+    ("w(-1000000,1)", "1000001.59\n"),
+    ("w(832040,1346269)", "4070322.78\n"),
+    ("w(1" + "0" * 400 + ",1)", None),
+])
+def test_long_slopes_with_a_short_descent_resolve(curve, out, capsys):
+    # |p| + q is far over the descent cap, but (p mod q)/q has small partial
+    # quotients; p // q past the double range is a domain error
+    code = cli.main(["curve-length", "--torus", "1,0,1", "--curve", curve])
+    stdout, err = capsys.readouterr()
+    if out is None:
+        assert code == 3 and stdout == ""
+        assert err.endswith("): p // q is past the double range\n")
+    else:
+        assert code == 0 and (stdout, err) == (out, "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -334,14 +334,17 @@ def test_class_from_id():
     assert lam.class_from_id(S, "B2") == B2
     assert lam.class_from_id(S, "a12") == A12
     assert lam.class_from_id(T, "w(1,2)").slope == (1, 2)
-    # word length |p| + q at the cap
-    assert lam.class_from_id(T, "w(-1,999999)").slope == (-1, 999999)
+    # at the cap: the descent to 1/(10**6 + 1) takes 10**6 steps
+    assert lam.class_from_id(T, "w(1,1000001)").slope == (1, 1000001)
+    # a long word whose descent is short: no step, and 29 for a Fibonacci slope
+    assert lam.class_from_id(T, "w(-10000000,1)").slope == (-10000000, 1)
+    assert lam.class_from_id(T, "w(832040,1346269)").slope == (832040, 1346269)
     assert lam.class_from_id(T, "a(B1;C1,C1)~1").twist == 1
     with pytest.raises(DomainError):
         lam.class_from_id(S, "nope")
 
 
-@pytest.mark.parametrize("k", [6, -7, 40, 999999, -999999])
+@pytest.mark.parametrize("k", [6, -7, 40, 1000001, -1000001])
 def test_class_from_id_twisted_arc_any_twist(k):
     arc = lam.class_from_id(T, f"a(B1;C1,C1)~{k}")
     assert arc.twist == k
@@ -357,8 +360,9 @@ def test_class_from_id_rejects_bad_twists():
         lam.class_from_id(S, "a(B1;B2,B3)~1")
 
 
-def _over_the_cap(bad, word_length):
-    return f"class id {bad!r} has word length {word_length}, over the cap 10**6"
+def _over_the_cap(bad, steps):
+    return (f"class id {bad!r} takes {steps} slope descent steps, over the "
+            f"cap 1000000")
 
 
 MALFORMED_IDS = [
@@ -368,11 +372,12 @@ MALFORMED_IDS = [
     (None, "class id must be a string, got None"),
     ("w(2,4)", "slope (2,4) is not primitive with q >= 1"),
     ("w(1,0)", "slope (1,0) is not primitive with q >= 1"),
-    # the slope's length would take one descent step per unit of word length
-    ("w(1,10000000)", _over_the_cap("w(1,10000000)", 10000001)),
-    ("w(-1000000,1)", _over_the_cap("w(-1000000,1)", 1000001)),
-    ("a(B1;C1,C1)~5000000", _over_the_cap("a(B1;C1,C1)~5000000", 5000001)),
-    ("a(B1;C1,C1)~-1000000", _over_the_cap("a(B1;C1,C1)~-1000000", 1000001)),
+    # the length descent to 1/q, and to the host (1, k) of a twisted arc,
+    # takes q - 1 and |k| - 1 steps
+    ("w(1,10000000)", _over_the_cap("w(1,10000000)", 9999999)),
+    ("w(-1,1000002)", _over_the_cap("w(-1,1000002)", 1000001)),
+    ("a(B1;C1,C1)~5000000", _over_the_cap("a(B1;C1,C1)~5000000", 4999999)),
+    ("a(B1;C1,C1)~-1000002", _over_the_cap("a(B1;C1,C1)~-1000002", 1000001)),
 ]
 
 
