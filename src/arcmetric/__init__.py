@@ -25,11 +25,11 @@ _LAZY = {
     "hyptrig": ("arc_length_distinct_boundaries", "arc_length_same_boundary",
                 "intersection_arc_distinct", "intersection_arc_same",
                 "leaf_decay_bound"),
-    "geometry": ("FNPoint", "class_length", "double_point", "fn_from_dict",
-                 "fn_point", "fn_to_dict", "holonomy_build",
+    "geometry": ("FNPoint", "class_from_id", "class_length", "double_point",
+                 "fn_from_dict", "fn_point", "fn_to_dict", "holonomy_build",
                  "lamination_length", "pants_point", "pants_surface",
                  "torus_point", "torus_surface"),
-    "lamination": ("DTCoordinates", "RationalLamination", "class_from_id",
+    "lamination": ("DTCoordinates", "RationalLamination",
                    "dt_decode", "dt_double_coordinates", "dt_encode",
                    "intersection_number", "intersection_vector",
                    "lamination_from_dict", "lamination_to_dict", "normalize",

@@ -4,6 +4,14 @@ Verbs: arc-length, curve-length, double, distance, horofn, and
 experiment {inequality | boundary-limit | horo-converge | separate | dt-sphere}.
 Exit codes: 0 success, 2 usage, 3 domain error, 4 unsupported class/surface.
 
+Each verb loads only the layers it evaluates: this module imports geometry
+(with topology and hyptrig) and errors, and the handlers import metric,
+lamination, json, asymptotics, csv and random where they use them.  So
+arc-length, curve-length and double load no other package module; distance
+and horofn --point add metric, horofn --mu metric and lamination, dt-sphere
+lamination, and the path experiments asymptotics, lamination and metric.
+arc-length, curve-length and horofn --point never load json.
+
 The four config experiments share one runner, cmd_experiment: it loads the
 config, calls the verb's function from _EXPERIMENTS and writes the outputs,
 a CSV sweep (header t, the verb's columns, panel_n=K; rows in fixed
@@ -15,13 +23,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import operator
 import sys
 
 from . import geometry as geo
-from . import lamination as lam
-from . import metric as met
 from .errors import (ArcmetricError, DomainError, InvalidSpecError,
                      UnsupportedClassError, UnsupportedCoordinatesError,
                      UnsupportedSurfaceError)
@@ -68,17 +73,30 @@ def _point_from_args(args, which: str) -> geo.FNPoint:
     raise DomainError("select a surface with --pants or --torus")
 
 
+def _json_value(what: str, text):
+    """The JSON value of text (str, or bytes in UTF-8): input that does not
+    decode is a DomainError naming what, the input it came from."""
+    import json
+
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"{what}: invalid JSON at line {exc.lineno} column "
+                          f"{exc.colno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{what}: not UTF-8 text: {exc.reason} at byte "
+                          f"{exc.start}") from None
+    except RecursionError:
+        raise DomainError(f"{what}: JSON nested too deeply to decode") from None
+
+
 def _load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
-            config = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DomainError(
-            f"config {path}: invalid JSON at line {exc.lineno} column "
-            f"{exc.colno}: {exc.msg}") from exc
+        with open(path, "rb") as fh:
+            text = fh.read()
     except OSError as exc:
         raise DomainError(f"config {path}: {exc}") from exc
-    return _config_shape(path, config, dict)
+    return _config_shape(path, _json_value(f"config {path}", text), dict)
 
 
 def _require(config: dict, field: str):
@@ -114,11 +132,22 @@ def _config_grid(config, default) -> tuple:
     raise InvalidSpecError(f"config grid {grid!r} has over 10**6 points")
 
 
+def _write(path: str, write, newline=None) -> None:
+    """Call write on path opened for writing; an OSError, opening or writing,
+    is a DomainError naming the path."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            write(fh)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(data, path=None):
+    import json
+
     text = json.dumps(data, indent=2, sort_keys=True)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        _write(path, lambda fh: fh.write(text + "\n"))
     else:
         print(text)
 
@@ -129,7 +158,7 @@ def _emit(data, path=None):
 def cmd_class_length(args) -> int:
     """arc-length and curve-length; arc-length refuses a curve id."""
     X = _point_from_args(args, "point")
-    cls = lam.class_from_id(X.surface, args.class_id)
+    cls = geo.class_from_id(X.surface, args.class_id)
     if args.arcs_only and not isinstance(cls, ArcClass):
         raise DomainError(f"{args.class_id!r} names a curve, not an arc")
     print(_fmt(geo.class_length(X, cls)))
@@ -137,12 +166,16 @@ def cmd_class_length(args) -> int:
 
 
 def cmd_double(args) -> int:
+    import json
+
     X = _point_from_args(args, "point")
     print(json.dumps(geo.fn_to_dict(geo.double_point(X)), sort_keys=True))
     return 0
 
 
 def cmd_distance(args) -> int:
+    from . import metric as met
+
     X = _point_from_args(args, "x")
     Y = _point_from_args(args, "y")
     panel = enumerate_panel(X.surface, args.panel_n)
@@ -155,15 +188,15 @@ def cmd_distance(args) -> int:
 
 
 def cmd_horofn(args) -> int:
+    from . import metric as met
+
     base = _point_from_args(args, "base")
     at = _point_from_args(args, "at")
     panel = enumerate_panel(base.surface, args.panel_n)
     if args.mu:
-        try:
-            data = json.loads(args.mu)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"--mu is not valid JSON: {exc.msg}") from None
-        mu = lam.lamination_from_dict(base.surface, data)
+        from . import lamination as lam
+
+        mu = lam.lamination_from_dict(base.surface, _json_value("--mu", args.mu))
         h = met.boundary_horofunction(mu, base, panel)
     elif args.point:
         h = met.interior_horofunction(_point_from_args(args, "point"),
@@ -176,11 +209,14 @@ def cmd_horofn(args) -> int:
 
 # -- experiments --------------------------------------------------------------------
 # a config verb's function returns (panel, CSV value columns or None, rows from
-# t on, summary fields); asymptotics, csv and random load in the handlers
+# t on, summary fields); asymptotics (with lamination and metric), csv and
+# random load in the handlers
 
 
 def _experiment_inputs(asy, config) -> tuple:
     """(surface, base point, mu, grid, panel) of an experiment config."""
+    from . import lamination as lam
+
     surface = build_surface(*_signature(_require(config, "surface")))
     base = geo.fn_from_dict(surface, _require(config, "base_point"))
     mu = lam.lamination_from_dict(surface, _require(config, "mu"))
@@ -196,7 +232,7 @@ def _inequality(asy, config):
     surface, base, mu, grid, panel = _experiment_inputs(asy, config)
     spec = asy.PathSpec(mu, base, grid)
     names = _config_shape("targets", config.get("targets") or [], list)
-    targets = [lam.class_from_id(surface, n) for n in names] or panel.entries
+    targets = [geo.class_from_id(surface, n) for n in names] or panel.entries
     names = names or panel.labels()
     columns, reports, skipped = asy.deviation_walk(spec, targets)
     return (panel, [f"dev[{names[k]}]" for k in columns],
@@ -226,6 +262,8 @@ def _horo_converge(asy, config):
 
 def _separate(asy, config):
     """Walks paths of blends of the normalized mu, never mu's own path."""
+    from . import lamination as lam
+
     surface, base, mu, grid, panel = _experiment_inputs(asy, config)
     nu = lam.lamination_from_dict(surface, _require(config, "nu"))
     witness = asy.separation_experiment(
@@ -248,10 +286,12 @@ def cmd_experiment(args) -> int:
     panel, columns, rows, summary = _EXPERIMENTS[args.verb](asy, config)
     if args.csv and columns is not None:
         import csv
-        with open(args.csv, "w", newline="") as fh:
+
+        def write_csv(fh):
             csv.writer(fh).writerow(["t", *columns, f"panel_n={panel.complexity}"])
             line = ",".join([_FMT] * (len(columns) + 1)) + "\r\n"
             fh.writelines(line % tuple(row) for row in rows)
+        _write(args.csv, write_csv, newline="")
     _emit({**summary, "panel_n": panel.complexity}, args.json_out)
     return 0
 
@@ -263,6 +303,9 @@ def cmd_experiment_dt_sphere(args) -> int:
         build_parser().error(
             f"argument --samples: expected an integer <= {_MAX_SAMPLES}")
     import random
+
+    from . import lamination as lam
+
     g, n, p = _signature(args.surface.split(","), int)
     surface = build_surface(g, n, p)
     coord_dim, sphere_dim = lam.sphere_dimension(surface)

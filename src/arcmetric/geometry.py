@@ -7,7 +7,8 @@ closed-form pants formulas, torus slope curves (and the hosts of twisted
 torus arcs) hyptrig.torus_slope_length, and any other class is a typed
 error.  walk reads classes along a path from a point, log_lengths is its
 walk of one step, and class_length is e^ of the log.  No lamination reaches
-this layer.
+this layer.  class_from_id parses the class ids every verb reads, and refuses
+a torus id whose slope descent would take over _MAX_DESCENT steps.
 
 Twists are hyperbolic lengths, positive = right twist; the mirror side of a
 double carries negated twists.
@@ -215,9 +216,10 @@ def walk(surface: Surface, entries, X: FNPoint, rows):
     first, then a point off surface.  Each row maps the labels that move to
     their log lengths (at most log(DBL_MAX)) at the next point; every other
     label keeps X's length, and every point X's twists.  Log terms are
-    computed only for the labels the entries read, once per point (a held
-    label's once); after the first point only the entries that read a label
-    of the first row are re-evaluated."""
+    computed only for the labels the entries read, once per point: a label
+    of the first row from the rows alone, a held label's once, from X; after
+    the first point only the entries that read a label of the first row are
+    re-evaluated."""
     routes = [_compiled(surface, entry) for entry in entries]
     if X.surface is not surface and X.surface != surface:
         raise DomainError("point and entries live on different surfaces")
@@ -226,9 +228,7 @@ def walk(surface: Surface, entries, X: FNPoint, rows):
     # route order, not a set's: it decides which bad length is reported
     lengths = {a: _checked_length(a, coords[a]) if a in coords else 0.0  # a puncture
                for a in dict.fromkeys(a for inputs, _ in routes for a in inputs)}
-    logs = {a: math.log(v) if v else -math.inf for a, v in lengths.items()}
-    lc = {a: ht.log_cosh(v / 2) for a, v in lengths.items()}
-    ls = {a: ht.log_sinh_half(v, logs[a]) for a, v in lengths.items()}
+    logs, lc, ls = {}, {}, {}
     twists = {label: twist for label, (_, twist) in X.interior}
     vec, indices, moving = [0.0] * len(routes), range(len(routes)), None
     for row in rows:
@@ -236,12 +236,16 @@ def walk(surface: Surface, entries, X: FNPoint, rows):
             length = lengths[label] = math.exp(log_length)
             logs[label], lc[label] = log_length, ht.log_cosh(length / 2)
             ls[label] = ht.log_sinh_half(length, log_length)
+        if moving is None:  # the first point: the held labels' log terms
+            for a, v in lengths.items():
+                if a not in row:
+                    logs[a] = math.log(v) if v else -math.inf
+                    lc[a], ls[a] = ht.log_cosh(v / 2), ht.log_sinh_half(v, logs[a])
+            moving = [k for k, (inputs, _) in enumerate(routes)
+                      if not row.keys().isdisjoint(inputs)]
         for k in indices:
             vec[k] = routes[k][1](lengths, logs, lc, ls, twists)
         yield vec
-        if moving is None:
-            moving = [k for k, (inputs, _) in enumerate(routes)
-                      if not row.keys().isdisjoint(inputs)]
         vec, indices = vec.copy(), moving
 
 
@@ -272,3 +276,55 @@ def fn_from_dict(surface: Surface, data: dict) -> FNPoint:
         raise DomainError(f"a point maps each label to a length or to "
                           f"{{length, twist}}, got {data!r}") from None
     return fn_point(surface, interior, boundary)
+
+
+# -- class ids --------------------------------------------------------------------
+
+
+# the most steps a class id's torus length may take: the slope descent of
+# hyptrig.torus_slope_length takes one step per unit of partial quotient
+_MAX_DESCENT = 10 ** 6
+
+
+def _check_descent(class_id: str, p: int, q: int) -> None:
+    """Refuse an id whose slope (p, q), q >= 1, descends from (p // q, 1) in
+    over _MAX_DESCENT steps: the partial quotients of (p mod q)/q, summed,
+    less one, counted by Euclid in O(log q)."""
+    a, b, steps = q, p % q, -1
+    while b:
+        steps += a // b
+        a, b = b, a % b
+    if steps > _MAX_DESCENT:
+        raise DomainError(f"class id {class_id!r} takes {steps} slope descent "
+                          f"steps, over the cap {_MAX_DESCENT}")
+
+
+def class_from_id(surface: Surface, class_id: str):
+    """Resolve a class id: curve label, w(p,q) slope, or arc label; a slope
+    or twisted arc whose length descent is over the cap is refused."""
+    if not isinstance(class_id, str):
+        raise DomainError(f"class id must be a string, got {class_id!r}")
+    if class_id in surface.boundaries or class_id in surface.interior_curves:
+        return surface.curve_class(class_id)
+    if class_id.startswith("w(") and class_id.endswith(")"):
+        try:
+            p, q = (int(t) for t in class_id[2:-1].split(","))
+        except ValueError:
+            raise DomainError(f"slope id {class_id!r} is not w(p,q) with "
+                              f"integers p and q") from None
+        if q < 1 or math.gcd(abs(p), q) != 1:
+            raise DomainError(f"slope ({p},{q}) is not primitive with q >= 1")
+        _check_descent(class_id, p, q)
+        return CurveClass("word", f"w({p},{q})", (p, q))
+    _, tilde, twist = class_id.partition("~")
+    if tilde:  # twisted torus arc: its twist k is any nonzero integer
+        try:
+            k = int(twist)
+        except ValueError:
+            raise DomainError(f"arc twist in {class_id!r} is not an integer") from None
+        for arc in surface.word_arcs_at(abs(k) + 1):
+            if arc.label == class_id:  # its host (1, k) descends as (1, |k|)
+                _check_descent(class_id, 1, abs(k))
+                return arc
+        raise DomainError(f"unknown arc {class_id!r} on {surface.signature}")
+    return surface.arc_alias(class_id)

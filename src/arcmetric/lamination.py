@@ -24,6 +24,7 @@ from . import geometry as geo
 from . import hyptrig as ht
 from .errors import (DomainError, UnsupportedClassError,
                      UnsupportedCoordinatesError, UnsupportedSurfaceError)
+from .geometry import class_from_id  # lamination_from_dict's id parser
 from .topology import (ArcClass, CurveClass, Panel, Surface, enumerate_panel)
 
 
@@ -515,55 +516,6 @@ def sample_supported_lamination(surface: Surface, rng) -> RationalLamination:
             weights[surface.pants_arcs()[0]] = w()
         return rational_lamination(surface, weights)
     raise UnsupportedSurfaceError("sampler registered for tier-1 surfaces")
-
-
-# the most steps a class id's torus length may take: the slope descent of
-# hyptrig.torus_slope_length takes one step per unit of partial quotient
-_MAX_DESCENT = 10 ** 6
-
-
-def _check_descent(class_id: str, p: int, q: int) -> None:
-    """Refuse an id whose slope (p, q), q >= 1, descends from (p // q, 1) in
-    over _MAX_DESCENT steps: the partial quotients of (p mod q)/q, summed,
-    less one, counted by Euclid in O(log q)."""
-    a, b, steps = q, p % q, -1
-    while b:
-        steps += a // b
-        a, b = b, a % b
-    if steps > _MAX_DESCENT:
-        raise DomainError(f"class id {class_id!r} takes {steps} slope descent "
-                          f"steps, over the cap {_MAX_DESCENT}")
-
-
-def class_from_id(surface: Surface, class_id: str):
-    """Resolve a class id: curve label, w(p,q) slope, or arc label; a slope
-    or twisted arc whose length descent is over the cap is refused."""
-    if not isinstance(class_id, str):
-        raise DomainError(f"class id must be a string, got {class_id!r}")
-    if class_id in surface.boundaries or class_id in surface.interior_curves:
-        return surface.curve_class(class_id)
-    if class_id.startswith("w(") and class_id.endswith(")"):
-        try:
-            p, q = (int(t) for t in class_id[2:-1].split(","))
-        except ValueError:
-            raise DomainError(f"slope id {class_id!r} is not w(p,q) with "
-                              f"integers p and q") from None
-        if q < 1 or math.gcd(abs(p), q) != 1:
-            raise DomainError(f"slope ({p},{q}) is not primitive with q >= 1")
-        _check_descent(class_id, p, q)
-        return CurveClass("word", f"w({p},{q})", (p, q))
-    _, tilde, twist = class_id.partition("~")
-    if tilde:  # twisted torus arc: its twist k is any nonzero integer
-        try:
-            k = int(twist)
-        except ValueError:
-            raise DomainError(f"arc twist in {class_id!r} is not an integer") from None
-        for arc in surface.word_arcs_at(abs(k) + 1):
-            if arc.label == class_id:  # its host (1, k) descends as (1, |k|)
-                _check_descent(class_id, 1, abs(k))
-                return arc
-        raise DomainError(f"unknown arc {class_id!r} on {surface.signature}")
-    return surface.arc_alias(class_id)
 
 
 def lamination_to_dict(mu: RationalLamination) -> list:

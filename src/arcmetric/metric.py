@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import geometry as geo
-from . import lamination as lam
 from .errors import DegeneratePanelError, DomainError
 from .topology import Panel
+
+if TYPE_CHECKING:
+    from .lamination import RationalLamination
 
 
 class MetricValue(NamedTuple):
@@ -73,7 +75,10 @@ def thurston_vector(X: geo.FNPoint, panel: Panel) -> tuple[float, ...]:
 
 
 def _log_intersections(mu, entries) -> list:
-    """log i(mu, e) for each of the entries (-inf where mu misses e)."""
+    """log i(mu, e) for each of the entries (-inf where mu misses e); the
+    one reader of lamination here, so it loads only for boundary horofunctions."""
+    from . import lamination as lam
+
     if mu.is_zero():
         raise DomainError("boundary horofunction needs a nonzero lamination")
     return _logs(lam.intersection_vector(mu, entries))
@@ -111,7 +116,7 @@ def interior_horofunction(X: geo.FNPoint, base_point: geo.FNPoint,
                          geo.log_lengths(panel.surface, panel.entries, X))
 
 
-def boundary_horofunction(mu: lam.RationalLamination, base_point: geo.FNPoint,
+def boundary_horofunction(mu: RationalLamination, base_point: geo.FNPoint,
                           panel: Panel) -> Horofunction:
     """Psi_xi for xi = i(mu, .), on the panel entries mu crosses."""
     entries = panel.entries

@@ -4,6 +4,7 @@ import argparse
 import importlib.util
 import json
 import math
+import os
 import random
 import re
 import shlex
@@ -261,6 +262,48 @@ def test_path_experiments_load_asymptotics(argv):
         "codes": [0], "asymptotics": True}
 
 
+# the package modules besides arcmetric and errors that each verb loads in a
+# fresh `python -m arcmetric.cli` process (cli itself runs as __main__), and
+# whether it may load json; file outputs go to the working directory
+CLOSED_FORM = ("geometry", "hyptrig", "topology")
+VERB_MODULES = [
+    (["arc-length", "--pants", "2,2,2", "--arc", "a12"], CLOSED_FORM, False),
+    (["curve-length", "--torus", "2,0.7,1.5", "--curve", "w(1,1)"],
+     CLOSED_FORM, False),
+    (["double", "--torus", "3.0,0.7,2.0"], CLOSED_FORM, True),
+    (["distance", "--pants", "--x", "2,2,2", "--y", "4,4,4"],
+     (*CLOSED_FORM, "metric"), True),
+    (["horofn", "--pants", "--base", "2,2,2", "--point", "4,4,4", "--at", "3,3,3"],
+     (*CLOSED_FORM, "metric"), False),
+    (["horofn", "--pants", "--base", "2,2,2", "--at", "3,3,3",
+      "--mu", '[{"class_id": "a33", "weight": 1}]'],
+     (*CLOSED_FORM, "metric", "lamination"), True),
+    (["experiment", "dt-sphere", "--surface", "1,0,1", "--samples", "3"],
+     (*CLOSED_FORM, "lamination"), True),
+    *[([*argv, "--csv", "out.csv", "--json", "out.json"],
+       (*CLOSED_FORM, "asymptotics", "lamination", "metric"), True)
+      for argv in PATH_EXPERIMENTS],
+]
+
+
+@pytest.mark.parametrize("argv, modules, loads_json", VERB_MODULES,
+                         ids=[" ".join(argv[:2]) + (" --mu" if "--mu" in argv else "")
+                              for argv, _, _ in VERB_MODULES])
+def test_each_verb_loads_only_the_modules_it_evaluates(argv, modules, loads_json,
+                                                       tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    out = subprocess.run([sys.executable, "-X", "importtime", *ARC[1:], *argv],
+                         capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert out.returncode == 0, out.stderr
+    loaded = {line.rpartition("|")[2].strip() for line in out.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {name for name in loaded if name.partition(".")[0] == "arcmetric"} \
+        == {"arcmetric", "arcmetric.errors", *(f"arcmetric.{m}" for m in modules)}
+    assert loads_json or "json" not in loaded
+
+
 def test_class_length_never_loads_holonomy():
     cases = [((1, 0, 1), level) for level in range(7)] + [
         (sig, 0) for sig in [(0, 0, 3), (1, 0, 1), (0, 0, 4), (1, 0, 2),
@@ -446,7 +489,10 @@ def test_malformed_numbers_are_typed_errors(argv, edit, tmp_path, capsys):
 
 # argv, exit code, the start of stderr; MISSING is a config path that does
 # not exist, HUGE_GRID a config whose grid has 2 * 10**6 + 1 points,
-# NAN_GRID one whose grid is [0.0, NaN] and BAD_JSON one that is not JSON
+# NAN_GRID one whose grid is [0.0, NaN], BAD_JSON one that is not JSON,
+# NOT_UTF8 one that is not UTF-8 and DEEP_JSON one nested past the decoder's
+# recursion limit, as is DEEP_MU; DEMO is a demo config and NO_DIR an output
+# path in a directory that does not exist
 ERROR_CONTRACT = [
     (["arc-length", "--pants", "--arc", "a12"], 3,
      "error: missing Fenchel-Nielsen coordinates\n"),
@@ -461,6 +507,16 @@ ERROR_CONTRACT = [
      "error: give --point (interior) or --mu (boundary)\n"),
     (["experiment", "boundary-limit", "MISSING"], 3,
      "error: config MISSING: [Errno 2]"),
+    (["experiment", "boundary-limit", "NOT_UTF8"], 3,
+     "error: config NOT_UTF8: not UTF-8 text: invalid start byte at byte 13\n"),
+    (["experiment", "boundary-limit", "DEEP_JSON"], 3,
+     "error: config DEEP_JSON: JSON nested too deeply to decode\n"),
+    (["horofn", "--pants", "--base", "2,2,2", "--at", "3,3,3", "--mu", "DEEP_MU"],
+     3, "error: --mu: JSON nested too deeply to decode\n"),
+    (["experiment", "boundary-limit", "DEMO", "--json", "NO_DIR"], 3,
+     "error: cannot write NO_DIR: No such file or directory\n"),
+    (["experiment", "boundary-limit", "DEMO", "--csv", "NO_DIR"], 3,
+     "error: cannot write NO_DIR: No such file or directory\n"),
     (["experiment", "boundary-limit", "HUGE_GRID"], 3,
      "error: config grid {'start': 0, 'stop': 2000000.0, 'step': 1} "
      "has over 10**6 points\n"),
@@ -474,16 +530,21 @@ ERROR_CONTRACT = [
 @pytest.mark.parametrize("argv, code, err", ERROR_CONTRACT,
                          ids=[" ".join(argv) for argv, _, _ in ERROR_CONTRACT])
 def test_error_contract_in_process(argv, code, err, tmp_path, capsys):
-    paths = {name: tmp_path / f"{name}.json"
-             for name in ("MISSING", "HUGE_GRID", "NAN_GRID", "BAD_JSON")}
+    paths = {name: tmp_path / f"{name}.json" for name in (
+        "MISSING", "HUGE_GRID", "NAN_GRID", "BAD_JSON", "NOT_UTF8", "DEEP_JSON")}
     cfg = json.loads((CONFIGS / "demo_boundary_pants.json").read_text())
     for name, grid in (("HUGE_GRID", {"start": 0, "stop": 2e6, "step": 1}),
                        ("NAN_GRID", [0.0, math.nan])):
         paths[name].write_text(json.dumps({**cfg, "grid": grid}))
     paths["BAD_JSON"].write_text("{ not json }")
-    for name, path in paths.items():
-        argv = [str(path) if arg == name else arg for arg in argv]
-        err = err.replace(name, str(path))
+    paths["NOT_UTF8"].write_bytes(b'{"surface": "\xff"}')
+    deep = "[" * 20000 + "]" * 20000
+    paths["DEEP_JSON"].write_text(deep)
+    subs = {**paths, "DEEP_MU": deep, "DEMO": CONFIGS / "demo_boundary_pants.json",
+            "NO_DIR": tmp_path / "no-dir" / "out.json"}
+    for name, value in subs.items():
+        argv = [str(value) if arg == name else arg for arg in argv]
+        err = err.replace(name, str(value))
     assert cli.main(argv) == code
     out, stderr = capsys.readouterr()
     assert out == "" and stderr.startswith(err)
