@@ -74,12 +74,14 @@ def _point_from_args(args, which: str) -> geo.FNPoint:
 
 
 def _json_value(what: str, text):
-    """The JSON value of text (str, or bytes in UTF-8): input that does not
+    """The JSON value of text (str, or bytes decoded as strict UTF-8, so a
+    byte order mark or another encoding is refused): input that does not
     decode is a DomainError naming what, the input it came from."""
     import json
 
     try:
-        return json.loads(text)
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes)
+                          else text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"{what}: invalid JSON at line {exc.lineno} column "
                           f"{exc.colno}: {exc.msg}") from None

@@ -24,7 +24,6 @@ from . import geometry as geo
 from . import hyptrig as ht
 from .errors import (DomainError, UnsupportedClassError,
                      UnsupportedCoordinatesError, UnsupportedSurfaceError)
-from .geometry import class_from_id  # lamination_from_dict's id parser
 from .topology import (ArcClass, CurveClass, Panel, Surface, enumerate_panel)
 
 
@@ -522,6 +521,11 @@ def lamination_to_dict(mu: RationalLamination) -> list:
     return [{"class_id": str(c), "weight": w} for c, w in mu.components]
 
 
+# the class id parser lives in geometry, which every CLI verb loads; this
+# name keeps lamination.class_from_id working
+class_from_id = geo.class_from_id
+
+
 def lamination_from_dict(surface: Surface, data) -> RationalLamination:
     """Lamination from a list of {"class_id": id, "weight": w} items."""
     if not isinstance(data, (list, tuple)):
@@ -534,7 +538,7 @@ def lamination_from_dict(surface: Surface, data) -> RationalLamination:
         except (TypeError, KeyError, ValueError):
             raise DomainError(f"lamination item {item!r} needs a class_id and "
                               f"a numeric weight") from None
-        weights[class_from_id(surface, class_id)] = weight
+        weights[geo.class_from_id(surface, class_id)] = weight
     return rational_lamination(surface, weights)
 
 

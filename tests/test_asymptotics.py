@@ -303,8 +303,8 @@ def test_inequality_cli_walks_each_grid_point_once(monkeypatch, tmp_path):
 
 def test_inequality_without_targets_reads_the_panel(monkeypatch, tmp_path):
     calls = []
-    parse = lam.class_from_id
-    monkeypatch.setattr(lam, "class_from_id",
+    parse = geo.class_from_id  # lamination_from_dict and the CLI both parse here
+    monkeypatch.setattr(geo, "class_from_id",
                         lambda surface, cid: calls.append(cid) or parse(surface, cid))
     config = Path(__file__).resolve().parent.parent / "demos" / "configs" \
         / "demo_boundary_pants.json"  # no targets: the whole panel

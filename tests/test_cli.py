@@ -490,9 +490,10 @@ def test_malformed_numbers_are_typed_errors(argv, edit, tmp_path, capsys):
 # argv, exit code, the start of stderr; MISSING is a config path that does
 # not exist, HUGE_GRID a config whose grid has 2 * 10**6 + 1 points,
 # NAN_GRID one whose grid is [0.0, NaN], BAD_JSON one that is not JSON,
-# NOT_UTF8 one that is not UTF-8 and DEEP_JSON one nested past the decoder's
-# recursion limit, as is DEEP_MU; DEMO is a demo config and NO_DIR an output
-# path in a directory that does not exist
+# NOT_UTF8 one that is not UTF-8, UTF16 one in UTF-16, SURROGATE one whose
+# bytes encode a lone surrogate, BOM_JSON UTF-8 after a byte order mark and
+# DEEP_JSON one nested past the decoder's recursion limit, as is DEEP_MU; DEMO
+# is a demo config and NO_DIR an output path in a directory that does not exist
 ERROR_CONTRACT = [
     (["arc-length", "--pants", "--arc", "a12"], 3,
      "error: missing Fenchel-Nielsen coordinates\n"),
@@ -509,6 +510,14 @@ ERROR_CONTRACT = [
      "error: config MISSING: [Errno 2]"),
     (["experiment", "boundary-limit", "NOT_UTF8"], 3,
      "error: config NOT_UTF8: not UTF-8 text: invalid start byte at byte 13\n"),
+    (["experiment", "boundary-limit", "UTF16"], 3,
+     "error: config UTF16: not UTF-8 text: invalid start byte at byte 0\n"),
+    (["experiment", "boundary-limit", "SURROGATE"], 3,
+     "error: config SURROGATE: not UTF-8 text: invalid continuation byte at "
+     "byte 13\n"),
+    (["experiment", "boundary-limit", "BOM_JSON"], 3,
+     "error: config BOM_JSON: invalid JSON at line 1 column 1: Unexpected "
+     "UTF-8 BOM (decode using utf-8-sig)\n"),
     (["experiment", "boundary-limit", "DEEP_JSON"], 3,
      "error: config DEEP_JSON: JSON nested too deeply to decode\n"),
     (["horofn", "--pants", "--base", "2,2,2", "--at", "3,3,3", "--mu", "DEEP_MU"],
@@ -531,13 +540,17 @@ ERROR_CONTRACT = [
                          ids=[" ".join(argv) for argv, _, _ in ERROR_CONTRACT])
 def test_error_contract_in_process(argv, code, err, tmp_path, capsys):
     paths = {name: tmp_path / f"{name}.json" for name in (
-        "MISSING", "HUGE_GRID", "NAN_GRID", "BAD_JSON", "NOT_UTF8", "DEEP_JSON")}
+        "MISSING", "HUGE_GRID", "NAN_GRID", "BAD_JSON", "NOT_UTF8", "UTF16",
+        "SURROGATE", "BOM_JSON", "DEEP_JSON")}
     cfg = json.loads((CONFIGS / "demo_boundary_pants.json").read_text())
     for name, grid in (("HUGE_GRID", {"start": 0, "stop": 2e6, "step": 1}),
                        ("NAN_GRID", [0.0, math.nan])):
         paths[name].write_text(json.dumps({**cfg, "grid": grid}))
     paths["BAD_JSON"].write_text("{ not json }")
     paths["NOT_UTF8"].write_bytes(b'{"surface": "\xff"}')
+    paths["UTF16"].write_text(json.dumps(cfg), encoding="utf-16")
+    paths["SURROGATE"].write_bytes(b'{"surface": "\xed\xa0\x80"}')
+    paths["BOM_JSON"].write_text(json.dumps(cfg), encoding="utf-8-sig")
     deep = "[" * 20000 + "]" * 20000
     paths["DEEP_JSON"].write_text(deep)
     subs = {**paths, "DEEP_MU": deep, "DEMO": CONFIGS / "demo_boundary_pants.json",
