@@ -16,14 +16,17 @@ The four config experiments share one runner, cmd_experiment: it loads the
 config, calls the verb's function from _EXPERIMENTS and writes the outputs,
 a CSV sweep (header t, the verb's columns, panel_n=K; rows in fixed
 9-significant-digit decimals, so identical configs give byte-identical files)
-and a JSON summary with shortest round-trip floats and panel_n.
+and a JSON summary with shortest round-trip floats and panel_n; a failed
+write of either leaves neither file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import operator
+import os
 import sys
 
 from . import geometry as geo
@@ -134,23 +137,31 @@ def _config_grid(config, default) -> tuple:
     raise InvalidSpecError(f"config grid {grid!r} has over 10**6 points")
 
 
-def _write(path: str, write, newline=None) -> None:
-    """Call write on path opened for writing; an OSError, opening or writing,
-    is a DomainError naming the path."""
+def _write(outputs) -> None:
+    """Write the text of each (path, text) of outputs as it is; an OSError,
+    opening or writing, is a DomainError naming the path, raised once every
+    file opened here is removed, so a failed write leaves none of them."""
+    opened = []
     try:
-        with open(path, "w", newline=newline) as fh:
-            write(fh)
+        for path, text in outputs:
+            with open(path, "w", newline="") as fh:
+                opened.append(path)
+                fh.write(text)
     except OSError as exc:
+        for done in opened:
+            with contextlib.suppress(OSError):
+                os.remove(done)
         raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _emit(data, path=None):
+def _emit(data, path=None, outputs=()):
+    """Write the outputs, and data as JSON to path; without a path, print
+    data once the outputs are written."""
     import json
 
     text = json.dumps(data, indent=2, sort_keys=True)
-    if path:
-        _write(path, lambda fh: fh.write(text + "\n"))
-    else:
+    _write([*outputs, (path, text + "\n")] if path else outputs)
+    if not path:
         print(text)
 
 
@@ -286,15 +297,17 @@ def cmd_experiment(args) -> int:
     from . import asymptotics as asy
     config = _load_config(args.config)
     panel, columns, rows, summary = _EXPERIMENTS[args.verb](asy, config)
+    outputs = []
     if args.csv and columns is not None:
         import csv
+        import io
 
-        def write_csv(fh):
-            csv.writer(fh).writerow(["t", *columns, f"panel_n={panel.complexity}"])
-            line = ",".join([_FMT] * (len(columns) + 1)) + "\r\n"
-            fh.writelines(line % tuple(row) for row in rows)
-        _write(args.csv, write_csv, newline="")
-    _emit({**summary, "panel_n": panel.complexity}, args.json_out)
+        sheet = io.StringIO()
+        csv.writer(sheet).writerow(["t", *columns, f"panel_n={panel.complexity}"])
+        line = ",".join([_FMT] * (len(columns) + 1)) + "\r\n"
+        sheet.writelines(line % tuple(row) for row in rows)
+        outputs.append((args.csv, sheet.getvalue()))
+    _emit({**summary, "panel_n": panel.complexity}, args.json_out, outputs)
     return 0
 
 

@@ -3,12 +3,12 @@
 Every length is a log length from one map, _route, compiled once per class
 and surface into the surface's route table: decomposition and boundary
 curves are Fenchel-Nielsen coordinates and exact; pants-local arcs use the
-closed-form pants formulas, torus slope curves (and the hosts of twisted
-torus arcs) hyptrig.torus_slope_length, and any other class is a typed
-error.  walk reads classes along a path from a point, log_lengths is its
-walk of one step, and class_length is e^ of the log.  No lamination reaches
-this layer.  class_from_id parses the class ids every verb reads, and refuses
-a torus id whose slope descent would take over _MAX_DESCENT steps.
+closed-form pants formulas, slope curves (Surface.slope_of, also the hosts
+of arcs) hyptrig.torus_slope_length, and any other class is a typed error.
+walk reads classes along a path from a point, log_lengths is its walk of one
+step, and class_length is e^ of the log.  No lamination reaches this layer.
+class_from_id parses the class ids every verb reads, and refuses a torus id
+whose slope descent would take over _MAX_DESCENT steps.
 
 Twists are hyperbolic lengths, positive = right twist; the mirror side of a
 double carries negated twists.
@@ -142,11 +142,12 @@ def _route(surface: Surface, cls) -> tuple:
     the one map from a class to its log length at points of surface, read
     from each label's length (0.0 for a puncture or an underflow), its log,
     log cosh and log sinh of half of it, and its twist.  A coordinate curve
-    reads its log length, and a pants arc, torus slope or twisted torus arc
+    reads its log length, and a pants arc, slope curve or arc around one
     calls its hyptrig cores by name at each evaluation (a wrapper sees every
     call); any other class is refused with a typed error when it is compiled.
     """
     labels, punctures = surface.boundaries + surface.interior_curves, surface.punctures
+    slope = surface.slope_of(cls)
     if not isinstance(cls, ArcClass):
         if cls.kind in ("boundary", "interior"):
             if cls.label not in labels:
@@ -155,24 +156,23 @@ def _route(surface: Surface, cls) -> tuple:
             return (cls.label,), lambda P, L, C, S, T, a=cls.label: L[a]
         if cls.kind != "word":
             raise UnsupportedClassError(f"unknown curve kind {cls.kind!r}")
-        if not surface.is_torus() or cls.slope is None:
+        if slope is None:
             raise UnsupportedClassError(f"word class {cls.label!r} "
                                         f"unsupported on {surface.signature}")
-        return ("C1", "B1"), lambda P, L, C, S, T, p=cls.slope[0], q=cls.slope[1]: \
+        return ("C1", "B1"), lambda P, L, C, S, T, p=slope[0], q=slope[1]: \
             ht.torus_slope_length(L["C1"], T["C1"], L["B1"], p, q)
     if surface.double_of is not None:
         raise DomainError("arcs live on bordered surfaces, not doubles")
-    if cls.twist != 0:
-        if not surface.is_torus():
+    if cls.host is not None:  # the host pants: B1 and two copies of a slope curve
+        if slope is None:
             raise UnsupportedClassError("twisted arcs are registered "
                                         "on the one-holed torus only")
 
-        def twisted(P, L, C, S, T, k=cls.twist):
-            # the host pants: the boundary and two copies of the slope-(1, k) curve
+        def around(P, L, C, S, T, p=slope[0], q=slope[1]):
             host = ht.log_cosh(math.exp(ht.torus_slope_length(
-                L["C1"], T["C1"], L["B1"], 1, k)) / 2)
+                L["C1"], T["C1"], L["B1"], p, q)) / 2)
             return ht.arc_same_from_logs(C["B1"], S["B1"], host, host)
-        return ("C1", "B1"), twisted
+        return ("C1", "B1"), around
     kind, a, b, c = cls.pattern
     for label in (a, b, c):
         if label not in labels and label not in punctures:
@@ -315,16 +315,17 @@ def class_from_id(surface: Surface, class_id: str):
         if q < 1 or math.gcd(abs(p), q) != 1:
             raise DomainError(f"slope ({p},{q}) is not primitive with q >= 1")
         _check_descent(class_id, p, q)
-        return CurveClass("word", f"w({p},{q})", (p, q))
+        return surface.slope_curve(p, q)
     _, tilde, twist = class_id.partition("~")
-    if tilde:  # twisted torus arc: its twist k is any nonzero integer
+    if tilde:  # the host-pants arc around the slope (1, k)
         try:
-            k = int(twist)
+            host = surface.slope_curve(1, int(twist)).slope  # None for k = 0
         except ValueError:
             raise DomainError(f"arc twist in {class_id!r} is not an integer") from None
-        for arc in surface.word_arcs_at(abs(k) + 1):
-            if arc.label == class_id:  # its host (1, k) descends as (1, |k|)
-                _check_descent(class_id, 1, abs(k))
-                return arc
+        for arc in surface.pants_arcs():
+            twisted = arc._replace(host=host)
+            if twisted.label == class_id and surface.slope_of(arc) == (1, 0):
+                _check_descent(class_id, *host)
+                return twisted
         raise DomainError(f"unknown arc {class_id!r} on {surface.signature}")
     return surface.arc_alias(class_id)

@@ -13,6 +13,11 @@ Intersection numbers follow the conventions forced by the pants case formulas:
 The two conventions are each other's boundary-degenerate faces and are not
 symmetric on arc/boundary pairs; away from those pairs the pairing is
 symmetric.
+
+Slopes come from topology: a curve or arc with a slope crosses a curve with
+one |det| of the two slopes times, and a slope-host side of an arc's pants
+is the curve of the arc's slope.  A lamination holds only classes with a
+length on its surface: a slope off the torus is refused when it is built.
 """
 
 from __future__ import annotations
@@ -30,43 +35,24 @@ from .topology import (ArcClass, CurveClass, Panel, Surface, enumerate_panel)
 # -- class-level intersection engine -------------------------------------------
 
 
-def _slope_of(surface: Surface, cls) -> tuple[int, int] | None:
-    if isinstance(cls, CurveClass):
-        if cls.kind == "word" and cls.slope is not None:
-            return cls.slope
-        if cls.kind == "interior" and surface.is_torus():
-            return (1, 0)
-    return None
-
-
-def _curve_curve(surface: Surface, c: CurveClass, d: CurveClass) -> float:
-    if c.label == d.label:
+def _slope_crossings(surface: Surface, c, d: CurveClass) -> float:
+    """|det| of the slopes of c and d, or 0.0 unless both have one:
+    distinct decomposition and boundary curves are disjoint by construction,
+    and pants-local arcs cross no decomposition curve."""
+    sc, sd = surface.slope_of(c), surface.slope_of(d)
+    if sc is None or sd is None:
         return 0.0
-    sc, sd = _slope_of(surface, c), _slope_of(surface, d)
-    if sc is not None and sd is not None:
-        return float(abs(sc[0] * sd[1] - sc[1] * sd[0]))
-    # distinct decomposition/boundary curves are disjoint by construction
-    return 0.0
-
-
-def _arc_vs_curve(surface: Surface, arc: ArcClass, d: CurveClass) -> float:
-    """Crossings of the arc (measured side) with a curve class."""
-    if d.kind == "boundary":
-        return float(sum(1 for e in arc.endpoints() if e == d.label))
-    sd = _slope_of(surface, d)
-    if sd is not None:
-        # twisted torus arc of twist k is carried by the slope (1, k) curve
-        return float(abs(arc.twist * sd[0] - sd[1]))
-    return 0.0  # pants-local arcs do not cross other decomposition curves
+    return float(abs(sc[0] * sd[1] - sc[1] * sd[0]))
 
 
 def _host_sides(surface: Surface, arc: ArcClass):
-    """(pattern kind, side classes ...) of the arc's host pants."""
+    """(pattern kind, side classes ...) of the arc's host pants, whose slope
+    host side is the curve of the arc's slope."""
     def side_class(label):
         if label in surface.punctures:
             return None
-        if surface.is_torus() and arc.twist != 0 and label == "C1":
-            return CurveClass("word", f"w(1,{arc.twist})", (1, arc.twist))
+        if label == surface._slope_host:
+            return surface.slope_curve(*surface.slope_of(arc))
         return surface.curve_class(label)
 
     pat = arc.pattern
@@ -83,14 +69,13 @@ def class_intersection(surface: Surface, c, target) -> float:
 
 
 def _class_intersection(surface: Surface, c, target) -> float:
-    if isinstance(c, CurveClass) and isinstance(target, CurveClass):
-        return _curve_curve(surface, c, target)
-    if isinstance(c, ArcClass) and isinstance(target, CurveClass):
-        return _arc_vs_curve(surface, c, target)
+    if isinstance(c, (CurveClass, ArcClass)) and isinstance(target, CurveClass):
+        if isinstance(c, ArcClass) and target.kind == "boundary":
+            return float(c.endpoints().count(target.label))  # the measured arc's ends
+        return _slope_crossings(surface, c, target)
     if not isinstance(target, ArcClass):
         raise UnsupportedClassError(f"unsupported target {target!r}")
-    if isinstance(c, ArcClass) and c.pants_id == target.pants_id \
-            and c.pattern == target.pattern and c.twist == target.twist:
+    if c == target:
         return 0.0
     kind, sides, labels = _host_sides(surface, target)
     ints, weights = [], []
@@ -150,12 +135,14 @@ def _class_sort_key(cls):
 
 
 def rational_lamination(surface: Surface, weights) -> RationalLamination:
-    """Build and validate a lamination from {class: weight} or pair list."""
+    """Build and validate a lamination from {class: weight} or pair list;
+    a class with no length on the surface is refused as its route is."""
     items = list(weights.items()) if isinstance(weights, dict) else list(weights)
     comps = []
     for cls, w in items:
         if not (math.isfinite(w) and w > 0):
             raise DomainError(f"weight of {cls} must be positive, got {w}")
+        geo._compiled(surface, cls)  # refuses a class the surface does not carry
         comps.append((cls, float(w)))
     comps.sort(key=lambda cw: _class_sort_key(cw[0]))
     classes = [c for c, _ in comps]
@@ -253,7 +240,7 @@ def dt_encode(mu: RationalLamination) -> DTCoordinates:
         i_val, theta = 0.0, 0.0
         for c, w in mu.components:
             if isinstance(c, ArcClass):
-                if c.twist != 0:
+                if c.host is not None:
                     raise UnsupportedCoordinatesError(
                         "twisted arcs are not decomposition-adapted")
                 continue
@@ -261,8 +248,8 @@ def dt_encode(mu: RationalLamination) -> DTCoordinates:
                 theta += w  # a leaf on the curve is pure twist
                 continue
             i_val += w * class_intersection(surface, c, target)
-            slope = _slope_of(surface, c)
-            if slope is not None and label == "C1" and surface.is_torus():
+            slope = surface.slope_of(c)
+            if slope is not None and label == surface._slope_host:
                 theta += w * slope[0]
         if i_val == 0.0:
             theta = abs(theta)  # canonical form of the (0, t) ~ (0, -t) quotient
@@ -331,7 +318,7 @@ def _decode_torus(surface: Surface, curve_coords, theta_hats) -> RationalLaminat
         if abs(theta * q - i_val * p) > 1e-9 * max(1.0, abs(theta), i_val):
             raise UnsupportedCoordinatesError(
                 "coordinates are not a weighted rational slope class")
-        weights[CurveClass("word", f"w({p},{q})", (p, q))] = i_val / q
+        weights[surface.slope_curve(p, q)] = i_val / q
     if th_b > 0:
         if i_val != 0.0:
             raise UnsupportedCoordinatesError(
@@ -503,9 +490,7 @@ def sample_supported_lamination(surface: Surface, rng) -> RationalLamination:
                 p = 1
             if math.gcd(abs(p), q) != 1:
                 p, q = 1, max(q, 1)
-            cls = (CurveClass("interior", "C1") if (p, q) == (1, 0)
-                   else CurveClass("word", f"w({p},{q})", (p, q)))
-            weights[cls] = w()
+            weights[surface.slope_curve(p, q)] = w()
             if rng.random() < 0.5:
                 weights[CurveClass("boundary", "B1")] = w()
         elif kind == 1:  # curve leaf plus the base arc

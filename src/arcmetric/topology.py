@@ -3,10 +3,10 @@
 Surfaces are bordered (at least one boundary component) except for the
 closed doubles of `double_topology`.  Every surface gets a deterministic
 canonical pants decomposition and keeps the tables lamination and geometry
-fill (intersection numbers, compiled length routes).  On the "tier 1"
-surfaces S_{0,0,3} and S_{1,0,1}, which carry holonomy markings, panels
-extend beyond decomposition data to registered word classes.  Panels are
-never empty.
+fill (intersection numbers, compiled length routes).  Slopes are decided
+here: the one-holed torus registers C1 as its slope host, of slope (1, 0);
+Surface.slope_of reads any class's slope and Surface.slope_curve builds a
+slope's curve.  Panels are never empty.
 
 Labels: interior decomposition curves "C1", "C2", ...; boundary components
 "B1", ...; punctures "U1", ...; mirrored curves on a double get an "m"
@@ -44,9 +44,8 @@ class Pants(NamedTuple):
 class CurveClass(NamedTuple):
     """Essential simple closed curve: boundary, decomposition, or word class.
 
-    Word classes exist on tier-1 surfaces only; on the one-holed torus the
-    slope (p, q) records the homology class relative to the decomposition
-    curve (1, 0) and its dual (0, 1).
+    A word class is the curve w(p,q) of a slope (p, q), q >= 1, relative to
+    the slope host (1, 0) and its dual (0, 1); see Surface.slope_curve.
     """
 
     kind: str  # "boundary" | "interior" | "word"
@@ -63,14 +62,14 @@ class ArcClass(NamedTuple):
     pattern is ("same", beta, gamma1, gamma2) for an arc from boundary beta
     back to itself separating the other two sides, or
     ("distinct", beta1, beta2, gamma) for an arc joining two boundaries.
-    On the one-holed torus, `twist` = k registers the image of the base arc
-    under k Dehn twists along the dual curve; its host pants is then bounded
-    by two copies of the slope-(1, k) curve.
+    host is None, or the slope of the curve that replaces the slope host in
+    the arc's pants: on the torus (1, k), or (-1, -k) if k < 0, is the base
+    arc twisted k times along the dual curve, labelled ~k.
     """
 
     pants_id: str
     pattern: tuple
-    twist: int = 0
+    host: tuple[int, int] | None = None
 
     @property
     def label(self) -> str:
@@ -79,7 +78,7 @@ class ArcClass(NamedTuple):
             body = f"a({self.pattern[1]};{self.pattern[2]},{self.pattern[3]})"
         else:
             body = f"a({self.pattern[1]},{self.pattern[2]};{self.pattern[3]})"
-        return body if self.twist == 0 else f"{body}~{self.twist}"
+        return body if self.host is None else f"{body}~{self.host[0] * self.host[1]}"
 
     def endpoints(self) -> tuple[str, str]:
         if self.pattern[0] == "same":
@@ -163,28 +162,28 @@ class Surface(namedtuple("Surface", "signature pants interior_curves boundaries 
     def is_pants(self) -> bool:
         return self.signature == SurfaceSignature(0, 0, 3)
 
-    def word_curves_at(self, word_length: int) -> list[CurveClass]:
-        """Registered word curves of exactly the given word length (tier 1)."""
-        if not (self.tier1 and self.is_torus()) or word_length < 1:
-            return []
-        out = []
-        for q in range(1, word_length + 1):
-            p = word_length - q
-            if math.gcd(p, q) != 1:
-                continue
-            out.append(CurveClass("word", f"w({p},{q})", (p, q)))
-            if p > 0:
-                out.append(CurveClass("word", f"w({-p},{q})", (-p, q)))
-        return out
+    @functools.cached_property
+    def _slope_host(self) -> str | None:  # the curve of slope (1, 0)
+        return "C1" if self.is_torus() else None
 
-    def word_arcs_at(self, word_length: int) -> list[ArcClass]:
-        """Twisted torus arcs whose host curve has the given word length."""
-        if not (self.tier1 and self.is_torus()) or word_length < 2:
-            return []
-        base = self.pants_arcs()[0]
-        k = word_length - 1
-        return [ArcClass(base.pants_id, base.pattern, twist=k),
-                ArcClass(base.pants_id, base.pattern, twist=-k)]
+    def slope_of(self, cls) -> tuple[int, int] | None:
+        """A word curve's slope, an arc's host, (1, 0) for the slope host
+        and its pants' arcs; else None."""
+        host = self._slope_host
+        if host is None:
+            return None
+        if isinstance(cls, ArcClass):
+            return cls.host or ((1, 0) if host in cls.pattern[1:] else None)
+        return (1, 0) if cls == CurveClass("interior", host) else cls.slope
+
+    def slope_curve(self, p: int, q: int) -> CurveClass:
+        """The curve of slope (p, q) = (-p, -q), q >= 1: w(p,q), or the slope
+        host for (1, 0)."""
+        if q < 0 or q == 0 and p < 0:
+            p, q = -p, -q
+        if q == 0 and self._slope_host:
+            return CurveClass("interior", self._slope_host)
+        return CurveClass("word", f"w({p},{q})", (p, q))
 
     def arc_alias(self, name: str) -> ArcClass:
         """Resolve short pants aliases a11..a33, a12, a13, a23 and full labels."""
@@ -228,13 +227,8 @@ def build_surface(genus: int, punctures: int, boundary: int) -> Surface:
         pants_list.append(Pants(f"P{len(pants_list) + 1}", tuple(sides)))
 
     def decompose(g, ends):
-        if g == 0:
-            if len(ends) == 3:
-                new_pants(ends)
-                return
-            c = new_curve()
-            new_pants((ends[0], ends[1], c))
-            decompose(0, [c] + list(ends[2:]))
+        if g == 0 and len(ends) == 3:
+            new_pants(ends)
             return
         if len(ends) >= 2:
             c = new_curve()
@@ -274,16 +268,10 @@ def double_topology(surface: Surface) -> Surface:
     dsig = SurfaceSignature(2 * sig.genus + sig.boundary - 1,
                             2 * sig.punctures, 0)
 
-    def mirror_side(s: str) -> str:
-        if s in surface.boundaries:
-            return s
-        if s in surface.interior_curves:
-            return s + "m"
-        return s + "m"  # punctures double to two punctures
-
     pants = list(surface.pants)
-    for p in surface.pants:
-        pants.append(Pants(p.pants_id + "m", tuple(mirror_side(s) for s in p.sides)))
+    for p in surface.pants:  # a boundary is its own mirror; a puncture doubles
+        pants.append(Pants(p.pants_id + "m", tuple(
+            s if s in surface.boundaries else s + "m" for s in p.sides)))
     curves = (tuple(surface.interior_curves) + tuple(surface.boundaries)
               + tuple(c + "m" for c in surface.interior_curves))
     punctures = tuple(surface.punctures) + tuple(u + "m" for u in surface.punctures)
@@ -327,17 +315,26 @@ class Panel:
 
 
 # the level comes from outside input; the torus panel grows quadratically in
-# it (610,384 entries at level 1000), and off the torus levels above 0 add
-# nothing but loop iterations
+# it (610,384 entries at level 1000), and other panels stop at level 0
 _MAX_PANEL_LEVEL = 1000
+
+
+def _word_classes(surface: Surface, n: int) -> list:
+    """The slope curves (p, q), |p| + q = n, by q and p > 0 first, then the
+    host-pants arcs around those with |p| = 1."""
+    curves = [surface.slope_curve(s * (n - q), q) for q in range(1, n + 1)
+              if math.gcd(n - q, q) == 1 for s in ((1, -1) if q < n else (1,))]
+    base = [arc for arc in surface.pants_arcs() if surface.slope_of(arc)]
+    return curves + [arc._replace(host=c.slope) for c in curves
+                     if abs(c.slope[0]) == 1 for arc in base]
 
 
 def enumerate_panel(surface: Surface, complexity: int = 0) -> Panel:
     """Deterministic panel, monotone in complexity; built once per level.
 
     Level 0 holds the boundary classes, the decomposition curves, and all
-    pants-local arcs; higher levels append registered word classes (tier-1
-    surfaces only).  Levels outside [0, 1000] are a DomainError.
+    pants-local arcs; each level n above 0 appends the classes of word
+    length n.  Levels outside [0, 1000] are a DomainError.
     """
     if complexity < 0:
         raise DomainError("panel complexity must be >= 0")
@@ -350,9 +347,9 @@ def enumerate_panel(surface: Surface, complexity: int = 0) -> Panel:
     entries.extend(surface.boundary_classes())
     entries.extend(surface.interior_classes())
     entries.extend(surface.pants_arcs())
-    for n in range(1, complexity + 1):  # level order makes panels nested
-        entries.extend(surface.word_curves_at(n))
-        entries.extend(surface.word_arcs_at(n))
+    if surface._slope_host:  # level order makes panels nested
+        for n in range(1, complexity + 1):
+            entries.extend(_word_classes(surface, n))
     panel = surface._panels[complexity] = Panel(surface, complexity, tuple(entries))
     return panel
 

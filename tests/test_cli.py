@@ -564,6 +564,42 @@ def test_error_contract_in_process(argv, code, err, tmp_path, capsys):
     assert stderr.count("\n") == 1
 
 
+def test_a_failed_output_write_leaves_neither_output(tmp_path, capsys):
+    # the CSV sweep is written first: an unwritable JSON summary removes it,
+    # and an unwritable CSV stops before the summary is opened
+    demo, missing = CONFIGS / "demo_boundary_pants.json", tmp_path / "no-dir"
+    for csv_path, json_path in ((tmp_path / "x.csv", missing / "x.json"),
+                                (missing / "x.csv", tmp_path / "x.json")):
+        assert cli.main(["experiment", "boundary-limit", str(demo), "--csv",
+                         str(csv_path), "--json", str(json_path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot write ")
+    assert list(tmp_path.iterdir()) == []
+
+
+# a lamination holds only classes its surface carries: a slope off the torus
+# is refused when the lamination is built, before any intersection or length
+SLOPE_MU = '[{"class_id": "w(1,1)", "weight": 1}]'
+
+
+@pytest.mark.parametrize("argv, surface", [
+    *[(["experiment", verb, "SLOPE_CONFIG"], "S_0,0,4")
+      for verb in ("inequality", "boundary-limit", "horo-converge")],
+    (["horofn", "--pants", "--base", "1,1,1", "--at", "2,2,2", "--mu", SLOPE_MU],
+     "S_0,0,3"),
+], ids=["inequality", "boundary-limit", "horo-converge", "horofn"])
+def test_a_lamination_with_a_slope_off_the_torus_exits_4(argv, surface, tmp_path,
+                                                         capsys):
+    config = json.loads((GOLDEN / "configs" / "S_0_0_4.json").read_text())
+    path = tmp_path / "slope.json"
+    path.write_text(json.dumps({**config, "mu": json.loads(SLOPE_MU)}))
+    argv = [str(path) if arg == "SLOPE_CONFIG" else arg for arg in argv]
+    assert cli.main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"unsupported: word class 'w(1,1)' unsupported on {surface}\n"
+
+
 @pytest.mark.parametrize("argv, steps", [
     (["curve-length", "--torus", "1,0,1", "--curve", "w(1,10000000)"], 9999999),
     (["arc-length", "--torus", "1,0,1", "--arc", "a(B1;C1,C1)~5000000"], 4999999),

@@ -237,7 +237,7 @@ def arc_length_doubled_route(X: geo.FNPoint, arc: ArcClass) -> float:
     Exact for the symmetric doubles produced by double_point; an independent
     route to the formula lengths of base (untwisted) arcs.
     """
-    assert arc.twist == 0, "doubled route registered for base arcs only"
+    assert arc.host is None, "doubled route registered for base arcs only"
     hol = geo.holonomy_build(geo.double_point(X))
     if X.surface.is_torus():
         return 0.5 * hol.word_length("a(B1;C1,C1)^d")
@@ -296,10 +296,9 @@ def test_dual_curve_twist_conventions():
 def test_twisted_arc_lengths_via_host_curve():
     X = geo.torus_point(2.0, 0.4, 1.5)
     base = X.surface.pants_arcs()[0]
-    arcs = X.surface.word_arcs_at(2) + X.surface.word_arcs_at(3)
+    arcs = [geo.class_from_id(X.surface, f"a(B1;C1,C1)~{k}") for k in (1, -1, 2, -2)]
     for arc in arcs:
-        host = geo.class_length(
-            X, CurveClass("word", f"w(1,{arc.twist})", (1, arc.twist)))
+        host = geo.class_length(X, CurveClass("word", "w(%d,%d)" % arc.host, arc.host))
         expected = ht.arc_length_same_boundary(1.5, host, host)
         assert geo.class_length(X, arc) == pytest.approx(expected, abs=1e-12)
     assert geo.class_length(X, base) == pytest.approx(

@@ -7,9 +7,9 @@ import pytest
 
 from arcmetric import geometry as geo
 from arcmetric import lamination as lam
-from arcmetric.errors import (DomainError, UnsupportedCoordinatesError,
-                              UnsupportedSurfaceError)
-from arcmetric.topology import CurveClass, build_surface, enumerate_panel
+from arcmetric.errors import (DomainError, UnsupportedClassError,
+                              UnsupportedCoordinatesError, UnsupportedSurfaceError)
+from arcmetric.topology import ArcClass, CurveClass, build_surface, enumerate_panel
 
 S = geo.pants_surface()
 T = geo.torus_surface()
@@ -80,10 +80,32 @@ def test_torus_slope_intersections():
     assert lam.class_intersection(T, c11, CurveClass("boundary", "B1")) == 0.0
     arc = T.pants_arcs()[0]
     assert lam.class_intersection(T, c21, arc) == 1.0  # |q| crossings
-    arc2 = T.word_arcs_at(2)[0]  # twist +1
+    arc2 = lam.class_from_id(T, "a(B1;C1,C1)~1")
     assert lam.class_intersection(T, arc2, arc) == 0.0
-    arc3 = T.word_arcs_at(3)[0]  # twist +2
+    arc3 = lam.class_from_id(T, "a(B1;C1,C1)~2")
     assert lam.class_intersection(T, arc3, arc) == 1.0
+
+
+def _label_slope(label):
+    """The slope a torus panel label names, read from the label alone: C1 and
+    the base arc (1, 0), w(p,q) (p, q), and the arc ~k (1, k)."""
+    if label.startswith("w("):
+        p, q = label[2:-1].split(",")
+        return int(p), int(q)
+    _, tilde, k = label.partition("~")
+    return (1, int(k)) if tilde else (1, 0)
+
+
+@pytest.mark.parametrize("level", [6, 24])
+def test_torus_intersections_are_determinants_of_label_slopes(level):
+    entries = [e for e in enumerate_panel(T, level)
+               if not (isinstance(e, CurveClass) and e.kind == "boundary")]
+    curves = [e for e in entries if isinstance(e, CurveClass)]
+    for c in entries:
+        p, q = _label_slope(str(c))
+        for d in curves:
+            r, s = _label_slope(str(d))
+            assert lam.class_intersection(T, c, d) == abs(p * s - q * r), (c, d)
 
 
 def test_disjointness_validation():
@@ -93,6 +115,18 @@ def test_disjointness_validation():
         L(S, {B3: 1.0, A33: 0.5})  # endpoint rests on the leaf
     with pytest.raises(DomainError):
         L(S, {A12: 1.0, A12: -1.0})
+
+
+def test_a_lamination_holds_only_classes_its_surface_carries():
+    # refused when the lamination is built, as the class's length refuses it
+    for surface, cls, message in [
+            (build_surface(0, 0, 4), CurveClass("word", "w(1,1)", (1, 1)),
+             "word class 'w(1,1)' unsupported on S_0,0,4"),
+            (S, ArcClass(A12.pants_id, A12.pattern, host=(1, 2)),
+             "twisted arcs are registered on the one-holed torus only")]:
+        with pytest.raises(UnsupportedClassError) as refused:
+            L(surface, {cls: 1.0})
+        assert str(refused.value) == message
 
 
 def test_weight_validation():
@@ -250,7 +284,7 @@ def test_dt_decode_rejects_unrepresentable():
 
 
 def test_dt_encode_rejects_twisted_arcs():
-    arc1 = T.word_arcs_at(2)[0]  # twist +1
+    arc1 = lam.class_from_id(T, "a(B1;C1,C1)~1")
     with pytest.raises(UnsupportedCoordinatesError):
         lam.dt_encode(L(T, {arc1: 1.0}))
 
@@ -339,15 +373,25 @@ def test_class_from_id():
     # a long word whose descent is short: no step, and 29 for a Fibonacci slope
     assert lam.class_from_id(T, "w(-10000000,1)").slope == (-10000000, 1)
     assert lam.class_from_id(T, "w(832040,1346269)").slope == (832040, 1346269)
-    assert lam.class_from_id(T, "a(B1;C1,C1)~1").twist == 1
+    assert lam.class_from_id(T, "a(B1;C1,C1)~1").host == (1, 1)
     with pytest.raises(DomainError):
         lam.class_from_id(S, "nope")
+
+
+def test_every_panel_id_round_trips():
+    for level in range(25):
+        for entry in enumerate_panel(T, level):
+            assert lam.class_from_id(T, str(entry)) == entry
+    for sig in [(0, 0, 3), (0, 0, 4), (1, 0, 2), (2, 0, 1), (0, 0, 6), (0, 1, 2)]:
+        surface = build_surface(*sig)
+        for entry in enumerate_panel(surface, 0):
+            assert lam.class_from_id(surface, str(entry)) == entry
 
 
 @pytest.mark.parametrize("k", [6, -7, 40, 1000001, -1000001])
 def test_class_from_id_twisted_arc_any_twist(k):
     arc = lam.class_from_id(T, f"a(B1;C1,C1)~{k}")
-    assert arc.twist == k
+    assert arc.host == ((1, k) if k > 0 else (-1, -k))
     assert lam.class_from_id(T, str(arc)) == arc
 
 

@@ -287,7 +287,7 @@ def test_each_class_is_compiled_once_per_surface(monkeypatch):
     assert compiled == []
     mu = lam.rational_lamination(T, {T.pants_arcs()[0]: 1.0})
     met.horofunction_eval(met.boundary_horofunction(mu, Y, panel), X)
-    new = T.word_curves_at(25) + T.word_arcs_at(25)
+    new = list(enumerate_panel(T, 25).entries[len(panel):])
     targets = [*panel.entries[:4], *new] * 2
     asy.deviation_walk(asy.make_path_spec(mu, X, (0.0, 1.0)), targets)
     assert len(compiled) == len(set(compiled)) and set(compiled) <= set(new)

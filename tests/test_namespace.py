@@ -80,6 +80,34 @@ def test_topology_imports_nothing_from_the_package_but_errors():
     assert not {name.partition(".")[0] for name in absolute} & {"arcmetric"}
 
 
+def _calls(module: str, test) -> list[str]:
+    """The top-level definition ("<module>" for other statements) around
+    each call in the package module that test accepts, in source order."""
+    tree = ast.parse(Path(arcmetric.__file__).with_name(module).read_text())
+    return [getattr(stmt, "name", "<module>") for stmt in tree.body
+            for node in ast.walk(stmt) if isinstance(node, ast.Call) and test(node)]
+
+
+def _called(name):
+    return lambda call: getattr(call.func, "attr", getattr(call.func, "id", None)) == name
+
+
+def test_topology_alone_decides_slopes():
+    # routes and intersections ask topology for a class's slope; the surface
+    # kind is read only where each surface has an algorithm of its own
+    assert _calls("geometry.py", _called("is_torus")) == []
+    assert _calls("lamination.py", _called("is_torus")) == [
+        "dt_decode", "refine", "sample_supported_lamination"]
+
+    def word_curve(call):
+        return _called("CurveClass")(call) and bool(call.args) \
+            and getattr(call.args[0], "value", None) == "word"
+    for path in Path(arcmetric.__file__).parent.glob("*.py"):
+        if path.name != "topology.py":
+            assert _calls(path.name, word_curve) == [], path.name
+    assert _calls("topology.py", word_curve) == ["Surface"]
+
+
 def test_unknown_name_is_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         arcmetric.no_such_name  # noqa: B018

@@ -59,11 +59,11 @@ def reference_log(surface, coord, twist, cls):
     def cosh(side):
         return ht.log_cosh(side[0] / 2)
 
-    if cls.twist != 0:
+    if cls.host is not None:
         if not torus:
             raise UnsupportedClassError(cls.label)
         host = ht.torus_slope_length(coord("C1")[1], twist("C1"), coord("B1")[1],
-                                     1, cls.twist)
+                                     *cls.host)
         host = ht.log_cosh(math.exp(host) / 2)
         return ht.arc_same_from_logs(cosh(coord("B1")), ht.log_sinh_half(*coord("B1")),
                                      host, host)
@@ -261,7 +261,7 @@ def test_errors_match_class_length():
     with pytest.raises(UnsupportedClassError):
         geo.log_lengths(X.surface, [word], X)
     # a twisted arc is registered on the torus only
-    twisted = ArcClass(arc.pants_id, arc.pattern, twist=2)
+    twisted = ArcClass(arc.pants_id, arc.pattern, host=(1, 2))
     assert direct(X, [twisted]) is UnsupportedClassError
     with pytest.raises(UnsupportedClassError):
         geo.log_lengths(X.surface, [twisted], X)
@@ -288,7 +288,7 @@ REFUSALS = [
      UnsupportedClassError, "word class 'w(1,1)' unsupported on S_0,0,3"),
     ("arc on a double", geo.double_point(PANTS_POINT), A12,
      DomainError, "arcs live on bordered surfaces, not doubles"),
-    ("twisted arc off the torus", PANTS_POINT, ArcClass("P1", A12.pattern, twist=2),
+    ("twisted arc off the torus", PANTS_POINT, ArcClass("P1", A12.pattern, host=(1, 2)),
      UnsupportedClassError, "twisted arcs are registered on the one-holed torus only"),
     ("missing arc side", PANTS_POINT, ArcClass("P1", ("distinct", "B1", "B9", "B3")),
      DomainError, "no coordinate curve 'B9' on S_0,0,3"),
