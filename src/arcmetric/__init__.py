@@ -20,13 +20,13 @@ __version__ = "0.1.0"
 
 _LAZY = {
     "topology": ("ArcClass", "CurveClass", "Panel", "Pants", "Surface",
-                 "SurfaceSignature", "build_surface", "double_topology",
-                 "enumerate_panel"),
+                 "SurfaceSignature", "build_surface", "class_from_id",
+                 "double_topology", "enumerate_panel"),
     "hyptrig": ("arc_length_distinct_boundaries", "arc_length_same_boundary",
                 "intersection_arc_distinct", "intersection_arc_same",
                 "leaf_decay_bound"),
-    "geometry": ("FNPoint", "class_from_id", "class_length", "double_point",
-                 "fn_from_dict", "fn_point", "fn_to_dict", "holonomy_build",
+    "geometry": ("FNPoint", "class_length", "double_point", "fn_from_dict",
+                 "fn_point", "fn_to_dict", "holonomy_build",
                  "lamination_length", "pants_point", "pants_surface",
                  "torus_point", "torus_surface"),
     "lamination": ("DTCoordinates", "RationalLamination",

@@ -255,6 +255,7 @@ def separation_experiment(mu: lam.RationalLamination,
     Scans scaling paths driven by the blended refinements
     (1 - eps) mu + (eps / L) zeta over the epsilon and t grids; a returned
     witness carries the two log-suprema that certified it, a gap >= 1e-3.
+    A panel that misses mu or nu is a DegeneratePanelError naming it.
     """
     for name, m in (("mu", mu), ("nu", nu)):
         if abs(geo.lamination_length(X0, m) - 1.0) > 1e-6:
@@ -273,14 +274,15 @@ def separation_experiment(mu: lam.RationalLamination,
                   for eps in _EPSILONS)
     i_nu, i_mu = (met._logs(lam.intersection_vector(m, panel.entries))
                   for m in (nu, mu))
+    for name, logs in (("mu", i_mu), ("nu", i_nu)):
+        if max(logs) == -math.inf:
+            raise DegeneratePanelError(f"the panel misses {name}")
     attempts = []
     for eps, blend in blends:
         spec = make_path_spec(blend, X0, grid)
         for t, logs in zip(spec.grid, _walk(spec, panel.surface, panel.entries)):
             lhs = met._log_sup_ratio(logs, i_nu)[0]
             rhs = met._log_sup_ratio(logs, i_mu)[0]
-            if -math.inf in (lhs, rhs):
-                continue  # the panel misses nu or mu
             if lhs - rhs >= _MIN_GAP:
                 return SeparationWitness(scaling_path(spec, t), lhs, rhs, eps, t)
             attempts.append((eps, t))

@@ -4,8 +4,8 @@ Verbs: arc-length, curve-length, double, distance, horofn, and
 experiment {inequality | boundary-limit | horo-converge | separate | dt-sphere}.
 Exit codes: 0 success, 2 usage, 3 domain error, 4 unsupported class/surface.
 
-Each verb loads only the layers it evaluates: this module imports geometry
-(with topology and hyptrig) and errors, and the handlers import metric,
+Each verb loads only the layers it evaluates: this module imports topology,
+geometry (with hyptrig) and errors, and the handlers import metric,
 lamination, json, asymptotics, csv and random where they use them.  So
 arc-length, curve-length and double load no other package module; distance
 and horofn --point add metric, horofn --mu metric and lamination, dt-sphere
@@ -30,10 +30,10 @@ import os
 import sys
 
 from . import geometry as geo
+from . import topology as top
 from .errors import (ArcmetricError, DomainError, InvalidSpecError,
                      UnsupportedClassError, UnsupportedCoordinatesError,
                      UnsupportedSurfaceError)
-from .topology import ArcClass, build_surface, enumerate_panel, panel_to_dict
 
 
 _FMT = "%.9g"  # every number printed: one value, or a CSV row of them
@@ -171,8 +171,8 @@ def _emit(data, path=None, outputs=()):
 def cmd_class_length(args) -> int:
     """arc-length and curve-length; arc-length refuses a curve id."""
     X = _point_from_args(args, "point")
-    cls = geo.class_from_id(X.surface, args.class_id)
-    if args.arcs_only and not isinstance(cls, ArcClass):
+    cls = top.class_from_id(X.surface, args.class_id)
+    if args.arcs_only and not isinstance(cls, top.ArcClass):
         raise DomainError(f"{args.class_id!r} names a curve, not an arc")
     print(_fmt(geo.class_length(X, cls)))
     return 0
@@ -191,7 +191,7 @@ def cmd_distance(args) -> int:
 
     X = _point_from_args(args, "x")
     Y = _point_from_args(args, "y")
-    panel = enumerate_panel(X.surface, args.panel_n)
+    panel = top.enumerate_panel(X.surface, args.panel_n)
     d_xy = met.arc_metric(X, Y, panel)
     d_yx = met.arc_metric(Y, X, panel)
     _emit({"d_xy": d_xy.value, "maximizer_xy": d_xy.maximizer,
@@ -205,7 +205,7 @@ def cmd_horofn(args) -> int:
 
     base = _point_from_args(args, "base")
     at = _point_from_args(args, "at")
-    panel = enumerate_panel(base.surface, args.panel_n)
+    panel = top.enumerate_panel(base.surface, args.panel_n)
     if args.mu:
         from . import lamination as lam
 
@@ -230,7 +230,7 @@ def _experiment_inputs(asy, config) -> tuple:
     """(surface, base point, mu, grid, panel) of an experiment config."""
     from . import lamination as lam
 
-    surface = build_surface(*_signature(_require(config, "surface")))
+    surface = top.build_surface(*_signature(_require(config, "surface")))
     base = geo.fn_from_dict(surface, _require(config, "base_point"))
     mu = lam.lamination_from_dict(surface, _require(config, "mu"))
     grid = _config_grid(config, asy.DEFAULT_GRID)
@@ -238,14 +238,14 @@ def _experiment_inputs(asy, config) -> tuple:
         panel_n = int(config.get("panel_n", 0))
     except _MALFORMED as exc:
         raise InvalidSpecError(f"config panel_n: {exc!r}") from None
-    return surface, base, mu, grid, enumerate_panel(surface, panel_n)
+    return surface, base, mu, grid, top.enumerate_panel(surface, panel_n)
 
 
 def _inequality(asy, config):
     surface, base, mu, grid, panel = _experiment_inputs(asy, config)
     spec = asy.PathSpec(mu, base, grid)
     names = _config_shape("targets", config.get("targets") or [], list)
-    targets = [geo.class_from_id(surface, n) for n in names] or panel.entries
+    targets = [top.class_from_id(surface, n) for n in names] or panel.entries
     names = names or panel.labels()
     columns, reports, skipped = asy.deviation_walk(spec, targets)
     return (panel, [f"dev[{names[k]}]" for k in columns],
@@ -260,7 +260,7 @@ def _boundary_limit(asy, config):
     return (panel, ["sup_norm_distance"], series,
             {"final_distance": series[-1][1],
              "limit_vector": dict(zip(panel.labels(), limit_vector)),
-             "panel": panel_to_dict(panel)})
+             "panel": top.panel_to_dict(panel)})
 
 
 def _horo_converge(asy, config):
@@ -322,7 +322,7 @@ def cmd_experiment_dt_sphere(args) -> int:
     from . import lamination as lam
 
     g, n, p = _signature(args.surface.split(","), int)
-    surface = build_surface(g, n, p)
+    surface = top.build_surface(g, n, p)
     coord_dim, sphere_dim = lam.sphere_dimension(surface)
     rng = random.Random(args.seed)
     passed = 0

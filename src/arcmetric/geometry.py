@@ -6,9 +6,8 @@ curves are Fenchel-Nielsen coordinates and exact; pants-local arcs use the
 closed-form pants formulas, slope curves (Surface.slope_of, also the hosts
 of arcs) hyptrig.torus_slope_length, and any other class is a typed error.
 walk reads classes along a path from a point, log_lengths is its walk of one
-step, and class_length is e^ of the log.  No lamination reaches this layer.
-class_from_id parses the class ids every verb reads, and refuses a torus id
-whose slope descent would take over _MAX_DESCENT steps.
+step, and class_length is e^ of the log.  No lamination reaches this layer,
+and no class id: topology.class_from_id parses them.
 
 Twists are hyperbolic lengths, positive = right twist; the mirror side of a
 double carries negated twists.
@@ -276,56 +275,3 @@ def fn_from_dict(surface: Surface, data: dict) -> FNPoint:
         raise DomainError(f"a point maps each label to a length or to "
                           f"{{length, twist}}, got {data!r}") from None
     return fn_point(surface, interior, boundary)
-
-
-# -- class ids --------------------------------------------------------------------
-
-
-# the most steps a class id's torus length may take: the slope descent of
-# hyptrig.torus_slope_length takes one step per unit of partial quotient
-_MAX_DESCENT = 10 ** 6
-
-
-def _check_descent(class_id: str, p: int, q: int) -> None:
-    """Refuse an id whose slope (p, q), q >= 1, descends from (p // q, 1) in
-    over _MAX_DESCENT steps: the partial quotients of (p mod q)/q, summed,
-    less one, counted by Euclid in O(log q)."""
-    a, b, steps = q, p % q, -1
-    while b:
-        steps += a // b
-        a, b = b, a % b
-    if steps > _MAX_DESCENT:
-        raise DomainError(f"class id {class_id!r} takes {steps} slope descent "
-                          f"steps, over the cap {_MAX_DESCENT}")
-
-
-def class_from_id(surface: Surface, class_id: str):
-    """Resolve a class id: curve label, w(p,q) slope, or arc label; a slope
-    or twisted arc whose length descent is over the cap is refused."""
-    if not isinstance(class_id, str):
-        raise DomainError(f"class id must be a string, got {class_id!r}")
-    if class_id in surface.boundaries or class_id in surface.interior_curves:
-        return surface.curve_class(class_id)
-    if class_id.startswith("w(") and class_id.endswith(")"):
-        try:
-            p, q = (int(t) for t in class_id[2:-1].split(","))
-        except ValueError:
-            raise DomainError(f"slope id {class_id!r} is not w(p,q) with "
-                              f"integers p and q") from None
-        if q < 1 or math.gcd(abs(p), q) != 1:
-            raise DomainError(f"slope ({p},{q}) is not primitive with q >= 1")
-        _check_descent(class_id, p, q)
-        return surface.slope_curve(p, q)
-    _, tilde, twist = class_id.partition("~")
-    if tilde:  # the host-pants arc around the slope (1, k)
-        try:
-            host = surface.slope_curve(1, int(twist)).slope  # None for k = 0
-        except ValueError:
-            raise DomainError(f"arc twist in {class_id!r} is not an integer") from None
-        for arc in surface.pants_arcs():
-            twisted = arc._replace(host=host)
-            if twisted.label == class_id and surface.slope_of(arc) == (1, 0):
-                _check_descent(class_id, *host)
-                return twisted
-        raise DomainError(f"unknown arc {class_id!r} on {surface.signature}")
-    return surface.arc_alias(class_id)

@@ -18,6 +18,7 @@ Slopes come from topology: a curve or arc with a slope crosses a curve with
 one |det| of the two slopes times, and a slope-host side of an arc's pants
 is the curve of the arc's slope.  A lamination holds only classes with a
 length on its surface: a slope off the torus is refused when it is built.
+Components are told apart as classes, never by their labels.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import NamedTuple
 
 from . import geometry as geo
 from . import hyptrig as ht
+from . import topology as top
 from .errors import (DomainError, UnsupportedClassError,
                      UnsupportedCoordinatesError, UnsupportedSurfaceError)
 from .topology import (ArcClass, CurveClass, Panel, Surface, enumerate_panel)
@@ -66,6 +68,12 @@ def class_intersection(surface: Surface, c, target) -> float:
     if value is None:
         value = table[key] = _class_intersection(surface, c, target)
     return value
+
+
+def _disjoint(surface: Surface, c, d) -> bool:
+    """i(c, d) = i(d, c) = 0: the pairing is not symmetric on arc/boundary pairs."""
+    return class_intersection(surface, c, d) == 0.0 \
+        and class_intersection(surface, d, c) == 0.0
 
 
 def _class_intersection(surface: Surface, c, target) -> float:
@@ -146,12 +154,11 @@ def rational_lamination(surface: Surface, weights) -> RationalLamination:
         comps.append((cls, float(w)))
     comps.sort(key=lambda cw: _class_sort_key(cw[0]))
     classes = [c for c, _ in comps]
-    if len(set(map(str, classes))) != len(classes):
+    if len(set(classes)) != len(classes):
         raise DomainError("lamination components must be pairwise distinct")
     for i, c in enumerate(classes):
         for d in classes[i + 1:]:
-            if class_intersection(surface, c, d) != 0.0 \
-                    or class_intersection(surface, d, c) != 0.0:
+            if not _disjoint(surface, c, d):
                 raise DomainError(
                     f"components {c} and {d} intersect; a lamination needs "
                     f"pairwise disjoint support")
@@ -194,10 +201,10 @@ def ratio_sup(nu: RationalLamination, mu: RationalLamination) -> float:
         raise DomainError("base lamination must be nonzero")
     if nu.is_zero():
         return 0.0
-    base, nu_weights = ({str(c): w for c, w in m.components} for m in (mu, nu))
+    base, nu_weights = (dict(m.components) for m in (mu, nu))
     if not nu_weights.keys() <= base.keys():
         return math.inf
-    return max(nu_weights.get(label, 0.0) / w for label, w in base.items())
+    return max(nu_weights.get(c, 0.0) / w for c, w in base.items())
 
 
 # -- Dehn-Thurston coordinates ----------------------------------------------------
@@ -366,22 +373,20 @@ def _loose_disjoint(surface: Surface, cand, comps) -> bool:
         if isinstance(cand, ArcClass) and isinstance(c, CurveClass) \
                 and c.kind == "boundary":
             continue  # endpoint contact allowed
-        if class_intersection(surface, cand, c) != 0.0 \
-                or class_intersection(surface, c, cand) != 0.0:
+        if not _disjoint(surface, cand, c):
             return False
     return True
 
 
 def _completion_holds(surface: Surface, comps, panel: Panel) -> bool:
     classes = [c for c, _ in comps]
-    labels = {str(c) for c in classes}
     for b in surface.boundaries:
         carries = any(isinstance(c, CurveClass) and c.label == b for c in classes)
         met = any(isinstance(c, ArcClass) and b in c.endpoints() for c in classes)
         if not (carries or met):
             return False
     for entry in panel:
-        if not isinstance(entry, ArcClass) or str(entry) in labels:
+        if not isinstance(entry, ArcClass) or entry in classes:
             continue
         if all(class_intersection(surface, c, entry) == 0.0 for c in classes):
             return False
@@ -417,26 +422,23 @@ def refine(mu: RationalLamination):
         return comps + [(c, 1.0) for c in added]
 
     if not _completion_holds(surface, current(), panel):
-        for b in surface.boundary_classes():  # step I
-            if b in [c for c, _ in comps]:
-                continue
-            if all(class_intersection(surface, b, c) == 0.0
-                   and class_intersection(surface, c, b) == 0.0
-                   for c, _ in comps):
-                added.append(b)
-        while not _completion_holds(surface, current(), panel):
-            candidates = [e for e in panel if isinstance(e, ArcClass)]
-            candidates += [e for e in panel if isinstance(e, CurveClass)
-                           and e.kind in ("interior", "word")]  # step III
-            for cand in candidates:
-                if any(cand == c for c, _ in current()):
-                    continue
-                if _loose_disjoint(surface, cand, current()):
-                    added.append(cand)
-                    break
-            else:
-                raise DomainError(
-                    "refinement cannot complete: no addable class remains")
+        added += [b for b in surface.boundary_classes()  # step I
+                  if b not in mu.classes()
+                  and all(_disjoint(surface, b, c) for c in mu.classes())]
+        candidates = [e for e in panel if isinstance(e, ArcClass)]
+        candidates += [e for e in panel if isinstance(e, CurveClass)
+                       and e.kind in ("interior", "word")]  # step III
+        complete = _completion_holds(surface, current(), panel)
+        for cand in candidates:  # the lamination only grows: one pass
+            if complete:
+                break
+            if cand not in mu.classes() \
+                    and _loose_disjoint(surface, cand, current()):
+                added.append(cand)
+                complete = _completion_holds(surface, current(), panel)
+        if not complete:
+            raise DomainError(
+                "refinement cannot complete: no addable class remains")
 
     mu_hat = rational_lamination(surface, current())
     zeta = RationalLamination(surface,
@@ -506,11 +508,6 @@ def lamination_to_dict(mu: RationalLamination) -> list:
     return [{"class_id": str(c), "weight": w} for c, w in mu.components]
 
 
-# the class id parser lives in geometry, which every CLI verb loads; this
-# name keeps lamination.class_from_id working
-class_from_id = geo.class_from_id
-
-
 def lamination_from_dict(surface: Surface, data) -> RationalLamination:
     """Lamination from a list of {"class_id": id, "weight": w} items."""
     if not isinstance(data, (list, tuple)):
@@ -523,7 +520,7 @@ def lamination_from_dict(surface: Surface, data) -> RationalLamination:
         except (TypeError, KeyError, ValueError):
             raise DomainError(f"lamination item {item!r} needs a class_id and "
                               f"a numeric weight") from None
-        weights[geo.class_from_id(surface, class_id)] = weight
+        weights[top.class_from_id(surface, class_id)] = weight
     return rational_lamination(surface, weights)
 
 

@@ -1,4 +1,4 @@
-"""Surface signatures, pants decompositions, curve/arc classes, panels.
+"""Surface signatures, pants decompositions, curve/arc classes, panels, ids.
 
 Surfaces are bordered (at least one boundary component) except for the
 closed doubles of `double_topology`.  Every surface gets a deterministic
@@ -11,7 +11,8 @@ slope's curve.  Panels are never empty.
 Labels: interior decomposition curves "C1", "C2", ...; boundary components
 "B1", ...; punctures "U1", ...; mirrored curves on a double get an "m"
 suffix.  Pair-of-pants arc aliases "a11" ... "a23" index the boundary pair
-the arc joins.
+the arc joins.  A class's id is its label: class_from_id parses each id
+back, and refuses a torus id whose slope descent takes over _MAX_DESCENT steps.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ class ArcClass(NamedTuple):
     ("distinct", beta1, beta2, gamma) for an arc joining two boundaries.
     host is None, or the slope of the curve that replaces the slope host in
     the arc's pants: on the torus (1, k), or (-1, -k) if k < 0, is the base
-    arc twisted k times along the dual curve, labelled ~k.
+    arc twisted k times along the dual curve, labelled ~k.  Other hosts have
+    no id yet (they print another host's ~pq): compare arcs, not labels.
     """
 
     pants_id: str
@@ -186,21 +188,67 @@ class Surface(namedtuple("Surface", "signature pants interior_curves boundaries 
         return CurveClass("word", f"w({p},{q})", (p, q))
 
     def arc_alias(self, name: str) -> ArcClass:
-        """Resolve short pants aliases a11..a33, a12, a13, a23 and full labels."""
+        """Resolve full arc labels and, on the pants, the short aliases ajk
+        of the arc from Bj to Bk (a11..a33, a12, a13, a23, in either order)."""
         arcs = self._arcs_by_label
         if name in arcs:
             return arcs[name]
         if self.is_pants() and len(name) == 3 and name[0] == "a":
-            j, k = name[1], name[2]
-            if j == k:
-                others = sorted(b for b in self.boundaries if b != f"B{j}")
-                label = f"a(B{j};{others[0]},{others[1]})"
-            else:
-                g = ({"1", "2", "3"} - {j, k}).pop()
-                label = f"a(B{min(j,k)},B{max(j,k)};B{g})"
-            if label in arcs:
-                return arcs[label]
+            ends = sorted(f"B{d}" for d in name[1:])
+            for arc in arcs.values():
+                if sorted(arc.endpoints()) == ends:
+                    return arc
         raise DomainError(f"unknown arc {name!r} on {self.signature}")
+
+
+# the most steps a class id's torus length may take: the slope descent of
+# hyptrig.torus_slope_length takes one step per unit of partial quotient
+_MAX_DESCENT = 10 ** 6
+
+
+def _check_descent(class_id: str, p: int, q: int) -> None:
+    """Refuse an id whose slope (p, q), q >= 1, descends from (p // q, 1) in
+    over _MAX_DESCENT steps: the partial quotients of (p mod q)/q, summed,
+    less one, counted by Euclid in O(log q)."""
+    a, b, steps = q, p % q, -1
+    while b:
+        steps += a // b
+        a, b = b, a % b
+    if steps > _MAX_DESCENT:
+        raise DomainError(f"class id {class_id!r} takes {steps} slope descent "
+                          f"steps, over the cap {_MAX_DESCENT}")
+
+
+def class_from_id(surface: Surface, class_id: str):
+    """The class of an id: curve label, w(p,q) slope, or arc label or alias;
+    a slope or twisted arc whose length descent is over the cap is refused."""
+    if not isinstance(class_id, str):
+        raise DomainError(f"class id must be a string, got {class_id!r}")
+    if class_id in surface.boundaries or class_id in surface.interior_curves:
+        return surface.curve_class(class_id)
+    if class_id.startswith("w(") and class_id.endswith(")"):
+        try:
+            p, q = (int(t) for t in class_id[2:-1].split(","))
+        except ValueError:
+            raise DomainError(f"slope id {class_id!r} is not w(p,q) with "
+                              f"integers p and q") from None
+        if q < 1 or math.gcd(abs(p), q) != 1:
+            raise DomainError(f"slope ({p},{q}) is not primitive with q >= 1")
+        _check_descent(class_id, p, q)
+        return surface.slope_curve(p, q)
+    body, tilde, twist = class_id.partition("~")
+    if tilde:  # the slope host pants' arc around the slope (1, k)
+        try:
+            host = surface.slope_curve(1, int(twist)).slope  # None for k = 0
+        except ValueError:
+            raise DomainError(f"arc twist in {class_id!r} is not an integer") from None
+        arc = surface._arcs_by_label.get(body)
+        if arc is not None and surface.slope_of(arc) == (1, 0):
+            arc = arc._replace(host=host)
+            if arc.label == class_id:
+                _check_descent(class_id, *host)
+                return arc
+    return surface.arc_alias(class_id)  # refuses an arc id it does not know
 
 
 @functools.cache

@@ -14,6 +14,7 @@ from arcmetric import geometry as geo
 from arcmetric import hyptrig as ht
 from arcmetric import lamination as lam
 from arcmetric import metric as met
+from arcmetric import topology as top
 from arcmetric.errors import (DegeneratePanelError, DomainError, InvalidSpecError,
                               NoWitnessError)
 from arcmetric.topology import (ArcClass, CurveClass, Panel, build_surface,
@@ -303,8 +304,8 @@ def test_inequality_cli_walks_each_grid_point_once(monkeypatch, tmp_path):
 
 def test_inequality_without_targets_reads_the_panel(monkeypatch, tmp_path):
     calls = []
-    parse = geo.class_from_id  # lamination_from_dict and the CLI both parse here
-    monkeypatch.setattr(geo, "class_from_id",
+    parse = top.class_from_id  # lamination_from_dict and the CLI both parse here
+    monkeypatch.setattr(top, "class_from_id",
                         lambda surface, cid: calls.append(cid) or parse(surface, cid))
     config = Path(__file__).resolve().parent.parent / "demos" / "configs" \
         / "demo_boundary_pants.json"  # no targets: the whole panel
@@ -519,6 +520,18 @@ def test_separation_exhaustion_reports_attempts():
     with pytest.raises(NoWitnessError) as err:
         asy.separation_experiment(mu, nu, X0, PANEL, grid=[0.0, 1.0, 2.0])
     assert len(err.value.attempts) == 12  # 4 epsilons x 3 grid points
+
+
+def test_separation_refuses_a_panel_that_misses_mu_or_nu():
+    # C1 crosses no entry of the torus panel at level 0, and B1 does
+    X0 = geo.torus_point(1.0, 0.0, 2.0)
+    c1, b1 = (lam.normalize(lam.rational_lamination(T, {cls: 1.0}), X0)
+              for cls in (CurveClass("interior", "C1"), CurveClass("boundary", "B1")))
+    panel = enumerate_panel(T, 0)
+    with pytest.raises(DegeneratePanelError, match="^the panel misses mu$"):
+        asy.separation_experiment(c1, b1, X0, panel)
+    with pytest.raises(DegeneratePanelError, match="^the panel misses nu$"):
+        asy.separation_experiment(b1, c1, X0, panel)
 
 
 def test_abs_double_chi():

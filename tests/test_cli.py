@@ -778,6 +778,21 @@ def test_experiment_separate(tmp_path):
     assert data["gap"] >= 1e-3
 
 
+def test_separate_on_a_panel_that_misses_mu_is_a_domain_error(tmp_path):
+    cfg = {
+        "surface": [1, 0, 1],
+        "base_point": {"C1": {"length": 1.0, "twist": 0.0}, "B1": 2.0},
+        "mu": [{"class_id": "C1", "weight": 1.0}],
+        "nu": [{"class_id": "B1", "weight": 1.0}],
+        "panel_n": 0,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = run("experiment", "separate", str(path))
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr == "error: the panel misses mu\n"
+
+
 def test_separate_ignores_the_path_of_unnormalized_mu(tmp_path, capsys):
     # separate walks blends of the normalized mu only: a weight whose own
     # path would leave the double range (B3 grows as 1e305 * 2 e^t) is fine

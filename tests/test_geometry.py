@@ -10,6 +10,7 @@ from arcmetric import geometry as geo
 from arcmetric import halfplane as hp
 from arcmetric import holonomy as ho
 from arcmetric import hyptrig as ht
+from arcmetric import topology as top
 from arcmetric.errors import DomainError, UnsupportedClassError, UnsupportedSurfaceError
 from arcmetric.topology import ArcClass, CurveClass, build_surface, enumerate_panel
 
@@ -296,7 +297,7 @@ def test_dual_curve_twist_conventions():
 def test_twisted_arc_lengths_via_host_curve():
     X = geo.torus_point(2.0, 0.4, 1.5)
     base = X.surface.pants_arcs()[0]
-    arcs = [geo.class_from_id(X.surface, f"a(B1;C1,C1)~{k}") for k in (1, -1, 2, -2)]
+    arcs = [top.class_from_id(X.surface, f"a(B1;C1,C1)~{k}") for k in (1, -1, 2, -2)]
     for arc in arcs:
         host = geo.class_length(X, CurveClass("word", "w(%d,%d)" % arc.host, arc.host))
         expected = ht.arc_length_same_boundary(1.5, host, host)

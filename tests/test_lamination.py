@@ -7,6 +7,7 @@ import pytest
 
 from arcmetric import geometry as geo
 from arcmetric import lamination as lam
+from arcmetric import topology as top
 from arcmetric.errors import (DomainError, UnsupportedClassError,
                               UnsupportedCoordinatesError, UnsupportedSurfaceError)
 from arcmetric.topology import ArcClass, CurveClass, build_surface, enumerate_panel
@@ -80,9 +81,9 @@ def test_torus_slope_intersections():
     assert lam.class_intersection(T, c11, CurveClass("boundary", "B1")) == 0.0
     arc = T.pants_arcs()[0]
     assert lam.class_intersection(T, c21, arc) == 1.0  # |q| crossings
-    arc2 = lam.class_from_id(T, "a(B1;C1,C1)~1")
+    arc2 = top.class_from_id(T, "a(B1;C1,C1)~1")
     assert lam.class_intersection(T, arc2, arc) == 0.0
-    arc3 = lam.class_from_id(T, "a(B1;C1,C1)~2")
+    arc3 = top.class_from_id(T, "a(B1;C1,C1)~2")
     assert lam.class_intersection(T, arc3, arc) == 1.0
 
 
@@ -202,6 +203,16 @@ def test_ratio_sup_examples():
         lam.ratio_sup(mu, lam.RationalLamination(S, ()))
 
 
+def test_classes_are_told_apart_by_value_not_by_label():
+    # the arcs around the hosts (2, 3) and (1, 6) both print ~6 and cross
+    base = T.pants_arcs()[0]
+    a23, a16 = base._replace(host=(2, 3)), base._replace(host=(1, 6))
+    assert str(a23) == str(a16) == "a(B1;C1,C1)~6"
+    assert lam.ratio_sup(L(T, {a23: 1.0}), L(T, {a16: 1.0})) == math.inf
+    with pytest.raises(DomainError, match="intersect"):
+        L(T, [(a23, 1.0), (a16, 1.0)])
+
+
 def test_ratio_sup_matches_componentwise_bruteforce():
     rng = random.Random(4)
     for _ in range(100):
@@ -284,7 +295,7 @@ def test_dt_decode_rejects_unrepresentable():
 
 
 def test_dt_encode_rejects_twisted_arcs():
-    arc1 = lam.class_from_id(T, "a(B1;C1,C1)~1")
+    arc1 = top.class_from_id(T, "a(B1;C1,C1)~1")
     with pytest.raises(UnsupportedCoordinatesError):
         lam.dt_encode(L(T, {arc1: 1.0}))
 
@@ -354,6 +365,64 @@ def test_refine_rejects_non_tier1():
         lam.refine(mu)
 
 
+def _refine_by_rescan(mu):
+    """(mu_hat, zeta) components by refine's definition, scanning the
+    candidates again from the first after each addition."""
+    surface = mu.surface
+    panel = enumerate_panel(surface, 3 if surface.is_torus() else 0)
+    comps, added = list(mu.components), []
+
+    def current():
+        return lam.RationalLamination(surface, tuple(comps + [(c, 1.0) for c in added]))
+
+    def disjoint(c, d):
+        return lam.class_intersection(surface, c, d) == 0.0 \
+            and lam.class_intersection(surface, d, c) == 0.0
+
+    if not lam.refinement_complete(current(), panel):
+        added += [b for b in surface.boundary_classes() if b not in mu.classes()
+                  and all(disjoint(b, c) for c in mu.classes())]
+        candidates = [e for e in panel if isinstance(e, ArcClass)] + [
+            e for e in panel if isinstance(e, CurveClass) and e.kind != "boundary"]
+        while not lam.refinement_complete(current(), panel):
+            for cand in candidates:
+                if cand not in current().classes() and all(
+                        isinstance(cand, ArcClass) and c in surface.boundary_classes()
+                        or disjoint(cand, c) for c in current().classes()):
+                    added.append(cand)
+                    break
+            else:
+                return "cannot complete"
+    return (lam.rational_lamination(surface, current().components).components,
+            tuple((c, 1.0) for c in added))
+
+
+def test_refine_adds_what_rescanning_after_each_addition_adds():
+    # a candidate refused once stays refused: the lamination only grows
+    laminations = []
+    for surface, seed in ((S, 21), (T, 22)):
+        rng = random.Random(seed)
+        laminations += [lam.sample_supported_lamination(surface, rng)
+                        for _ in range(3000)]
+        panel = enumerate_panel(surface, 3 if surface.is_torus() else 0)
+        for k, c in enumerate(panel):
+            laminations.append(L(surface, {c: 1.0}))
+            for d in panel.entries[k + 1:]:
+                try:
+                    laminations.append(L(surface, {c: 1.0, d: 2.0}))
+                except DomainError:
+                    pass  # not disjoint
+    assert len(laminations) == 6061  # 23 one-class and 38 two-class ones
+    for mu in laminations:
+        try:
+            mu_hat, zeta = lam.refine(mu)
+            got = (mu_hat.components, zeta.components)
+        except DomainError as exc:
+            assert "cannot complete" in str(exc)
+            got = "cannot complete"
+        assert got == _refine_by_rescan(mu), mu
+
+
 # -- serialization -------------------------------------------------------------------
 
 
@@ -365,43 +434,43 @@ def test_lamination_json_roundtrip():
 
 
 def test_class_from_id():
-    assert lam.class_from_id(S, "B2") == B2
-    assert lam.class_from_id(S, "a12") == A12
-    assert lam.class_from_id(T, "w(1,2)").slope == (1, 2)
+    assert top.class_from_id(S, "B2") == B2
+    assert top.class_from_id(S, "a12") == A12
+    assert top.class_from_id(T, "w(1,2)").slope == (1, 2)
     # at the cap: the descent to 1/(10**6 + 1) takes 10**6 steps
-    assert lam.class_from_id(T, "w(1,1000001)").slope == (1, 1000001)
+    assert top.class_from_id(T, "w(1,1000001)").slope == (1, 1000001)
     # a long word whose descent is short: no step, and 29 for a Fibonacci slope
-    assert lam.class_from_id(T, "w(-10000000,1)").slope == (-10000000, 1)
-    assert lam.class_from_id(T, "w(832040,1346269)").slope == (832040, 1346269)
-    assert lam.class_from_id(T, "a(B1;C1,C1)~1").host == (1, 1)
+    assert top.class_from_id(T, "w(-10000000,1)").slope == (-10000000, 1)
+    assert top.class_from_id(T, "w(832040,1346269)").slope == (832040, 1346269)
+    assert top.class_from_id(T, "a(B1;C1,C1)~1").host == (1, 1)
     with pytest.raises(DomainError):
-        lam.class_from_id(S, "nope")
+        top.class_from_id(S, "nope")
 
 
 def test_every_panel_id_round_trips():
     for level in range(25):
         for entry in enumerate_panel(T, level):
-            assert lam.class_from_id(T, str(entry)) == entry
+            assert top.class_from_id(T, str(entry)) == entry
     for sig in [(0, 0, 3), (0, 0, 4), (1, 0, 2), (2, 0, 1), (0, 0, 6), (0, 1, 2)]:
         surface = build_surface(*sig)
         for entry in enumerate_panel(surface, 0):
-            assert lam.class_from_id(surface, str(entry)) == entry
+            assert top.class_from_id(surface, str(entry)) == entry
 
 
 @pytest.mark.parametrize("k", [6, -7, 40, 1000001, -1000001])
 def test_class_from_id_twisted_arc_any_twist(k):
-    arc = lam.class_from_id(T, f"a(B1;C1,C1)~{k}")
+    arc = top.class_from_id(T, f"a(B1;C1,C1)~{k}")
     assert arc.host == ((1, k) if k > 0 else (-1, -k))
-    assert lam.class_from_id(T, str(arc)) == arc
+    assert top.class_from_id(T, str(arc)) == arc
 
 
 def test_class_from_id_rejects_bad_twists():
     for bad in ("a(B1;C1,C1)~0", "a(B1;C1,C1)~+6", "a(B1;C1,C1)~x",
                 "a(B2;C1,C1)~3"):
         with pytest.raises(DomainError):
-            lam.class_from_id(T, bad)
+            top.class_from_id(T, bad)
     with pytest.raises(DomainError):
-        lam.class_from_id(S, "a(B1;B2,B3)~1")
+        top.class_from_id(S, "a(B1;B2,B3)~1")
 
 
 def _over_the_cap(bad, steps):
@@ -429,7 +498,7 @@ MALFORMED_IDS = [
                          ids=[str(bad) for bad, _ in MALFORMED_IDS])
 def test_class_from_id_rejects_malformed_ids(bad, message):
     with pytest.raises(DomainError) as refused:
-        lam.class_from_id(T, bad)
+        top.class_from_id(T, bad)
     assert str(refused.value) == message
 
 

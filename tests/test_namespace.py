@@ -108,6 +108,26 @@ def test_topology_alone_decides_slopes():
     assert _calls("topology.py", word_curve) == ["Surface"]
 
 
+def test_topology_alone_reads_class_ids():
+    # the id grammar has one owner, next to the labels it parses back; no
+    # other module defines, assigns or imports these names
+    names = {"class_from_id", "_check_descent", "_MAX_DESCENT"}
+    for path in Path(arcmetric.__file__).parent.glob("*.py"):
+        bound = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.add(node.id)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update(alias.asname or alias.name for alias in node.names)
+        assert bound & names == (names if path.name == "topology.py" else set()), \
+            path.name
+    assert not hasattr(importlib.import_module("arcmetric.lamination"), "class_from_id")
+    assert arcmetric.class_from_id is importlib.import_module(
+        "arcmetric.topology").class_from_id
+
+
 def test_unknown_name_is_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         arcmetric.no_such_name  # noqa: B018

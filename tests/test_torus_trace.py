@@ -19,6 +19,7 @@ from arcmetric import asymptotics as asy
 from arcmetric import geometry as geo
 from arcmetric import hyptrig as ht
 from arcmetric import lamination as lam
+from arcmetric import topology as top
 from arcmetric.errors import DomainError
 from arcmetric.topology import CurveClass, enumerate_panel
 
@@ -92,7 +93,7 @@ def test_fricke_identity(lC, tau, lB):
     # x^2 + y^2 + z^2 - xyz = 2 - 2 cosh(lB/2) on the traces of C1, w(0,1)
     # and w(1,1): the boundary as the commutator of the handle
     X = geo.torus_point(lC, tau, lB)
-    l01, l11 = (geo.class_length(X, lam.class_from_id(TORUS, w))
+    l01, l11 = (geo.class_length(X, top.class_from_id(TORUS, w))
                 for w in ("w(0,1)", "w(1,1)"))
     assert checks.check_fricke(lC, lB, l01, l11) is None
 
@@ -116,7 +117,7 @@ def test_dehn_twist_about_c1_shifts_slopes(lC, tau, lB):
 def test_boundary_limit_on_word_panels_reaches_t10(n):
     # C1 = e^t on this path, and w(0,1) is the perpendicular d between the
     # copies of C1, about 5 e^(-e^t / 2): 0.0 in doubles from t = 7.5 on
-    w01 = lam.class_from_id(TORUS, "w(0,1)")
+    w01 = top.class_from_id(TORUS, "w(0,1)")
     spec = asy.make_path_spec(lam.rational_lamination(TORUS, {w01: 1.0}),
                               geo.torus_point(1.0, 0.0, 2.0))
     series = asy.boundary_convergence(spec, PANELS[n]).series
