@@ -13,7 +13,8 @@ at the last grid point, and every decaying length at the first, where it is
 longest, is a finite double, checked once when a PathSpec (and a deviation
 walk's targets) is built, else InvalidSpecError.  A point with a coordinate
 off the doubles exists only inside a walk; scaling_path refuses it.  Each
-experiment computes each intersection vector it reads once.
+experiment computes each intersection vector it reads once, a panel's through
+metric._intersections, which refuses a panel that misses the lamination.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from . import geometry as geo
 from . import hyptrig as ht
 from . import lamination as lam
 from . import metric as met
-from .errors import (DegeneratePanelError, DomainError, InvalidSpecError,
-                     NoWitnessError, UnsupportedClassError)
+from .errors import (DomainError, InvalidSpecError, NoWitnessError,
+                     UnsupportedClassError)
 from .topology import Panel
 
 DEFAULT_GRID = tuple(0.5 * k for k in range(21))  # 0.0, 0.5, ..., 10.0
@@ -197,10 +198,8 @@ class BoundaryConvergence(NamedTuple):
 def boundary_convergence(spec: PathSpec, panel: Panel) -> BoundaryConvergence:
     """Projective sup-norm distance between the length vector of X_t and the
     normalized intersection vector of the driving lamination."""
-    ivec = lam.intersection_vector(spec.mu, panel.entries)
+    ivec = met._intersections(spec.mu, panel.entries)
     top = max(ivec)
-    if top == 0:
-        raise DegeneratePanelError("panel misses the driving lamination")
     target = tuple(v / top for v in ivec)
     return BoundaryConvergence(
         [(t, max(abs(a - b) for a, b in zip(met._projective(logs), target)))
@@ -219,10 +218,10 @@ def horo_convergence(spec: PathSpec, probes, panel: Panel):
         raise DomainError("horo_convergence needs at least one probe point")
     if any(P.surface != spec.mu.surface for P in probes):
         raise DomainError("points live on different surfaces")
-    log_ivals = met._log_intersections(spec.mu, panel.entries)
+    log_ivals = met._logs(met._intersections(spec.mu, panel.entries))
     base_lengths, *probe_lengths = [geo.log_lengths(panel.surface, panel.entries, P)
                                     for P in (spec.base_point, *probes)]
-    constant = met._normalizer(log_ivals, base_lengths)
+    constant = met._log_sup_ratio(base_lengths, log_ivals)[0]
     mu_values = [met._log_sup_ratio(ly, log_ivals)[0] - constant
                  for ly in probe_lengths]
     out = []
@@ -272,11 +271,8 @@ def separation_experiment(mu: lam.RationalLamination,
         L = geo.lamination_length(X0, zeta)
         blends = ((eps, mu.scaled(1.0 - eps) + zeta.scaled(eps / L))
                   for eps in _EPSILONS)
-    i_nu, i_mu = (met._logs(lam.intersection_vector(m, panel.entries))
-                  for m in (nu, mu))
-    for name, logs in (("mu", i_mu), ("nu", i_nu)):
-        if max(logs) == -math.inf:
-            raise DegeneratePanelError(f"the panel misses {name}")
+    i_mu, i_nu = (met._logs(met._intersections(m, panel.entries, name))
+                  for name, m in (("mu", mu), ("nu", nu)))
     attempts = []
     for eps, blend in blends:
         spec = make_path_spec(blend, X0, grid)

@@ -509,19 +509,20 @@ def lamination_to_dict(mu: RationalLamination) -> list:
 
 
 def lamination_from_dict(surface: Surface, data) -> RationalLamination:
-    """Lamination from a list of {"class_id": id, "weight": w} items."""
+    """Lamination from a list of {"class_id": id, "weight": w} items; a
+    class named twice, under one id or two, is refused."""
     if not isinstance(data, (list, tuple)):
         raise DomainError(f"a lamination is a list of class_id/weight items, "
                           f"got {data!r}")
-    weights = {}
+    pairs = []
     for item in data:
         try:
             class_id, weight = item["class_id"], float(item["weight"])
         except (TypeError, KeyError, ValueError):
             raise DomainError(f"lamination item {item!r} needs a class_id and "
                               f"a numeric weight") from None
-        weights[top.class_from_id(surface, class_id)] = weight
-    return rational_lamination(surface, weights)
+        pairs.append((top.class_from_id(surface, class_id), weight))
+    return rational_lamination(surface, pairs)
 
 
 def dt_to_dict(coords: DTCoordinates) -> dict:

@@ -10,7 +10,9 @@ a normalized vector, exp(log l - max log l), is finite off the doubles too.
 One functional xi on the panel gives both compactifications: the lengths
 l(X) of a point or the intersection numbers i(mu, .) of a lamination.  The
 Thurston side is its projective class [xi] (_projective), and the horofunction
-side is Psi_xi(Y) = log sup xi/l(Y) - log sup xi/l(X0).
+side is Psi_xi(Y) = log sup xi/l(Y) - log sup xi/l(X0).  Both need a panel
+that sees mu: _intersections, the one reader of i(mu, .) on a panel here and
+in asymptotics, refuses a panel mu misses ("the panel misses mu").
 """
 
 from __future__ import annotations
@@ -74,22 +76,15 @@ def thurston_vector(X: geo.FNPoint, panel: Panel) -> tuple[float, ...]:
 # -- horofunctions -----------------------------------------------------------------
 
 
-def _log_intersections(mu, entries) -> list:
-    """log i(mu, e) for each of the entries (-inf where mu misses e); the
-    one reader of lamination here, so it loads only for boundary horofunctions."""
+def _intersections(mu, entries, name="mu") -> tuple:
+    """i(mu, e) for each of the entries, refused when every one is 0; the
+    one reader of lamination here, so it loads only where mu is read."""
     from . import lamination as lam
 
-    if mu.is_zero():
-        raise DomainError("boundary horofunction needs a nonzero lamination")
-    return _logs(lam.intersection_vector(mu, entries))
-
-
-def _normalizer(log_xi, base_lengths) -> float:
-    """log sup xi/l(., X0), the constant of Psi_xi."""
-    best = _log_sup_ratio(base_lengths, log_xi)[0]
-    if best == -math.inf:
-        raise DegeneratePanelError("the panel misses the lamination at the base point")
-    return best
+    ivals = lam.intersection_vector(mu, entries)
+    if not any(ivals):
+        raise DegeneratePanelError(f"the panel misses {name}")
+    return ivals
 
 
 class Horofunction(NamedTuple):
@@ -106,7 +101,8 @@ class Horofunction(NamedTuple):
 def _horofunction(base_point, panel, entries, log_xi) -> Horofunction:
     entries, log_xi = tuple(entries), tuple(log_xi)
     base_lengths = geo.log_lengths(panel.surface, entries, base_point)
-    return Horofunction(base_point, entries, log_xi, _normalizer(log_xi, base_lengths))
+    return Horofunction(base_point, entries, log_xi,
+                        _log_sup_ratio(base_lengths, log_xi)[0])
 
 
 def interior_horofunction(X: geo.FNPoint, base_point: geo.FNPoint,
@@ -122,7 +118,9 @@ def boundary_horofunction(mu: RationalLamination, base_point: geo.FNPoint,
     entries = panel.entries
     for entry in entries:  # a class without a length is refused, crossed or not
         geo._compiled(panel.surface, entry)
-    crossed = [(e, v) for e, v in zip(entries, _log_intersections(mu, entries))
+    if mu.is_zero():
+        raise DomainError("boundary horofunction needs a nonzero lamination")
+    crossed = [(e, v) for e, v in zip(entries, _logs(_intersections(mu, entries)))
                if v > -math.inf]
     return _horofunction(base_point, panel, [e for e, _ in crossed],
                          [v for _, v in crossed])
@@ -173,6 +171,8 @@ def detect_limit(points, panel: Panel, tolerance: float = 1e-6,
     panel can misread a boundary limit on surfaces where the panel is not
     complete).
     """
+    if not 0 < tolerance < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tolerance!r}")
     pts = list(points)
     if len(pts) < 2:
         raise DomainError("need at least two points to detect a limit")

@@ -542,7 +542,7 @@ def test_abs_double_chi():
 def test_boundary_convergence_on_a_panel_mu_misses():
     # a33 crosses no panel entry: the normalized intersection vector is 0/0
     panel = Panel(S, 0, (CurveClass("boundary", "B1"),))
-    with pytest.raises(DegeneratePanelError, match="misses the driving lamination"):
+    with pytest.raises(DegeneratePanelError, match="^the panel misses mu$"):
         asy.boundary_convergence(SPEC, panel)
 
 

@@ -793,6 +793,37 @@ def test_separate_on_a_panel_that_misses_mu_is_a_domain_error(tmp_path):
     assert out.stderr == "error: the panel misses mu\n"
 
 
+@pytest.mark.parametrize("verb", ["boundary-limit", "horo-converge"])
+def test_a_panel_that_misses_mu_has_one_message(verb, tmp_path):
+    # the zero lamination crosses no entry: both path experiments refuse the
+    # panel as separate does, with the same message
+    cfg = {**json.loads((CONFIGS / "demo_horo_pants.json").read_text()), "mu": []}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = run("experiment", verb, str(path))
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr == "error: the panel misses mu\n"
+
+
+def test_a_class_named_twice_in_a_lamination_exits_3():
+    # a12 and a(B1,B2;B3) are one class: its weight is not silently replaced
+    mu = json.dumps([{"class_id": "a12", "weight": 1},
+                     {"class_id": "a(B1,B2;B3)", "weight": 2}])
+    out = run("horofn", "--pants", "--base", "2,2,2", "--at", "1,1,1", "--mu", mu)
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr == "error: lamination components must be pairwise distinct\n"
+
+
+def test_a_base_point_without_an_interior_curve_exits_3(tmp_path):
+    cfg = {**json.loads((CONFIGS / "demo_boundary_torus.json").read_text()),
+           "base_point": {"B1": 2.0}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = run("experiment", "boundary-limit", str(path))
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr == "error: interior coordinates must cover ('C1',)\n"
+
+
 def test_separate_ignores_the_path_of_unnormalized_mu(tmp_path, capsys):
     # separate walks blends of the normalized mu only: a weight whose own
     # path would leave the double range (B3 grows as 1e305 * 2 e^t) is fine

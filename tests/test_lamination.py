@@ -87,6 +87,21 @@ def test_torus_slope_intersections():
     assert lam.class_intersection(T, arc3, arc) == 1.0
 
 
+def test_a_puncture_side_is_a_boundary_side_that_nothing_crosses():
+    # on S_{0,1,2} the level-0 panel is the pants panel on B1, B2 and the arcs
+    # that do not end on B3, with the puncture U1 in its place
+    P = build_surface(0, 1, 2)
+    ids = ("B1", "B2", "a(B1;B2,{0})", "a(B2;B1,{0})", "a(B1,B2;{0})")
+    pants, punctured = ([top.class_from_id(surface, i.format(third)) for i in ids]
+                        for surface, third in ((S, "B3"), (P, "U1")))
+    assert punctured == list(enumerate_panel(P, 0))
+    matrix = [[0, 0, 1, 0, .5], [0, 0, 0, 1, .5], [2, 0, 0, 2, 0],
+              [0, 2, 2, 0, 0], [1, 1, 0, 0, 0]]
+    for surface, classes in ((S, pants), (P, punctured)):
+        assert [[lam.class_intersection(surface, c, d) for d in classes]
+                for c in classes] == matrix, surface.signature
+
+
 def _label_slope(label):
     """The slope a torus panel label names, read from the label alone: C1 and
     the base arc (1, 0), w(p,q) (p, q), and the arc ~k (1, k)."""
@@ -512,6 +527,9 @@ def test_class_from_id_rejects_malformed_ids(bad, message):
     {"class_id": "a33", "weight": 1.0},         # not a list
     "a33",
     None,
+    # one class named twice, under two ids or one: not pairwise distinct
+    [{"class_id": "a12", "weight": 1}, {"class_id": "a(B1,B2;B3)", "weight": 2}],
+    [{"class_id": "B1", "weight": 1}, {"class_id": "B1", "weight": 2}],
 ])
 def test_lamination_from_dict_rejects_malformed_items(data):
     with pytest.raises(DomainError):

@@ -337,6 +337,15 @@ def test_detect_limit_needs_two_points():
         met.detect_limit([X222], PANEL)
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, 0.0, -1e-6])
+def test_detect_limit_needs_a_positive_finite_tolerance(tolerance):
+    # a NaN tolerance read (1,1,1) -> (2,2,2) as a boundary limit, and an
+    # infinite one as an interior limit
+    seq = [geo.pants_point(1, 1, 1), X222]
+    with pytest.raises(DomainError, match="^tolerance must be positive and finite"):
+        met.detect_limit(seq, PANEL, tolerance)
+
+
 def test_metric_inputs_without_a_value_are_typed_errors():
     with pytest.raises(DomainError, match="points live on different surfaces"):
         met.arc_metric(X222, geo.torus_point(1.0, 0.0, 2.0), PANEL)

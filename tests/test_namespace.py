@@ -128,6 +128,26 @@ def test_topology_alone_reads_class_ids():
         "arcmetric.topology").class_from_id
 
 
+def test_metric_alone_refuses_a_panel_that_misses_the_lamination():
+    # one reader of i(mu, .) on a panel raises DegeneratePanelError; the
+    # experiments call it and neither raise nor import the error themselves
+    raised, imported = [], []
+    for path in Path(arcmetric.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                    and getattr(node.exc.func, "id", None) == "DegeneratePanelError":
+                raised.append(path.name)
+            elif isinstance(node, ast.ImportFrom) and any(
+                    alias.name == "DegeneratePanelError" for alias in node.names):
+                imported.append(path.name)
+    assert raised == ["metric.py"]
+    assert "asymptotics.py" not in imported
+    metric = importlib.import_module("arcmetric.metric")
+    assert callable(metric._intersections)
+    assert not any(hasattr(metric, name)
+                   for name in ("_normalizer", "_log_intersections"))
+
+
 def test_unknown_name_is_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         arcmetric.no_such_name  # noqa: B018
